@@ -183,13 +183,27 @@ def test_obs_overhead(once):
     enabled = min(samples["enabled"])
     obs, points, block, sweep_wall, _stats, trace_path, report_path = sweep_artifacts
 
-    # Table shows the pooled-min estimate; the gates use the tighter
-    # upper bound from overhead_vs (best round OR pooled, whichever the
-    # noise spared).
-    disabled_overhead = disabled / baseline - 1.0
-    enabled_overhead = enabled / baseline - 1.0
+    # The overhead and gate columns print exactly what the assertions at
+    # the end check: the overhead_vs bound (best round OR pooled minima,
+    # whichever the noise spared) against ceiling + noise allowance.  The
+    # estimator converges from above under one-sided noise, but shared-VM
+    # runners still carry a percent-level floor the cleanest window can't
+    # always dodge, so the gate allows for it (single cores worst:
+    # everything shares the one measurement core).  A real per-batch
+    # instrumentation cost would register as tens of percent at these
+    # sizes — far outside either gate.
+    noise_allowance = 0.02 if CPUS >= 2 else 0.05
     disabled_bound = overhead_vs(samples, "disabled")
     enabled_bound = overhead_vs(samples, "enabled")
+    disabled_gate = DISABLED_OVERHEAD_CEILING + noise_allowance
+    enabled_gate = ENABLED_OVERHEAD_CEILING + noise_allowance
+
+    def gate_text(ceiling: float, gate: float) -> str:
+        return (
+            f"< {gate * 100:.0f}% ({ceiling * 100:.0f}% + "
+            f"{noise_allowance * 100:.0f}% noise allowance)"
+        )
+
     table.add_row(
         configuration="uninstrumented batch loop",
         wall_time_s=baseline,
@@ -200,15 +214,15 @@ def test_obs_overhead(once):
     table.add_row(
         configuration="engine, tracing disabled (noop)",
         wall_time_s=disabled,
-        overhead=f"{disabled_overhead * 100:+.2f}%",
-        gate=f"< {DISABLED_OVERHEAD_CEILING * 100:.0f}%",
+        overhead=f"{disabled_bound * 100:+.2f}%",
+        gate=gate_text(DISABLED_OVERHEAD_CEILING, disabled_gate),
         note="the default every engine ships with",
     )
     table.add_row(
         configuration="engine, tracing + metrics enabled",
         wall_time_s=enabled,
-        overhead=f"{enabled_overhead * 100:+.2f}%",
-        gate=f"< {ENABLED_OVERHEAD_CEILING * 100:.0f}%",
+        overhead=f"{enabled_bound * 100:+.2f}%",
+        gate=gate_text(ENABLED_OVERHEAD_CEILING, enabled_gate),
         note="spans bracket batches, never shots",
     )
 
@@ -247,16 +261,9 @@ def test_obs_overhead(once):
     assert 0.0 <= report["ipc_share"] <= 1.0
     assert report_path.exists()
 
-    # Overhead gates.  The estimator converges from above under one-sided
-    # noise, but shared-VM runners still carry a percent-level floor the
-    # cleanest window can't always dodge, so the assertion allows for it
-    # (single cores worst: everything shares the one measurement core).
-    # A real per-batch instrumentation cost would register as tens of
-    # percent at these sizes — far outside either gate.
-    noise_allowance = 0.02 if CPUS >= 2 else 0.05
-    assert disabled_bound < DISABLED_OVERHEAD_CEILING + noise_allowance, (
+    assert disabled_bound < disabled_gate, (
         f"disabled-tracing overhead {disabled_bound * 100:.2f}% exceeds gate"
     )
-    assert enabled_bound < ENABLED_OVERHEAD_CEILING + noise_allowance, (
+    assert enabled_bound < enabled_gate, (
         f"enabled-tracing overhead {enabled_bound * 100:.2f}% exceeds gate"
     )

@@ -18,7 +18,7 @@ from repro.core import FAMILY
 from repro.reporting import Table
 
 # Shot budgets scale with circuit width: the multistate campaign runs
-# 5-qubit circuits, nparty at k=3 is a 15-qubit machine.
+# 4-qubit live-width circuits, nparty at k=3 needs 10 live qubits.
 SHOTS = {
     ("multistate_swap", 2): 4000 if FULL_SCALE else 800,
     ("multistate_swap", 3): 4000 if FULL_SCALE else 800,

@@ -3,6 +3,7 @@
 from .circuit import Circuit, Condition, Instruction
 from .gates import GATES, GateSpec, gate_matrix, is_clifford_gate
 from .moments import circuit_depth, circuit_moments
+from .recycle import recycle_qubits
 
 __all__ = [
     "Circuit",
@@ -14,4 +15,5 @@ __all__ = [
     "is_clifford_gate",
     "circuit_depth",
     "circuit_moments",
+    "recycle_qubits",
 ]

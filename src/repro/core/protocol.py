@@ -33,6 +33,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..circuits.recycle import recycle_qubits
 from ..engine import Ensemble, Job
 from ..network.lowering import LoweredProgram, lower_program
 from ..network.program import DistributedProgram, LocalityReport
@@ -144,24 +145,28 @@ def protocol_job(
 ) -> Job:
     """Package a built (readout-carrying) protocol circuit as an engine job.
 
-    Each loaded position becomes a per-shot :class:`~repro.engine.Ensemble`
-    over its user state's eigen-decomposition (pure states degenerate to a
-    single component).  The circuit's capability flags (a cached scan —
-    full compilation is left to the executing worker so the engine's
-    compile-time accounting stays honest) are recorded in the job
-    metadata.  ``backend`` optionally pins a simulator (e.g.
-    ``"statevector-ref"`` for the per-shot reference path).
+    The built circuit is first narrowed onto its live width
+    (:func:`~repro.circuits.recycle_qubits`): reset ancillas hand their
+    slots to later qubits, so every backend simulates fewer qubits with
+    the same ops in the same order.  Each loaded position becomes a
+    per-shot :class:`~repro.engine.Ensemble` over its user state's
+    eigen-decomposition (pure states degenerate to a single component),
+    placed on the position's slot.  The allocated and live widths and the
+    circuit's capability flags (a cached scan — full compilation is left
+    to the executing worker so the engine's compile-time accounting stays
+    honest) are recorded in the job metadata.  ``backend`` optionally pins
+    a simulator (e.g. ``"statevector-ref"`` for the per-shot reference
+    path).
     """
     if build.basis is None:
         raise ValueError("build must include a readout basis")
+    allocated = build.circuit()
+    circuit, registers = recycle_qubits(allocated, build.position_registers)
     ensembles = []
-    for position in range(len(build.position_registers)):
+    for position, register in enumerate(registers):
         state = states[build.user_of_position[position]]
         pairs = _eigen_ensembles([state])[0]
-        ensembles.append(
-            Ensemble.from_states(build.position_registers[position], pairs)
-        )
-    circuit = build.circuit()
+        ensembles.append(Ensemble.from_states(register, pairs))
     capabilities = get_capabilities(circuit)
     return Job(
         circuit=circuit,
@@ -177,6 +182,8 @@ def protocol_job(
             "k": build.k,
             "n": build.n,
             "compiled": {
+                "allocated_width": allocated.num_qubits,
+                "live_width": circuit.num_qubits,
                 "instructions": len(circuit.instructions),
                 "num_measurements": capabilities.num_measurements,
                 "is_clifford": capabilities.is_clifford,

@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.link_noise import crossover_link_rate, protocol_comparison
 from repro.api import Experiment, NetworkSpec
+from repro.circuits import recycle_qubits
 from repro.core import (
     FAMILY,
     build_multistate_swap,
@@ -88,7 +89,8 @@ class TestBuilders:
 # ----------------------------------------------------------------------
 class TestNoiselessAccuracy:
     # Shot budgets scale with circuit width: the multistate campaign runs
-    # tiny 5-qubit circuits, while nparty at k=3 is a 15-qubit machine.
+    # 4-qubit live-width circuits, while nparty at k=3 still needs 10
+    # live qubits (15 allocated).
     @pytest.mark.parametrize(
         ("kind", "k", "shots"),
         [
@@ -132,11 +134,13 @@ class TestLinkNoiseCrossValidation:
         network = NetworkSpec(link_depolarizing=0.08)
         result = constructor(kind)(states, shots=2500, seed=17, network=network).run()
 
+        # The reference runs on the live-width circuit the engine samples;
+        # tests/test_recycle.py holds it equal to the allocated-width one.
         build = BUILDERS[kind](2, 1, basis="x")
-        circuit = build.circuit()
+        circuit, registers = recycle_qubits(build.circuit(), build.position_registers)
         placements = {
-            build.position_registers[p]: states[build.user_of_position[p]]
-            for p in range(len(build.position_registers))
+            registers[p]: states[build.user_of_position[p]]
+            for p in range(len(registers))
         }
         init = assemble_initial_state(circuit.num_qubits, placements)
         density = DensitySimulator(noise=network.noise_model(None)).run(
