@@ -6,24 +6,23 @@ Layers (each independently testable):
   content-hashed work spec and aggregated outcome;
 * :class:`~repro.engine.router.BackendRouter` — picks the cheapest capable
   simulator per job;
-* :class:`~repro.engine.scheduler.Scheduler` — splits shots into batches
-  and fans them across a worker pool, deterministically;
+* :class:`~repro.engine.scheduler.Scheduler` — splits shots into batches,
+  decides how each job is dispatched, and submits them to a worker pool;
 * :class:`~repro.engine.cache.ResultCache` — in-memory + on-disk result
   store keyed on the job hash.
 
-``Engine(workers=1, cache=False)`` is exactly the legacy direct path: one
-worker, no cache, same batch partition — and therefore the same bits.
-
-Cross-job pipelining: :meth:`Engine.run_many` and :meth:`Engine.sweep`
-submit *all* batches of *all* non-cached jobs to the shared pool at once
-(futures keyed by ``(job_index, batch_index)``) and reduce each job in
-batch-index order as its futures complete, so a sweep of many small jobs
-keeps every worker busy across job boundaries instead of draining the
-pool at each job's tail.  RNG substreams depend only on
-``(job.seed, batch.index)``, so the pipelined results are bit-identical
-to the per-job serial path at any worker count.  :meth:`Engine.as_completed`
-exposes the same machinery as a stream, yielding ``(index, result)`` pairs
-in completion order for incremental progress reporting.
+One execution loop: :meth:`Engine.run`, :meth:`Engine.run_many`,
+:meth:`Engine.sweep` and :meth:`Engine.as_completed` all drive the same
+private stream.  It submits *all* pooled batches of *all* non-cached jobs
+to the shared pool at once (futures keyed by ``(job_index, batch_index)``),
+runs the jobs :meth:`Scheduler.decide <repro.engine.scheduler.Scheduler.decide>`
+keeps inline on the calling thread meanwhile, and reduces each job in
+batch-index order as its futures complete — so a sweep of many small jobs
+keeps every worker busy across job boundaries, and ``run`` is simply a
+one-job pipeline.  RNG substreams depend only on ``(job.seed,
+batch.index)``, so results are bit-identical at any worker count and
+executor kind.  The cancel token is checked before every inline batch and
+on every completed pooled batch, whatever the entry point.
 """
 
 from __future__ import annotations
@@ -44,14 +43,13 @@ import numpy as np
 from ..obs.runtime import NOOP, Observability
 from .cache import ResultCache
 from .cancel import CancelToken, JobCancelled
-from .costmodel import CostModel, DispatchPlan
+from .costmodel import CostModel
 from .job import Job, JobResult
 from .router import BackendChoice, BackendRouter
 from .runners import (
     BatchExecutionError,
     BatchStats,
     WorkerJobMiss,
-    execute_batch,
     execute_batch_outcomes,
 )
 from .scheduler import Scheduler
@@ -266,82 +264,32 @@ class Engine:
         while not event.wait(0.05):
             cancel.raise_if_cancelled()
 
-    def _compute_singleflight(
-        self,
-        job: Job,
-        key: str,
-        parent_id: str | None,
-        cancel: CancelToken | None,
-    ) -> JobResult:
-        """Compute one job, joining a concurrent identical computation.
-
-        The joiner is served from cache the moment the owner stores; if
-        the owner aborts without storing (failure, cancellation), the
-        joiner claims the flight itself and computes.
-        """
-        while True:
-            owned, event = self._try_claim(key)
-            if owned:
-                try:
-                    return self._run_uncached(
-                        job, key, parent_id=parent_id, cancel=cancel
-                    )
-                finally:
-                    self._release(key)
-            self._join(event, cancel)
-            hit = self._cache_hit(key, parent_id=parent_id)
-            if hit is not None:
-                return hit
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, job: Job, *, cancel: CancelToken | None = None) -> JobResult:
-        """Execute one job (or serve it from cache).
+        """Execute one job (or serve it from cache): a one-job pipeline.
 
         ``cancel`` (or an enclosing :meth:`cancel_scope`) cooperatively
-        aborts between batches with
-        :class:`~repro.engine.cancel.JobCancelled`.
+        aborts with :class:`~repro.engine.cancel.JobCancelled` before any
+        inline batch and on any completed pooled batch.
         """
-        cancel = self._cancel_for(cancel)
-        with self._toplevel():
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            key = job.content_hash()
-            tracer = self.obs.tracer
-            span = tracer.begin("engine.run", job_hash=key[:16], shots=job.shots)
-            error = None
-            try:
-                hit = self._cache_hit(key, parent_id=span.span_id)
-                if hit is not None:
-                    span.set("cache", "hit")
-                    return hit
-                return self._compute_singleflight(job, key, span.span_id, cancel)
-            except BaseException as exc:
-                error = exc
-                raise
-            finally:
-                tracer.end(span, error=error)
+        # The private stream, not run_many: wrappers of the public methods
+        # must see one call per job.
+        [(_, result)] = self._stream("engine.run", [job], cancel)
+        return result
 
     def run_many(
-        self,
-        jobs: Sequence[Job],
-        *,
-        pipeline: bool = True,
-        cancel: CancelToken | None = None,
+        self, jobs: Sequence[Job], *, cancel: CancelToken | None = None
     ) -> list[JobResult]:
         """Execute several jobs; all jobs' batches share the worker pool.
 
-        With ``pipeline=True`` (the default) every batch of every
-        non-cached job is submitted to the pool at once, so small jobs
-        cannot leave workers idle at job boundaries.  ``pipeline=False``
-        keeps the historical one-job-at-a-time path.  Both are
-        bit-identical at equal seeds for any worker count.
+        Every pooled batch of every non-cached job is submitted at once,
+        so small jobs cannot leave workers idle at job boundaries.
+        Bit-identical to running the jobs one at a time, at equal seeds,
+        for any worker count.
         """
         jobs = list(jobs)
-        if not pipeline:
-            with self._toplevel():
-                return [self.run(job, cancel=cancel) for job in jobs]
         results: list[JobResult | None] = [None] * len(jobs)
         for index, result in self.as_completed(jobs, cancel=cancel):
             results[index] = result
@@ -375,12 +323,17 @@ class Engine:
         :class:`~repro.engine.cancel.JobCancelled` — the service's
         ``DELETE /jobs/{id}`` path.
         """
-        jobs = list(jobs)
+        return self._stream("engine.run_many", list(jobs), cancel)
+
+    def _stream(
+        self, root_name: str, jobs: list[Job], cancel: CancelToken | None
+    ) -> Iterator[tuple[int, JobResult]]:
+        """The one execution stream, under a root span named ``root_name``."""
         cancel = self._cancel_for(cancel)
         with self._toplevel():
             tracer = self.obs.tracer
             root = tracer.begin(
-                "engine.run_many",
+                root_name,
                 jobs=len(jobs),
                 workers=self.scheduler.workers,
                 executor=self.scheduler.executor_kind,
@@ -396,7 +349,7 @@ class Engine:
                 tracer.end(root, error=error)
 
     def _as_completed(
-        self, jobs: list[Job], parent_id: str | None, cancel: CancelToken | None = None
+        self, jobs: list[Job], parent_id: str | None, cancel: CancelToken | None
     ) -> Iterator[tuple[int, JobResult]]:
         if cancel is not None:
             cancel.raise_if_cancelled()
@@ -416,28 +369,14 @@ class Engine:
             else:
                 pending.append((index, job, key))
                 pending_keys.add(key)
-        if not pending:
-            return
-        if not self.scheduler.pooled:
-            computed: set[str] = set()
-            for index, job, key in pending:
-                if key in computed:
-                    # Same dedupe contract as the pooled pipeline: repeats
-                    # of a job computed in this call are served from cache.
-                    yield index, self._cache_hit(key, parent_id=parent_id)
-                    continue
-                yield index, self._compute_singleflight(job, key, parent_id, cancel)
-                if self.cache is not None:
-                    computed.add(key)
-            return
-        yield from self._pipeline(pending, parent_id, cancel)
+        if pending:
+            yield from self._pipeline(pending, parent_id, cancel)
 
     def sweep(
         self,
         make_job: Callable[..., Job],
         grid: Mapping[str, Sequence],
         *,
-        pipeline: bool = True,
         cancel: CancelToken | None = None,
     ) -> list[SweepPoint]:
         """Run ``make_job(**params)`` over the cartesian product of ``grid``.
@@ -449,7 +388,7 @@ class Engine:
         params_list = list(grid_points(grid))
         jobs = [make_job(**params) for params in params_list]
         with self._toplevel():
-            results = self.run_many(jobs, pipeline=pipeline, cancel=cancel)
+            results = self.run_many(jobs, cancel=cancel)
         return [
             SweepPoint(params=params, result=result)
             for params, result in zip(params_list, results)
@@ -587,7 +526,7 @@ class Engine:
     def _pipeline(
         self, pending, parent_id: str | None = None, cancel: CancelToken | None = None
     ) -> Iterator[tuple[int, JobResult]]:
-        """Fan all batches of all pending jobs across the shared pool."""
+        """Run the pending jobs: pooled batches fan out, the rest run inline."""
         # Within-run dedupe: with a cache, one computation per distinct
         # hash; repeats are served from cache when the original finishes
         # (matching the serial path's behaviour and counters).
@@ -623,27 +562,18 @@ class Engine:
                 joined.append((entry, event))
 
         # Routing and dispatch planning happen up front so a bad job fails
-        # before anything runs.  Density jobs are not picklable work units,
-        # and jobs the cost model judges smaller than one dispatch round
-        # trip gain nothing from the pool: both run inline on the calling
-        # thread, overlapping the pooled futures.
-        routed = [(index, job, key, self.router.select(job)) for index, job, key in owned]
-        process_pool = self.scheduler.process_pooled
-        inline: list[tuple] = []
+        # before anything runs.  Scheduler.decide is the one dispatch
+        # policy: jobs it keeps inline (serial schedulers, single-batch and
+        # density jobs, jobs smaller than one dispatch round trip) run on
+        # the calling thread, overlapping the pooled futures.
         pooled: list[tuple] = []
-        for index, job, key, choice in routed:
-            if choice.name == "density":
-                inline.append((index, job, key, choice))
-                continue
+        inline: list[tuple] = []
+        for index, job, key in owned:
+            choice = self.router.select(job)
             batches = self.scheduler.plan(job)
-            if process_pool:
-                plan = self.scheduler.decide(job, choice.name, len(batches))
-            else:
-                plan = DispatchPlan(pooled=True, per_batch=True)
-            if not plan.pooled:
-                inline.append((index, job, key, choice))
-                continue
-            pooled.append((index, job, key, choice, plan, batches))
+            plan = self.scheduler.decide(job, choice.name, len(batches))
+            entry = (index, job, key, choice, plan, batches)
+            (pooled if plan.pooled else inline).append(entry)
 
         tracer = self.obs.tracer
         states: dict[int, _PendingJob] = {}
@@ -654,26 +584,10 @@ class Engine:
             for index, job, key, choice, plan, batches in pooled:
                 if cancel is not None:
                     cancel.raise_if_cancelled()
-                job_span = tracer.begin(
-                    "engine.job",
-                    parent_id=parent_id,
-                    job_hash=key[:16],
-                    backend=choice.name,
-                    shots=job.shots,
-                    batches=len(batches),
-                )
-                state = _PendingJob(
-                    job=job,
-                    key=key,
-                    choice=choice,
-                    expected=len(batches),
-                    started=time.perf_counter(),
-                    span=job_span,
-                )
-                states[index] = state
+                state = states[index] = self._start(job, key, choice, batches, parent_id)
                 if plan.per_batch:
                     for batch in batches:
-                        ctx = tracer.batch_context(job_span.span_id) if tracer.enabled else None
+                        ctx = tracer.batch_context(state.span.span_id) if tracer.enabled else None
                         future = self.scheduler.submit(job, batch, choice.name, trace=ctx)
                         future_map[future] = (index, (batch,), ctx, time.perf_counter())
                 else:
@@ -685,7 +599,7 @@ class Engine:
                     state.expected = len(groups)
                     warm = min(len(groups), self.scheduler.workers)
                     for position, group in enumerate(groups):
-                        ctx = tracer.batch_context(job_span.span_id) if tracer.enabled else None
+                        ctx = tracer.batch_context(state.span.span_id) if tracer.enabled else None
                         future = self.scheduler.submit_group(
                             job,
                             key,
@@ -696,41 +610,17 @@ class Engine:
                             ship_job=position < warm,
                         )
                         future_map[future] = (index, group, ctx, time.perf_counter())
-            # Inline jobs (density, cost-model-vetoed) run here while the
-            # pool chews on the submitted batches.
-            for index, job, key, choice in inline:
-                job_start = time.perf_counter()
-                job_span = tracer.begin(
-                    "engine.job",
-                    parent_id=parent_id,
-                    job_hash=key[:16],
-                    backend=choice.name,
-                    shots=job.shots,
-                )
-                batch_stats = []
-                for batch in self.scheduler.plan(job):
+            # Inline jobs run here while the pool chews on the submitted
+            # batches.
+            for index, job, key, choice, _, batches in inline:
+                state = states[index] = self._start(job, key, choice, batches, parent_id)
+                for batch in batches:
                     if cancel is not None:
                         cancel.raise_if_cancelled()
-                    if tracer.enabled:
-                        ctx = tracer.batch_context(job_span.span_id)
-                        stats = execute_batch(job, batch, choice.name, trace=ctx)
-                        tracer.adopt(stats.spans, parent_id=job_span.span_id)
-                    else:
-                        stats = execute_batch(job, batch, choice.name)
-                    batch_stats.append(stats)
-                result = self._finish(
-                    job,
-                    key,
-                    choice,
-                    batch_stats,
-                    time.perf_counter() - job_start,
-                    parent_id=job_span.span_id,
-                )
-                tracer.end(job_span)
-                self._release(key)
-                claimed.discard(key)
-                yield index, result
-                yield from self._serve_duplicates(duplicates, key, parent_id)
+                    state.stats.append(
+                        self.scheduler.run_batch(job, batch, choice.name, state.span.span_id)
+                    )
+                yield from self._complete(index, state, claimed, duplicates, parent_id)
 
             # Streaming reduce over a mutable pending set (not a fixed
             # as_completed iterable) so WorkerJobMiss retries can join the
@@ -784,39 +674,30 @@ class Engine:
                     self.scheduler.note_group(batch_stats)
                     state.stats.append(batch_stats)
                     if len(state.stats) == state.expected:
-                        result = self._finish(
-                            state.job,
-                            state.key,
-                            state.choice,
-                            state.stats,
-                            time.perf_counter() - state.started,
-                            parent_id=state.span.span_id,
+                        yield from self._complete(
+                            index, state, claimed, duplicates, parent_id
                         )
-                        tracer.end(state.span)
-                        state.span = None
-                        self._release(state.key)
-                        claimed.discard(state.key)
-                        yield index, result
-                        yield from self._serve_duplicates(duplicates, state.key, parent_id)
 
             # Our own work is done (and its claims released), so waiting
             # on other threads' flights cannot deadlock.
-            for (index, job, key), event in joined:
+            for entry, event in joined:
+                index, _, key = entry
                 if cancel is not None:
                     cancel.raise_if_cancelled()
                 self._join(event, cancel)
                 hit = self._cache_hit(key, parent_id=parent_id)
                 if hit is None:
                     # The owner aborted without storing (failure or
-                    # cancellation): compute it here after all.
-                    hit = self._compute_singleflight(job, key, parent_id, cancel)
-                elif tracer.enabled:
-                    tracer.event(
-                        "engine.singleflight_join",
-                        parent_id=parent_id,
-                        job_hash=key[:16],
-                    )
-                yield index, hit
+                    # cancellation): re-enter the pipeline for this entry.
+                    yield from self._pipeline([entry], parent_id, cancel)
+                else:
+                    if tracer.enabled:
+                        tracer.event(
+                            "engine.singleflight_join",
+                            parent_id=parent_id,
+                            job_hash=key[:16],
+                        )
+                    yield index, hit
                 yield from self._serve_duplicates(duplicates, key, parent_id)
         except GeneratorExit:
             # An abandoned generator must not leave batches queued — but
@@ -825,8 +706,8 @@ class Engine:
                 future.cancel()
             raise
         except BaseException as exc:
-            # Any failure (a dead batch, an inline density job, a cache
-            # write) quiets the pool before it propagates.
+            # Any failure (a dead batch, an inline batch, a cache write)
+            # quiets the pool before it propagates.
             if tracer.enabled:
                 tracer.event(
                     "engine.cancel_and_drain",
@@ -844,6 +725,48 @@ class Engine:
             # must wake their joiners so one of them can take over.
             for key in claimed:
                 self._release(key)
+
+    def _start(self, job, key, choice, batches, parent_id) -> _PendingJob:
+        """Open one job's ``engine.job`` span and its bookkeeping."""
+        span = self.obs.tracer.begin(
+            "engine.job",
+            parent_id=parent_id,
+            job_hash=key[:16],
+            backend=choice.name,
+            shots=job.shots,
+            batches=len(batches),
+        )
+        return _PendingJob(
+            job=job,
+            key=key,
+            choice=choice,
+            expected=len(batches),
+            started=time.perf_counter(),
+            span=span,
+        )
+
+    def _complete(
+        self, index, state, claimed, duplicates, parent_id
+    ) -> Iterator[tuple[int, JobResult]]:
+        """Reduce and store a job whose batches all landed, then yield it.
+
+        Its flight claim is released the moment the result is stored, and
+        its within-run duplicates are served from the cache right after.
+        """
+        result = self._finish(
+            state.job,
+            state.key,
+            state.choice,
+            state.stats,
+            time.perf_counter() - state.started,
+            parent_id=state.span.span_id,
+        )
+        self.obs.tracer.end(state.span)
+        state.span = None
+        self._release(state.key)
+        claimed.discard(state.key)
+        yield index, result
+        yield from self._serve_duplicates(duplicates, state.key, parent_id)
 
     def _record_batch(self, state, group, stats, ctx, latency: float) -> None:
         """Stitch one pooled dispatch into the trace, parent-side view first.
@@ -897,42 +820,6 @@ class Engine:
             self.stats.jobs += 1
             self.stats.cached_jobs += 1
         return hit
-
-    def _run_uncached(
-        self,
-        job: Job,
-        key: str,
-        parent_id: str | None = None,
-        cancel: CancelToken | None = None,
-    ) -> JobResult:
-        tracer = self.obs.tracer
-        choice = self.router.select(job)
-        span = tracer.begin(
-            "engine.job",
-            parent_id=parent_id,
-            job_hash=key[:16],
-            backend=choice.name,
-            shots=job.shots,
-        )
-        start = time.perf_counter()
-        error = None
-        try:
-            batch_stats = self.scheduler.execute(
-                job, choice.name, trace_parent=span.span_id, cancel=cancel
-            )
-            return self._finish(
-                job,
-                key,
-                choice,
-                batch_stats,
-                time.perf_counter() - start,
-                parent_id=span.span_id,
-            )
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            tracer.end(span, error=error)
 
     def _finish(
         self,

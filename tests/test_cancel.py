@@ -8,6 +8,7 @@ while leaving the pool reusable afterwards.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -30,6 +31,33 @@ def make_job(seed: int = 7, shots: int = 400, **overrides) -> Job:
     for key, value in overrides.items():
         setattr(job, key, value)
     return job
+
+
+def trip_in_first_batch(monkeypatch, token: CancelToken) -> dict:
+    """Patch batch execution to trip ``token`` inside the first batch.
+
+    Every batch also sleeps briefly, standing in for real kernel work so
+    that the pool cannot race through the whole job before the engine
+    sees the tripped token.  Returns the live batch-call counter.
+    """
+    import repro.engine.scheduler as sched_mod
+
+    real = sched_mod.execute_batch
+    calls = {"n": 0}
+    lock = threading.Lock()
+
+    def tripping(job_, batch, backend, trace=None):
+        with lock:
+            calls["n"] += 1
+            if calls["n"] == 1:
+                token.cancel()
+        time.sleep(0.01)
+        if trace is None:
+            return real(job_, batch, backend)
+        return real(job_, batch, backend, trace)
+
+    monkeypatch.setattr(sched_mod, "execute_batch", tripping)
+    return calls
 
 
 class TestCancelToken:
@@ -119,6 +147,39 @@ class TestEngineCancellation:
             result = engine.run(make_job(seed=99))
             assert result.shots == 400
 
+    def test_pooled_run_cancelled_mid_flight(self, monkeypatch):
+        # A single job on a pool honours the token on every completed
+        # batch, exactly like run_many: it stops early, stores nothing,
+        # and the drained pool still runs a fresh job.
+        token = CancelToken()
+        job = make_job(shots=2000, batch_size=100)
+        with Engine(workers=2, executor="thread", cache=True) as engine:
+            assert len(engine.scheduler.plan(job)) == 20
+            calls = trip_in_first_batch(monkeypatch, token)
+            with pytest.raises(JobCancelled):
+                engine.run(job, cancel=token)
+            assert calls["n"] < 20
+            assert engine.cache.stats.stores == 0
+            monkeypatch.undo()
+            result = engine.run(make_job(seed=99))
+            assert result.shots == 400
+
+    def test_experiment_cancelled_mid_flight_under_scope(self, monkeypatch):
+        # The service's DELETE /jobs/{id} path for an analysis kind that
+        # reaches the engine through engine.run.
+        from repro.api import Experiment
+
+        token = CancelToken()
+        experiment = Experiment.ghz_fidelity(8, 0.01, shots=20000, seed=3)
+        with Engine(workers=2, executor="thread") as engine:
+            calls = trip_in_first_batch(monkeypatch, token)
+            with engine.cancel_scope(token):
+                with pytest.raises(JobCancelled):
+                    experiment.run(engine=engine)
+            assert calls["n"] < 79  # 20000 shots in 256-shot batches
+            monkeypatch.undo()
+            assert engine.run(make_job(seed=99)).shots == 400
+
     def test_cancelled_jobs_not_cached(self):
         token = CancelToken()
         job = make_job(shots=300, batch_size=100)
@@ -181,7 +242,7 @@ class TestCancelScope:
         # The service-worker form: the engine call happens deep inside
         # Experiment.run, with no cancel= parameter to thread through.
         # (swap_test routes through engine.run_many; kinds like
-        # ghz_fidelity sample frames directly and bypass the engine.)
+        # ghz_fidelity call engine.run, which drives the same pipeline.)
         from repro.api import Experiment
 
         token = CancelToken()

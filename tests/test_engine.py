@@ -312,13 +312,32 @@ class TestEngineFacade:
         assert all(len(label) == 3 for label in result.counts)
 
     def test_process_executor_matches_thread(self):
+        # run(job) is a one-job pipeline: on every executor, and for an
+        # exact-mode (density) job too, it equals run_many([job])[0].
         spec = dict(seed=37, shots=300, batch_size=75)
-        with Engine(workers=2, executor="process") as proc:
-            res_p = proc.run(small_sv_job(**spec))
-        with Engine(workers=2, executor="thread") as thr:
-            res_t = thr.run(small_sv_job(**spec))
-        assert res_p.parity_mean == res_t.parity_mean
-        assert res_p.counts == res_t.counts
+        exact = Job(
+            circuit=ghz_sampling_circuit(2), shots=0, seed=1, mode="exact", readout=(0, 1)
+        )
+
+        def bits(result):
+            return (
+                result.counts,
+                result.parity_mean,
+                result.probabilities,
+                result.backend,
+                result.num_batches,
+            )
+
+        runs = {"sampled": [], "exact": []}
+        for executor in ("serial", "thread", "process"):
+            with Engine(workers=2, executor=executor) as engine:
+                for name, job in (("sampled", small_sv_job(**spec)), ("exact", exact)):
+                    single = engine.run(job)
+                    assert bits(single) == bits(engine.run_many([job])[0])
+                    runs[name].append(bits(single))
+        for name, routed in (("sampled", ("statevector", 4)), ("exact", ("density", 1))):
+            assert runs[name] == [runs[name][0]] * 3
+            assert runs[name][0][-2:] == routed
 
 
 class TestSingleFlight:

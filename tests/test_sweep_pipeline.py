@@ -57,9 +57,7 @@ class TestPipelinedExecution:
         for workers in (1, 4, 8):
             with Engine(workers=workers) as engine:
                 piped = engine.run_many([small_sv_job(seed=s) for s in self.SEEDS])
-                per_job = engine.run_many(
-                    [small_sv_job(seed=s) for s in self.SEEDS], pipeline=False
-                )
+                per_job = [engine.run(small_sv_job(seed=s)) for s in self.SEEDS]
             assert [result_bits(r) for r in piped] == [result_bits(r) for r in reference]
             assert [result_bits(r) for r in per_job] == [result_bits(r) for r in reference]
 
@@ -78,12 +76,8 @@ class TestPipelinedExecution:
             base = serial.sweep(make_job, grid)
         with Engine(workers=4) as pooled:
             piped = pooled.sweep(make_job, grid)
-            per_job = pooled.sweep(make_job, grid, pipeline=False)
         assert [p.params for p in piped] == [p.params for p in base]
         assert [result_bits(p.result) for p in piped] == [
-            result_bits(p.result) for p in base
-        ]
-        assert [result_bits(p.result) for p in per_job] == [
             result_bits(p.result) for p in base
         ]
 
@@ -126,7 +120,8 @@ class TestPipelinedExecution:
         assert pipelined == reference
 
     def test_duplicate_jobs_deduped_on_serial_engine(self):
-        # The non-pooled fallback honours the same dedupe contract.
+        # A serial engine runs the same pipeline, inline, with the same
+        # dedupe contract.
         with Engine(workers=1, cache=True) as engine:
             results = engine.run_many([small_sv_job(seed=1), small_sv_job(seed=1)])
             assert engine.cache.stats.stores == 1
@@ -160,10 +155,7 @@ class TestFailurePaths:
                 raise RuntimeError("injected batch failure")
             return original(job, batch, backend)
 
-        # Both the scheduler's single-job path and the engine pipeline
-        # resolve execute_batch through their own module globals.
         monkeypatch.setattr("repro.engine.scheduler.execute_batch", flaky)
-        monkeypatch.setattr("repro.engine.engine.execute_batch", flaky)
         return flaky
 
     def test_scheduler_tags_batch_and_stays_usable(self, monkeypatch):
