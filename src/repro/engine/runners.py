@@ -42,7 +42,10 @@ import numpy as np
 from ..obs.trace import span_record
 from ..sim.batched import run_batched
 from ..sim.batched_stabilizer import (
+    FrameProgram,
     StabilizerProgram,
+    frame_cache_stats,
+    get_frame_program,
     get_stabilizer,
     prime_stabilizer,
     run_batched_stabilizer,
@@ -50,7 +53,7 @@ from ..sim.batched_stabilizer import (
 )
 from ..sim.compile import compile_cache_stats, get_compiled, prime_compiled
 from ..sim.density import DensitySimulator
-from ..sim.pauliframe import PauliFrameSimulator
+from ..sim.pauliframe import sample_error_counts
 from ..sim.statevector import StatevectorSimulator
 from ..sim.tableau import TableauSimulator
 from ..utils.states import assemble_initial_state
@@ -260,7 +263,9 @@ def execute_batch(
     return stats
 
 
-def _dispatch_batch(job: Job, batch: Batch, backend: str) -> BatchStats:
+def _dispatch_batch(
+    job: Job, batch: Batch, backend: str, frames: FrameProgram | None = None
+) -> BatchStats:
     if backend == "statevector":
         return _statevector_batch(job, batch)
     if backend == "statevector-ref":
@@ -270,7 +275,7 @@ def _dispatch_batch(job: Job, batch: Batch, backend: str) -> BatchStats:
     if backend == "tableau":
         return _tableau_batch(job, batch)
     if backend == "pauliframe":
-        return _pauliframe_batch(job, batch)
+        return _pauliframe_batch(job, batch, frames)
     if backend == "density":
         return _density_batch(job, batch)
     raise ValueError(f"unknown backend {backend!r}")
@@ -476,17 +481,27 @@ def _tableau_batch(job: Job, batch: Batch) -> BatchStats:
     return stats
 
 
-def _pauliframe_batch(job: Job, batch: Batch) -> BatchStats:
+def _pauliframe_batch(
+    job: Job, batch: Batch, program: FrameProgram | None = None
+) -> BatchStats:
+    """Frames mode: sample the job's compiled fault-effect table.
+
+    ``program`` is the already-resolved :class:`FrameProgram` when a
+    batch group looked it up once for all its batches.
+    """
     rng = batch_rng(job.seed, batch.index)
-    simulator = PauliFrameSimulator(
-        job.circuit, job.noise, seed=int(rng.integers(2**63))
-    )
+    kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
+    compile_start = time.perf_counter()
+    if program is None:
+        program = get_frame_program(job.circuit, job.noise, job.frame_qubits)
+    compile_time = time.perf_counter() - compile_start
     execute_start = time.perf_counter()
-    counts = simulator.sample_error_distribution(list(job.frame_qubits), batch.shots)
+    counts = sample_error_counts(program, batch.shots, kernel_rng)
     return BatchStats(
         index=batch.index,
         shots=batch.shots,
-        counts=Counter(counts),
+        counts=counts,
+        compile_time=compile_time,
         execute_time=time.perf_counter() - execute_start,
     )
 
@@ -569,6 +584,7 @@ def worker_cache_info() -> dict:
         "jobs": jobs,
         "compile": compile_cache_stats(),
         "stabilizer": stabilizer_cache_stats(),
+        "frames": frame_cache_stats(),
     }
 
 
@@ -619,8 +635,13 @@ def execute_batch_group(
         job_shipped=shipped,
         program_primed=primed,
     )
+    frames = None
+    if backend == "pauliframe":
+        # One program lookup (one circuit digest) per group, not per batch.
+        frames = get_frame_program(job.circuit, job.noise, job.frame_qubits)
+        group.compile_time = time.perf_counter() - t0
     for batch in batches:
-        stats = _dispatch_batch(job, batch, backend)
+        stats = _dispatch_batch(job, batch, backend, frames)
         if stats.probabilities is not None:
             raise ValueError("exact-distribution batches cannot be group-reduced")
         group.counts.update(stats.counts)

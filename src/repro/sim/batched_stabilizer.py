@@ -38,16 +38,22 @@ Programs are cached per process by circuit content digest
 program to pool workers (:func:`prime_stabilizer`), mirroring
 :mod:`repro.sim.compile` for the dense kernel.
 
-Two entry points share the propagation/fault machinery:
+Two compiled programs share the frame rules:
 
-* :func:`run_batched_stabilizer` — ``mode="sample"`` semantics: absolute
-  classical registers (reference bits XOR per-shot deviations), matching the
-  dense kernel's output distribution-for-distribution;
-* :func:`run_batched_frames` — ``mode="frames"`` semantics: deviation-only
-  frames over a raw circuit, vectorizing
-  :meth:`repro.sim.pauliframe.PauliFrameSimulator.sample` shot loops
-  (same fault model, including its unconditional noise draw at conditioned
-  Pauli sites, so the per-shot API remains a valid cross-check reference).
+* :class:`StabilizerProgram` / :func:`run_batched_stabilizer` —
+  ``mode="sample"`` semantics: absolute classical registers (reference
+  bits XOR per-shot deviations), matching the dense kernel's output
+  distribution-for-distribution;
+* :class:`FrameProgram` / :func:`run_batched_frames` — ``mode="frames"``
+  semantics: deviation-only frames over a raw circuit, the same fault
+  model as :meth:`repro.sim.pauliframe.PauliFrameSimulator.sample`
+  (including its unconditional noise draw at conditioned Pauli sites, so
+  the per-shot API remains a valid cross-check reference).  With no
+  measurement randomization the final frame is linear over GF(2) in the
+  faults that fire, so :func:`compile_frame_program` propagates one basis
+  row per fault component through the circuit once, and sampling only
+  draws the faults and XORs their precomputed effects
+  (:func:`get_frame_program` caches the table per process).
 """
 
 from __future__ import annotations
@@ -68,12 +74,16 @@ __all__ = [
     "StabilizerOp",
     "StabilizerProgram",
     "StabilizerRunResult",
+    "FrameProgram",
     "compile_stabilizer",
+    "compile_frame_program",
     "get_stabilizer",
+    "get_frame_program",
     "prime_stabilizer",
     "run_batched_frames",
     "run_batched_stabilizer",
     "stabilizer_cache_stats",
+    "frame_cache_stats",
     "clear_stabilizer_cache",
 ]
 
@@ -268,12 +278,59 @@ def _apply_reference_gate(sim: TableauSimulator, name: str, qubits: tuple[int, .
 
 
 # ----------------------------------------------------------------------
-# Per-process program cache (mirrors sim.compile's compiled-program cache)
+# Per-process program caches (mirror sim.compile's compiled-program cache)
 # ----------------------------------------------------------------------
-_CACHE_MAX = 256
-_program_cache: OrderedDict[bytes, StabilizerProgram] = OrderedDict()
-_cache_lock = Lock()
-_stats = {"compiles": 0, "hits": 0, "primed": 0, "compile_time": 0.0}
+class _ProgramCache:
+    """A bounded, thread-safe LRU of compiled programs with counters."""
+
+    def __init__(self, limit: int):
+        self._limit = limit
+        self._lock = Lock()
+        self._entries: OrderedDict = OrderedDict()
+        self._stats = {"compiles": 0, "hits": 0, "primed": 0, "compile_time": 0.0}
+
+    def get(self, key, compile_program):
+        with self._lock:
+            program = self._entries.get(key)
+            if program is not None:
+                self._entries.move_to_end(key)
+                self._stats["hits"] += 1
+                return program
+        start = time.perf_counter()
+        program = compile_program()
+        elapsed = time.perf_counter() - start
+        with self._lock:
+            self._stats["compiles"] += 1
+            self._stats["compile_time"] += elapsed
+            self._insert(key, program)
+        return program
+
+    def prime(self, key, program) -> bool:
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return False
+            self._stats["primed"] += 1
+            self._insert(key, program)
+        return True
+
+    def stats(self) -> dict:
+        with self._lock:
+            return dict(self._stats, cached_programs=len(self._entries))
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._stats.update({"compiles": 0, "hits": 0, "primed": 0, "compile_time": 0.0})
+
+    def _insert(self, key, program) -> None:
+        self._entries[key] = program
+        while len(self._entries) > self._limit:
+            self._entries.popitem(last=False)
+
+
+_stabilizer_cache = _ProgramCache(256)
+_frame_cache = _ProgramCache(64)
 
 
 def get_stabilizer(circuit: Circuit) -> StabilizerProgram:
@@ -283,23 +340,9 @@ def get_stabilizer(circuit: Circuit) -> StabilizerProgram:
     rates at run time from the job's :class:`NoiseModel` — so one cache
     entry serves every noise configuration of a circuit.
     """
-    key = circuit.content_digest()
-    with _cache_lock:
-        program = _program_cache.get(key)
-        if program is not None:
-            _program_cache.move_to_end(key)
-            _stats["hits"] += 1
-            return program
-    start = time.perf_counter()
-    program = compile_stabilizer(circuit)
-    elapsed = time.perf_counter() - start
-    with _cache_lock:
-        _stats["compiles"] += 1
-        _stats["compile_time"] += elapsed
-        _program_cache[key] = program
-        while len(_program_cache) > _CACHE_MAX:
-            _program_cache.popitem(last=False)
-    return program
+    return _stabilizer_cache.get(
+        circuit.content_digest(), lambda: compile_stabilizer(circuit)
+    )
 
 
 def prime_stabilizer(circuit: Circuit, program: StabilizerProgram) -> bool:
@@ -309,29 +352,44 @@ def prime_stabilizer(circuit: Circuit, program: StabilizerProgram) -> bool:
     re-derived from the circuit, the resident entry wins, and the return
     value says whether this call inserted anything.
     """
-    key = circuit.content_digest()
-    with _cache_lock:
-        if key in _program_cache:
-            _program_cache.move_to_end(key)
-            return False
-        _stats["primed"] += 1
-        _program_cache[key] = program
-        while len(_program_cache) > _CACHE_MAX:
-            _program_cache.popitem(last=False)
-    return True
+    return _stabilizer_cache.prime(circuit.content_digest(), program)
 
 
 def stabilizer_cache_stats() -> dict:
     """Snapshot of the process-wide stabilizer compile counters."""
-    with _cache_lock:
-        return dict(_stats, cached_programs=len(_program_cache))
+    return _stabilizer_cache.stats()
+
+
+def get_frame_program(
+    circuit: Circuit,
+    noise: NoiseModel,
+    qubits: tuple[int, ...],
+    *,
+    records: bool = False,
+) -> "FrameProgram":
+    """Compile-once accessor for :func:`compile_frame_program`.
+
+    Keyed by the circuit's content digest, the noise model and the
+    outputs: the effect table bakes in which sites exist and the site list
+    their rates, so unlike :func:`get_stabilizer` one entry serves one
+    noise configuration.
+    """
+    key = (circuit.content_digest(), noise, tuple(qubits), records)
+    return _frame_cache.get(
+        key, lambda: compile_frame_program(circuit, noise, qubits, records=records)
+    )
+
+
+def frame_cache_stats() -> dict:
+    """Snapshot of the process-wide frame-program compile counters."""
+    return _frame_cache.stats()
 
 
 def clear_stabilizer_cache() -> None:
-    """Drop all cached programs and reset counters (tests only)."""
-    with _cache_lock:
-        _program_cache.clear()
-        _stats.update({"compiles": 0, "hits": 0, "primed": 0, "compile_time": 0.0})
+    """Drop all cached stabilizer and frame programs and reset counters
+    (tests only)."""
+    _stabilizer_cache.clear()
+    _frame_cache.clear()
 
 
 # ----------------------------------------------------------------------
@@ -433,15 +491,139 @@ def run_batched_stabilizer(
 
 
 # ----------------------------------------------------------------------
-# Frames mode: deviation-only sampling over a raw circuit
+# Frames mode: compile-once GF(2) effect tables over a raw circuit
 # ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class FrameProgram:
+    """A noisy Clifford circuit compiled to the effects of its faults.
+
+    Deviation-frame propagation is linear over GF(2) in the fault
+    components that fire — Clifford conjugation, copying X support into a
+    record, clearing at reset and parity-conditioned corrections are all
+    XOR-linear — so a shot's outputs are the XOR of the precomputed effects
+    of its fired faults.
+
+    ``sites`` lists every stochastic site in circuit order as ``(rate,
+    words, offset)``.  A depolarizing site (``words == 4**k``) draws one
+    non-identity word ``w`` in ``[1, words)`` per firing shot and XORs row
+    ``offset + w - 1`` of ``effects``; a readout-flip site (``words ==
+    0``) XORs row ``offset``.  Each row packs ``num_outputs`` bits
+    big-endian into ``uint64`` words.
+    """
+
+    num_outputs: int
+    sites: tuple[tuple[float, int, int], ...]
+    effects: np.ndarray
+
+    def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
+        """``(shots, num_outputs)`` bool matrix of sampled output deviations.
+
+        RNG contract: ``random(shots) < rate`` at every site in circuit
+        order, then, only when some shot fired at a depolarizing site,
+        ``integers(1, words, size=hits)`` — the draws of
+        :func:`_inject_frame_faults`, in the same order and sizes.
+        """
+        if shots < 1:
+            raise ValueError("need at least one shot")
+        random, integers = rng.random, rng.integers
+        hits, rows = [], []
+        for rate, words, offset in self.sites:
+            hit = (random(shots) < rate).nonzero()[0]
+            if hit.size:
+                hits.append(hit)
+                rows.append(
+                    integers(1, words, size=hit.size) + (offset - 1)
+                    if words
+                    else np.full(hit.size, offset)
+                )
+        # One unbuffered XOR at the end: a shot may fire at many sites.
+        acc = np.zeros((shots, self.effects.shape[1]), dtype=np.uint64)
+        if hits:
+            np.bitwise_xor.at(
+                acc, np.concatenate(hits), self.effects[np.concatenate(rows)]
+            )
+        bits = np.unpackbits(acc.view(np.uint8), axis=1, count=self.num_outputs)
+        return bits.view(bool)
+
+
+def compile_frame_program(
+    circuit: Circuit,
+    noise: NoiseModel,
+    qubits: tuple[int, ...],
+    *,
+    records: bool = False,
+) -> FrameProgram:
+    """Compile ``circuit`` under ``noise`` to its fault-effect table.
+
+    Outputs are the final X frame on ``qubits``, then the Z frame on
+    ``qubits``, then (with ``records``) every record deviation.  One
+    forward pass propagates a basis row per fault component — X and Z per
+    qubit of each depolarizing site, one per readout-flip site — through
+    the frame rules of :meth:`repro.sim.pauliframe.PauliFrameSimulator.sample`:
+    readout flips, reset clears the frame, and a conditioned Pauli site
+    takes its gate (and link) fault unconditionally.  A site exists where
+    its rate is positive, which is exactly where the per-shot
+    :meth:`~repro.sim.pauliframe.PauliFrameSimulator.sample` draws.
+    """
+    # Sites as (rate, words, instruction index, first component row).
+    sites: list[tuple[float, int, int, int]] = []
+    rows = 0
+    for index, inst in enumerate(circuit.instructions):
+        for rate, words in _fault_sites(inst, noise):
+            sites.append((rate, words, index, rows))
+            rows += 2 * len(inst.qubits) if words else 1
+
+    # Qubit-major (n, rows) storage; the shared frame helpers index
+    # columns, so they work on the transposed views.
+    fx = np.zeros((circuit.num_qubits, rows), dtype=bool)
+    fz = np.zeros_like(fx)
+    flips = np.zeros((circuit.num_clbits, rows), dtype=bool)
+    pending = iter(sites)
+    site = next(pending, None)
+    for index, inst in enumerate(circuit.instructions):
+        name = inst.name
+        if name == "measure":
+            q, c = inst.qubits[0], inst.clbits[0]
+            flips[c] = fx[q]
+            # The Z component on a measured qubit is unobservable and the
+            # post-measurement state is an eigenstate, so clear it.
+            fz[q] = False
+        elif name == "reset":
+            fx[inst.qubits[0]] = False
+            fz[inst.qubits[0]] = False
+        elif inst.condition is not None:
+            odd = _flip_parity(flips.T, inst.condition.clbits)
+            q = inst.qubits[0]
+            if name in ("x", "y"):
+                fx[q] ^= odd
+            if name in ("y", "z"):
+                fz[q] ^= odd
+        elif name != "barrier":
+            _conjugate_frames(name, inst.qubits, fx.T, fz.T)
+        # Gate fault, then link fault: each component enters as a basis row.
+        while site is not None and site[2] == index:
+            _, words, _, row = site
+            if words:
+                for i, q in enumerate(inst.qubits):
+                    fx[q, row + 2 * i] = True
+                    fz[q, row + 2 * i + 1] = True
+            else:
+                flips[inst.clbits[0], row] = True
+            site = next(pending, None)
+
+    outputs = [fx[list(qubits)], fz[list(qubits)]]
+    if records:
+        outputs.append(flips)
+    return _effect_table(np.concatenate(outputs).T, sites)
+
+
 def run_batched_frames(
     circuit: Circuit,
     noise: NoiseModel,
     shots: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorize ``shots`` Pauli-frame walks of a noisy Clifford circuit.
+    """Sample ``shots`` Pauli-frame deviations of a noisy Clifford circuit.
 
     Semantics match :meth:`repro.sim.pauliframe.PauliFrameSimulator.sample`
     exactly — deviation-only frames, no measurement-outcome randomization,
@@ -452,58 +634,90 @@ def run_batched_frames(
     seeds give different, equally valid samples of the same distribution.
 
     Returns ``(fx, fz, flips)``: the final ``(shots, n)`` X/Z frame
-    matrices and the ``(shots, num_clbits)`` record-deviation matrix.
+    matrices and the ``(shots, num_clbits)`` record-deviation matrix,
+    sampled from the cached :class:`FrameProgram` whose outputs are every
+    qubit and every record.
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
     n = circuit.num_qubits
-    fx = np.zeros((shots, n), dtype=bool)
-    fz = np.zeros((shots, n), dtype=bool)
-    flips = np.zeros((shots, circuit.num_clbits), dtype=bool)
-    gate_noise = noise.has_gate_noise
-    link_noise = noise.has_link_noise
+    program = get_frame_program(circuit, noise, tuple(range(n)), records=True)
+    bits = program.sample(shots, rng)
+    return bits[:, :n], bits[:, n : 2 * n], bits[:, 2 * n :]
 
-    for inst in circuit.instructions:
-        name = inst.name
-        if name == "barrier":
-            continue
-        if name == "measure":
-            q = inst.qubits[0]
-            column = fx[:, q].copy()
-            rate = noise.meas_flip_rate(inst.qpu)
-            if rate > 0.0:
-                column ^= rng.random(shots) < rate
-            flips[:, inst.clbits[0]] = column
-            # The Z component on a measured qubit is unobservable and the
-            # post-measurement state is an eigenstate, so clear it.
-            fz[:, q] = False
-            continue
-        if name == "reset":
-            fx[:, inst.qubits[0]] = False
-            fz[:, inst.qubits[0]] = False
-            continue
-        if inst.condition is not None:
-            odd = _flip_parity(flips, inst.condition.clbits)
-            q = inst.qubits[0]
-            if name in ("x", "y"):
-                fx[:, q] ^= odd
-            if name in ("y", "z"):
-                fz[:, q] ^= odd
+
+def _fault_sites(inst, noise: NoiseModel) -> list[tuple[float, int]]:
+    """``(rate, words)`` of each stochastic site at one instruction.
+
+    ``words`` is ``4**k`` for a depolarizing fault on the ``k`` gate
+    qubits and 0 for a readout flip.  Only positive rates are sites.
+    """
+    name = inst.name
+    if name in ("barrier", "reset"):
+        return []
+    if name == "measure":
+        rate = noise.meas_flip_rate(inst.qpu)
+        return [(rate, 0)] if rate > 0.0 else []
+    if name not in _CLIFFORD_GATES:
+        raise ValueError(f"non-Clifford gate {name!r}; frame sim unsupported")
+    if inst.condition is not None and name not in _PAULI_FEEDBACK:
+        raise ValueError(
+            f"conditioned gate {name!r} is not a Pauli; frame sim unsupported"
+        )
+    rates = []
+    if noise.has_gate_noise:
+        rates.append(noise.gate_error_rate(len(inst.qubits), inst.qpu))
+    if noise.has_link_noise and inst.hops:
+        rates.append(noise.link_error_rate(inst.hops))
+    return [(rate, 4 ** len(inst.qubits)) for rate in rates if rate > 0.0]
+
+
+def _effect_table(
+    components: np.ndarray, sites: list[tuple[float, int, int, int]]
+) -> FrameProgram:
+    """Pack per-component effect rows and combine them into per-word rows.
+
+    ``components`` is the ``(rows, outputs)`` effect of each basis
+    component.  A depolarizing site's word ``w`` puts ``X`` on its ``i``-th
+    qubit when digit ``(w >> 2*(k-1-i)) & 3`` is 1 or 2 (X, Y) and ``Z``
+    when it is 2 or 3 (Y, Z) — the dense kernel's word encoding — so its
+    effect is the XOR of those components' rows.  Combining packed rows
+    keeps the table at one bit per output.
+    """
+    num_outputs = components.shape[1]
+    width = -(-num_outputs // 64)
+    packed = np.zeros((len(components), 8 * width), dtype=np.uint8)
+    packed[:, : -(-num_outputs // 8)] = np.packbits(components, axis=1)
+    packed = packed.view(np.uint64)
+    offsets = [0] * len(sites)
+    blocks = [np.zeros((0, width), dtype=np.uint64)]
+    total = 0
+    for words in sorted({site[1] for site in sites}):
+        members = [i for i, site in enumerate(sites) if site[1] == words]
+        starts = np.array([sites[i][3] for i in members], dtype=np.int64)
+        if words:
+            k = (words.bit_length() - 1) // 2
+            digits = (np.arange(1, words)[:, None] >> (2 * (k - 1 - np.arange(k)))) & 3
+            basis = np.empty((words - 1, 2 * k), dtype=np.uint64)
+            basis[:, 0::2] = (digits == 1) | (digits == 2)
+            basis[:, 1::2] = (digits == 2) | (digits == 3)
+            parts = packed[starts[:, None] + np.arange(2 * k)]
+            block = np.zeros((len(members), words - 1, width), dtype=np.uint64)
+            for j in range(2 * k):
+                block ^= basis[None, :, j, None] * parts[:, None, j, :]
+            per_site = words - 1
         else:
-            _conjugate_frames(name, inst.qubits, fx, fz)
-        # Per-shot reference injects gate noise at every gate site —
-        # conditioned Paulis included, unconditionally — then the link
-        # fault; keep that exact fault model here.
-        if gate_noise:
-            _inject_frame_faults(
-                fx, fz, None, inst.qubits,
-                noise.gate_error_rate(len(inst.qubits), inst.qpu), rng,
-            )
-        if link_noise and inst.hops:
-            _inject_frame_faults(
-                fx, fz, None, inst.qubits, noise.link_error_rate(inst.hops), rng
-            )
-    return fx, fz, flips
+            block = packed[starts]
+            per_site = 1
+        for m, i in enumerate(members):
+            offsets[i] = total + m * per_site
+        blocks.append(block.reshape(-1, width))
+        total += len(members) * per_site
+    return FrameProgram(
+        num_outputs=num_outputs,
+        sites=tuple(
+            (rate, words, offsets[i]) for i, (rate, words, _, _) in enumerate(sites)
+        ),
+        effects=np.concatenate(blocks),
+    )
 
 
 # ----------------------------------------------------------------------

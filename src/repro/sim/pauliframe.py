@@ -27,10 +27,11 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..circuits.circuit import Circuit
+from .batched_stabilizer import FrameProgram, get_frame_program
 from .noisemodel import NoiseModel
 from .pauli import Pauli
 
-__all__ = ["FrameSample", "PauliFrameSimulator"]
+__all__ = ["FrameSample", "PauliFrameSimulator", "sample_error_counts"]
 
 _CLIFFORD_1Q = {"h", "s", "sdg", "x", "y", "z", "id"}
 _CLIFFORD_2Q = {"cx", "cz", "swap"}
@@ -171,17 +172,15 @@ class PauliFrameSimulator:
         Returns a Counter keyed by bare Pauli labels (e.g. ``"ZIIIX"``),
         including the identity (no-error) entry.
 
-        All shots propagate together through the packed-frame kernel
-        (:func:`repro.sim.batched_stabilizer.run_batched_frames`) — the
-        same fault model as :meth:`sample` with vectorized draws, so the
-        distribution matches the per-shot path while the cost drops from
-        O(shots * gates) Python steps to O(gates) vectorized ones.  The
-        per-shot :meth:`sample` remains the cross-check reference.
+        The circuit compiles once per process into a
+        :class:`~repro.sim.batched_stabilizer.FrameProgram` whose outputs
+        are the data qubits' final frame; every call then only draws the
+        faults — the same fault model as :meth:`sample`, with one
+        vectorized draw per site — and XORs their precomputed effects.
+        The per-shot :meth:`sample` remains the cross-check reference.
         """
-        from .batched_stabilizer import run_batched_frames  # noqa: PLC0415 (cycle)
-
-        fx, fz, _ = run_batched_frames(self.circuit, self.noise, shots, self.rng)
-        return _tally_labels(fx[:, list(data_qubits)], fz[:, list(data_qubits)])
+        program = get_frame_program(self.circuit, self.noise, tuple(data_qubits))
+        return sample_error_counts(program, shots, self.rng)
 
     def sample_error_distribution_reference(
         self, data_qubits: Sequence[int], shots: int
@@ -192,6 +191,16 @@ class PauliFrameSimulator:
             sample = self.sample()
             counts[sample.error_on(data_qubits).bare_label()] += 1
         return counts
+
+
+def sample_error_counts(
+    program: FrameProgram, shots: int, rng: np.random.Generator
+) -> Counter:
+    """Tally the bare Pauli labels of ``shots`` samples of ``program``,
+    whose outputs are the X then the Z frame of the data qubits."""
+    bits = program.sample(shots, rng)
+    k = program.num_outputs // 2
+    return _tally_labels(bits[:, :k], bits[:, k:])
 
 
 def _tally_labels(fx: np.ndarray, fz: np.ndarray) -> Counter:
