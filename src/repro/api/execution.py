@@ -160,6 +160,8 @@ def run_multiparty_swap_test(
         "from_cache": result_x.from_cache and result_y.from_cache,
         "compile_time": result_x.compile_time + result_y.compile_time,
         "execute_time": result_x.execute_time + result_y.execute_time,
+        "row_ops": result_x.row_ops + result_y.row_ops,
+        "shot_ops": result_x.shot_ops + result_y.shot_ops,
     }
     resources["compiled"] = job_x.metadata.get("compiled")
 
@@ -266,6 +268,8 @@ def _family_engine_resources(resources, network, build, jobs, results, seed) -> 
         "from_cache": all(r.from_cache for r in results),
         "compile_time": sum(r.compile_time for r in results),
         "execute_time": sum(r.execute_time for r in results),
+        "row_ops": sum(r.row_ops for r in results),
+        "shot_ops": sum(r.shot_ops for r in results),
     }
     resources["compiled"] = jobs[0].metadata.get("compiled")
 

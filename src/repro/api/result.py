@@ -94,6 +94,9 @@ class ExperimentResult:
             },
             "breakdown_shares": {...}, # same keys, fractions of their sum
             "ipc_share": float,        # serialization/IPC share of latency
+            "kernel_rows": {           # dense kernel: history rows vs shots
+              "row_ops": int, "shot_ops": int, "row_share": float | None,
+            },
             "worker_utilization": float | None,
             "by_name": {name: {"count", "total", "max", "mean", "errors"}},
             "errors": int,

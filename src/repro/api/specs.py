@@ -28,7 +28,6 @@ run is reproducible after the fact from its recorded result.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from dataclasses import asdict, dataclass, replace
 
@@ -45,10 +44,8 @@ from ..network.topology import (
     star_topology,
 )
 from ..sim.noisemodel import NoiseModel, QpuNoiseOverride
-from ..sim.xp import ARRAY_APIS, set_array_backend
 
 __all__ = [
-    "ARRAY_APIS",
     "BACKENDS",
     "EXECUTORS",
     "GHZ_MODES",
@@ -388,13 +385,6 @@ class RunOptions:
     resolved value is recorded in the :class:`~repro.api.ExperimentResult`
     so the run stays reproducible.  ``executor="auto"`` picks ``serial``
     for one worker and ``thread`` otherwise.
-
-    ``array_api`` selects the dense kernel's array namespace
-    (:mod:`repro.sim.xp`): ``None`` defers to the ``REPRO_ARRAY_API``
-    environment variable, any of :data:`ARRAY_APIS` forces it for this
-    process *and* (via the inherited environment) any pool workers the
-    engine spawns.  Requesting an absent accelerator falls back to NumPy
-    cleanly; results are unaffected, only execution speed.
     """
 
     shots: int = 20_000
@@ -403,7 +393,6 @@ class RunOptions:
     executor: str = "auto"
     cache: bool | str = False
     batch_size: int | None = None
-    array_api: str | None = None
 
     def validate(self) -> None:
         """Raise :class:`ValueError` on any invalid field."""
@@ -417,8 +406,6 @@ class RunOptions:
             raise ValueError(f"executor must be one of {EXECUTORS}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.array_api is not None and self.array_api not in ARRAY_APIS:
-            raise ValueError(f"array_api must be one of {ARRAY_APIS}")
 
     def resolved(self) -> "RunOptions":
         """These options with a concrete seed (drawn if ``seed`` is None)."""
@@ -433,16 +420,7 @@ class RunOptions:
         return "serial" if self.workers == 1 else "thread"
 
     def make_engine(self) -> Engine:
-        """A fresh :class:`~repro.engine.Engine` configured by these options.
-
-        Installing ``array_api`` happens *before* the engine exists: the
-        resolved name is exported to ``REPRO_ARRAY_API`` so process-pool
-        workers (spawned later, inheriting the environment) resolve the
-        same namespace the parent did.
-        """
-        if self.array_api is not None:
-            os.environ["REPRO_ARRAY_API"] = self.array_api
-            set_array_backend(self.array_api)
+        """A fresh :class:`~repro.engine.Engine` configured by these options."""
         return Engine(
             workers=self.workers,
             executor=self.resolved_executor(),
@@ -452,7 +430,7 @@ class RunOptions:
     def content_hash(self) -> str:
         """Stable digest of every field.
 
-        The ``v2`` tag covers the ``array_api`` field's arrival — hashes
-        from the pre-array-API era never collide with current ones.
+        The ``v3`` tag covers the ``array_api`` field's removal — hashes
+        from the array-API era never collide with current ones.
         """
-        return stable_hash("repro-run-options-v2", asdict(self))
+        return stable_hash("repro-run-options-v3", asdict(self))

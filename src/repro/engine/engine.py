@@ -884,10 +884,13 @@ def _combine(
     counts: Counter = Counter()
     compile_time = 0.0
     execute_time = 0.0
+    row_ops = shot_ops = 0
     for stats in ordered:
         counts.update(stats.counts)
         compile_time += stats.compile_time
         execute_time += stats.execute_time
+        row_ops += stats.row_ops
+        shot_ops += stats.shot_ops
     parity_mean = parity_stderr = None
     probabilities = None
     if job.mode == "exact":
@@ -916,4 +919,6 @@ def _combine(
         elapsed=elapsed,
         compile_time=compile_time,
         execute_time=execute_time,
+        row_ops=row_ops,
+        shot_ops=shot_ops,
     )

@@ -231,6 +231,12 @@ class JobResult:
     compile_time: float = 0.0
     execute_time: float = 0.0
     from_cache: bool = False
+    row_ops: int = 0
+    """Dense-kernel history rows held, summed over ops (0 off the dense path)."""
+
+    shot_ops: int = 0
+    """Shots times ops of the dense kernel: ``row_ops / shot_ops`` is the
+    share of per-shot work the shot-branching kernel actually did."""
 
     def cached_copy(self) -> "JobResult":
         """The same result, flagged as served from cache."""
@@ -253,6 +259,8 @@ class JobResult:
             "elapsed": self.elapsed,
             "compile_time": self.compile_time,
             "execute_time": self.execute_time,
+            "row_ops": self.row_ops,
+            "shot_ops": self.shot_ops,
         }
 
     @classmethod
@@ -272,4 +280,6 @@ class JobResult:
             elapsed=float(payload.get("elapsed", 0.0)),
             compile_time=float(payload.get("compile_time", 0.0)),
             execute_time=float(payload.get("execute_time", 0.0)),
+            row_ops=int(payload.get("row_ops", 0)),
+            shot_ops=int(payload.get("shot_ops", 0)),
         )

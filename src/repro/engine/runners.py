@@ -40,7 +40,7 @@ from threading import Lock
 import numpy as np
 
 from ..obs.trace import span_record
-from ..sim.batched import run_batched
+from ..sim.batched import Segment, run_batched, run_segments
 from ..sim.batched_stabilizer import (
     FrameProgram,
     StabilizerProgram,
@@ -136,6 +136,10 @@ class BatchStats:
     dicts) when the batch ran under a trace context; the parent tracer
     adopts them into its trace.  It is None on untraced runs and never
     affects the statistical aggregates.
+
+    ``row_ops`` / ``shot_ops`` are the dense kernel's row census: history
+    rows held summed over ops, against shots times ops (zero on other
+    backends).
     """
 
     index: int
@@ -147,6 +151,8 @@ class BatchStats:
     compile_time: float = 0.0
     execute_time: float = 0.0
     spans: list[dict] | None = None
+    row_ops: int = 0
+    shot_ops: int = 0
 
 
 @dataclass
@@ -175,6 +181,8 @@ class GroupStats:
     compile_time: float = 0.0
     execute_time: float = 0.0
     spans: list[dict] | None = None
+    row_ops: int = 0
+    shot_ops: int = 0
     compile_hits: int = 0
     compile_misses: int = 0
     job_shipped: bool = False
@@ -310,6 +318,8 @@ def _worker_spans(
             "batches": batches,
             "backend": backend,
             "queue_wait": queue_wait,
+            "row_ops": stats.row_ops,
+            "shot_ops": stats.shot_ops,
         },
     )
     records = [root]
@@ -401,35 +411,47 @@ def _ensemble_groups(
     return groups
 
 
-def _statevector_batch(job: Job, batch: Batch) -> BatchStats:
-    rng = batch_rng(job.seed, batch.index)
-    kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
+def _statevector_batches(job: Job, batches, stats) -> None:
+    """Run dense batches through the branching kernel and fold them into ``stats``.
+
+    Each batch keeps its own substreams: ``kernel_rng`` drives its kernel
+    draws and ``rng`` its input-ensemble draw.  All the batches go to the
+    kernel at once, so shots of different batches share history rows.
+    """
     noise = job.noise if job.noise is not None and not job.noise.is_noiseless else None
-    gate_noise = noise is not None and noise.has_gate_noise
-    link_noise = noise is not None and noise.has_link_noise
-
     compile_start = time.perf_counter()
-    program = get_compiled(job.circuit, gate_noise=gate_noise, link_noise=link_noise)
-    compile_time = time.perf_counter() - compile_start
+    program = get_compiled(
+        job.circuit,
+        gate_noise=noise is not None and noise.has_gate_noise,
+        link_noise=noise is not None and noise.has_link_noise,
+    )
+    stats.compile_time += time.perf_counter() - compile_start
 
-    stats = BatchStats(index=batch.index, shots=batch.shots, compile_time=compile_time)
     execute_start = time.perf_counter()
-    if job.ensembles:
-        for initial_state, count in _ensemble_groups(job, batch.shots, rng):
-            result = run_batched(
-                program, count, kernel_rng, noise=noise, initial_state=initial_state
+    segments = []
+    for batch in batches:
+        rng = batch_rng(job.seed, batch.index)
+        kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
+        if job.ensembles:
+            segments.extend(
+                Segment(kernel_rng, count, initial_state)
+                for initial_state, count in _ensemble_groups(job, batch.shots, rng)
             )
-            _accumulate_matrix(stats, result.clbits, job)
-    else:
-        result = run_batched(
-            program,
-            batch.shots,
-            kernel_rng,
-            noise=noise,
-            initial_state=job.initial_state,
-        )
-        _accumulate_matrix(stats, result.clbits, job)
-    stats.execute_time = time.perf_counter() - execute_start
+        else:
+            segments.append(Segment(kernel_rng, batch.shots, job.initial_state))
+    result = run_segments(program, segments, noise=noise)
+    start = 0
+    for segment in segments:
+        _accumulate_matrix(stats, result.clbits[start : start + segment.shots], job)
+        start += segment.shots
+    stats.row_ops += result.row_ops
+    stats.shot_ops += result.shot_ops
+    stats.execute_time += time.perf_counter() - execute_start
+
+
+def _statevector_batch(job: Job, batch: Batch) -> BatchStats:
+    stats = BatchStats(index=batch.index, shots=batch.shots)
+    _statevector_batches(job, (batch,), stats)
     return stats
 
 
@@ -635,20 +657,24 @@ def execute_batch_group(
         job_shipped=shipped,
         program_primed=primed,
     )
-    frames = None
-    if backend == "pauliframe":
-        # One program lookup (one circuit digest) per group, not per batch.
-        frames = get_frame_program(job.circuit, job.noise, job.frame_qubits)
-        group.compile_time = time.perf_counter() - t0
-    for batch in batches:
-        stats = _dispatch_batch(job, batch, backend, frames)
-        if stats.probabilities is not None:
-            raise ValueError("exact-distribution batches cannot be group-reduced")
-        group.counts.update(stats.counts)
-        group.parity_total += stats.parity_total
-        group.parity_total_sq += stats.parity_total_sq
-        group.compile_time += stats.compile_time
-        group.execute_time += stats.execute_time
+    if backend == "statevector":
+        # The whole group goes through the branching kernel at once.
+        _statevector_batches(job, batches, group)
+    else:
+        frames = None
+        if backend == "pauliframe":
+            # One program lookup (one circuit digest) per group, not per batch.
+            frames = get_frame_program(job.circuit, job.noise, job.frame_qubits)
+            group.compile_time = time.perf_counter() - t0
+        for batch in batches:
+            stats = _dispatch_batch(job, batch, backend, frames)
+            if stats.probabilities is not None:
+                raise ValueError("exact-distribution batches cannot be group-reduced")
+            group.counts.update(stats.counts)
+            group.parity_total += stats.parity_total
+            group.parity_total_sq += stats.parity_total_sq
+            group.compile_time += stats.compile_time
+            group.execute_time += stats.execute_time
     total = time.perf_counter() - t0
     compile_after = compile_cache_stats()
     group.compile_hits = compile_after["hits"] - compile_before["hits"]

@@ -85,6 +85,7 @@ def build_run_report(source, *, since: int = 0, extra: dict | None = None) -> di
     reduce_time = 0.0
     worker_busy = 0.0
     batches = 0
+    row_ops = shot_ops = 0
     for span in spans:
         name = span["name"]
         attrs = span.get("attrs", {})
@@ -92,6 +93,8 @@ def build_run_report(source, *, since: int = 0, extra: dict | None = None) -> di
             queue_wait += attrs.get(_QUEUE_ATTR, 0.0) or 0.0
             worker_busy += span["duration"]
             batches += 1
+            row_ops += attrs.get("row_ops", 0) or 0
+            shot_ops += attrs.get("shot_ops", 0) or 0
         elif name == "worker.compile":
             worker_compile += span["duration"]
         elif name == "worker.execute":
@@ -132,6 +135,11 @@ def build_run_report(source, *, since: int = 0, extra: dict | None = None) -> di
         "breakdown": breakdown,
         "breakdown_shares": shares,
         "ipc_share": shares["ipc"],
+        "kernel_rows": {
+            "row_ops": row_ops,
+            "shot_ops": shot_ops,
+            "row_share": row_ops / shot_ops if shot_ops else None,
+        },
         "by_name": _by_name(spans),
         "errors": sum(1 for span in spans if span.get("status") == "error"),
     }

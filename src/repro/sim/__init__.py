@@ -1,7 +1,7 @@
 """Simulators: statevector (per-shot reference + vectorized batch kernel),
 density matrix, stabilizer tableau, batched stabilizer frames, Pauli frame —
 plus the circuit compiler that lowers the IR into frozen, executable
-programs and the array-API backend layer the dense kernel dispatches on."""
+programs."""
 
 from .batched import BatchRunResult, run_batched
 from .batched_stabilizer import (
@@ -26,14 +26,6 @@ from .pauli import Pauli
 from .pauliframe import FrameSample, PauliFrameSimulator
 from .statevector import StatevectorSimulator, TrajectoryResult, simulate_statevector
 from .tableau import TableauSimulator
-from .xp import (
-    ARRAY_APIS,
-    ArrayBackend,
-    get_array_backend,
-    reset_array_backend,
-    resolve_array_backend,
-    set_array_backend,
-)
 
 __all__ = [
     "BatchRunResult",
@@ -62,10 +54,4 @@ __all__ = [
     "TrajectoryResult",
     "simulate_statevector",
     "TableauSimulator",
-    "ARRAY_APIS",
-    "ArrayBackend",
-    "get_array_backend",
-    "reset_array_backend",
-    "resolve_array_backend",
-    "set_array_backend",
 ]

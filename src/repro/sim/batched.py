@@ -1,55 +1,65 @@
-"""Vectorized batched-trajectory statevector kernel.
+"""Vectorized batched-trajectory statevector kernel with shot branching.
 
-Evolves a whole batch of trajectories as one ``(shots, 2**n)`` array instead
-of interpreting the IR once per shot:
+Circuits full of mid-circuit measurements and resets send thousands of
+shots down a few hundred measurement histories.  The kernel therefore
+keeps a **row set** instead of one statevector per shot:
 
-* **shared prefix** — with a common input state, the deterministic prefix of
-  the compiled program is evolved on a single statevector and broadcast to
-  the batch only at the first stochastic site;
-* **vectorized collapse** — each measurement/reset site draws one RNG vector
-  for the whole batch, zeroes the dead branch of every shot in place through
-  a moved-axis view, and renormalises row-wise;
-* **vectorized noise** — each fault site draws the firing mask and the Pauli
-  words for the whole batch at once and applies each distinct word to its
-  subset of shots;
-* **conditional feedback** — parity conditions are evaluated on the whole
-  classical-bit matrix and the gate is applied to the satisfying subset.
+* ``state`` is ``(rows, 2**n)``, one row per distinct history;
+* ``row_of`` maps every shot to its row;
+* classical bits stay per shot, ``(shots, num_clbits)``.
+
+Every shot starts on the row of its input state, so a batch with a shared
+input evolves its deterministic prefix on one row.  Unitaries act once per
+row.  At each stochastic site the shots draw exactly what a per-shot kernel
+would draw, and then they are re-keyed by ``(row, outcome)`` or ``(row,
+fault word)``: only the distinct keys get rows of their own, copied from
+their parent row.
+
+* **collapse** — ``random(m) >= p0`` per active shot, with ``p0`` read
+  from the shot's row; each kept row has its dead branch zeroed and is
+  renormalised;
+* **readout flips** — ``random(m) < flip_rate`` per measured shot, which
+  touches only the classical bits;
+* **faults** — ``random(m) < rate`` per shot, then ``integers(1, 4**k)``
+  for the shots that fired, gate fault before link fault; each distinct
+  Pauli word is applied to its rows;
+* **conditional feedback** — parity conditions are evaluated per shot on
+  the classical bits; satisfying shots are split off their rows and the
+  gate is applied to those rows.
+
+A kernel *call* may hold several **segments**, each with its own
+generator: the engine packs the batches of one group into as few calls as
+memory allows, so histories are shared across batches too.  Each segment
+makes its draws in its own order and of its own sizes, and each row
+carries the same arithmetic a per-shot row of that history would, so the
+sampled bits do not depend on how segments are packed.  Two segments that
+share a generator never sit in one call: they run in successive calls, in
+order.
+
+Memory is bounded by :data:`MAX_CHUNK_AMPLITUDES`.  A segment larger than
+``MAX_CHUNK_AMPLITUDES // 2**n`` shots runs in chunks of that size (chunk
+boundaries depend only on the segment's shots and the width), and a call
+packs segments while ``shots * 2**n`` stays within the bound.  Rows never
+outnumber a call's shots, and the row buffer grows by doubling.
 
 Sampling semantics match the per-shot reference interpreter
 (:class:`repro.sim.statevector.StatevectorSimulator`) distribution-for-
-distribution; the RNG *consumption order* differs, so equal seeds give
-different (equally valid) trajectories.  Determinism is preserved at the
-engine level: results depend only on the RNG handed in, never on worker
-count or batch interleaving.
-
-Memory is bounded by processing at most :data:`MAX_CHUNK_AMPLITUDES`
-amplitudes at a time; chunk boundaries depend only on ``(shots, dim)``, so
-chunking never breaks determinism.
-
-Array-API acceleration: the chunk evolution dispatches on the process-wide
-backend from :mod:`repro.sim.xp`.  NumPy keeps the historical in-place fast
-path byte-for-byte; any other namespace (CuPy, JAX, ``array_api_strict``,
-or NumPy itself with ``inplace=False`` for conformance testing) takes a
-functional, standard-conforming path (:func:`_run_chunk_xp`) that avoids
-fancy-index assignment, views, and ``einsum``.  RNG draws always happen on
-the host with the same sizes in the same order as the fast path, and data
-crosses the device boundary only at chunk entry/exit plus the per-collapse
-probability vector the host RNG needs.
+distribution; its RNG *consumption order* differs, so equal seeds give
+different (equally valid) trajectories.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..utils.linalg import kron_all
 from .compile import CompiledProgram
 from .noisemodel import PAULI_MATRICES, NoiseModel
-from .xp import ArrayBackend, get_array_backend
 
-__all__ = ["BatchRunResult", "run_batched", "MAX_CHUNK_AMPLITUDES"]
+__all__ = ["BatchRunResult", "Segment", "run_batched", "run_segments", "MAX_CHUNK_AMPLITUDES"]
 
 #: Upper bound on simultaneously held amplitudes per chunk (~32 MB complex128).
 MAX_CHUNK_AMPLITUDES = 1 << 21
@@ -67,9 +77,28 @@ class BatchRunResult:
     states: np.ndarray | None = None
     """(shots, dim) final statevectors, only when requested."""
 
+    row_ops: int = 0
+    """Rows held, summed over the ops of every kernel call."""
+
+    shot_ops: int = 0
+    """Shots times ops: what a kernel with one row per shot would hold."""
+
     def clbit_strings(self) -> list[str]:
         """Classical registers as bit strings, clbit 0 first."""
         return ["".join(str(int(b)) for b in row) for row in self.clbits]
+
+
+@dataclass(frozen=True)
+class Segment:
+    """Shots driven by one generator from one input.
+
+    ``initial_state`` is ``None`` (|0...0>), a shared ``(dim,)`` vector or a
+    per-shot ``(shots, dim)`` array.
+    """
+
+    rng: np.random.Generator
+    shots: int
+    initial_state: np.ndarray | None = None
 
 
 def run_batched(
@@ -92,6 +121,28 @@ def run_batched(
     """
     if shots < 1:
         raise ValueError("need at least one shot")
+    return run_segments(
+        program,
+        [Segment(rng, shots, initial_state)],
+        noise=noise,
+        forced_outcomes=forced_outcomes,
+        return_states=return_states,
+    )
+
+
+def run_segments(
+    program: CompiledProgram,
+    segments: Sequence[Segment],
+    *,
+    noise: NoiseModel | None = None,
+    forced_outcomes: Sequence[int] | None = None,
+    return_states: bool = False,
+) -> BatchRunResult:
+    """Run several segments, packed into as few kernel calls as memory allows.
+
+    Rows of the result follow the segments' order.  ``forced_outcomes``
+    (see :func:`run_batched`) puts every chunk in a call of its own.
+    """
     if noise is not None and noise.is_noiseless:
         noise = None
     if noise is not None and noise.has_gate_noise and not program.gate_noise:
@@ -109,194 +160,375 @@ def run_batched(
             "sites; recompile with link_noise=True"
         )
     dim = program.dim
-    shared_input, per_shot_states = _normalise_input(initial_state, shots, dim)
-
-    # Shared deterministic prefix: evolve one row once, for all chunks.
-    start_index = 0
-    prefix_row = None
-    if per_shot_states is None:
-        prefix_row = np.zeros((1, dim), dtype=complex)
-        if shared_input is None:
-            prefix_row[0, 0] = 1.0
-        else:
-            prefix_row[0] = shared_input
-        while start_index < program.prefix_len:
-            op = program.ops[start_index]
-            prefix_row = _apply_matrix(prefix_row, op.matrix, op.qubits, program.num_qubits)
-            start_index += 1
-        if start_index == len(program.ops) and not return_states:
-            # Fully deterministic program: nothing left to sample.
-            return BatchRunResult(
-                clbits=np.zeros((shots, program.num_clbits), dtype=np.uint8)
-            )
-
-    chunk = shots
-    if shots > 1 and shots * dim > MAX_CHUNK_AMPLITUDES:
-        chunk = max(1, MAX_CHUNK_AMPLITUDES // dim)
-
-    backend = get_array_backend()
-    clbit_parts = []
-    state_parts = [] if return_states else None
-    start = 0
-    while start < shots:
-        take = min(chunk, shots - start)
-        init = (
-            per_shot_states[start : start + take]
-            if per_shot_states is not None
-            else prefix_row
-        )
-        if backend.is_numpy_fast_path:
-            part = _run_chunk(
-                program, take, rng, noise, start_index, init, forced_outcomes,
-                return_states,
-            )
-        else:
-            part = _run_chunk_xp(
-                program, take, rng, noise, start_index, init, forced_outcomes,
-                return_states, backend,
-            )
-        clbit_parts.append(part.clbits)
-        if state_parts is not None:
-            state_parts.append(part.states)
-        start += take
-    if len(clbit_parts) == 1:
-        return BatchRunResult(
-            clbits=clbit_parts[0],
-            states=state_parts[0] if state_parts is not None else None,
-        )
-    return BatchRunResult(
-        clbits=np.concatenate(clbit_parts, axis=0),
-        states=np.concatenate(state_parts, axis=0) if state_parts is not None else None,
-    )
+    offsets = np.cumsum([0] + [seg.shots for seg in segments])
+    total = int(offsets[-1])
+    clbits = np.zeros((total, program.num_clbits), dtype=np.uint8)
+    states = np.empty((total, dim), dtype=complex) if return_states else None
+    result = BatchRunResult(clbits=clbits, states=states)
+    for call in _plan_calls(segments, offsets, dim, forced_outcomes is not None):
+        _run_call(program, call, noise, forced_outcomes, result)
+    return result
 
 
-def _normalise_input(
-    initial_state: np.ndarray | None, shots: int, dim: int
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Split the input spec into (shared vector | None, per-shot matrix | None)."""
-    if initial_state is None:
-        return None, None
-    arr = np.asarray(initial_state, dtype=complex)
-    if arr.ndim == 1:
-        if arr.shape != (dim,):
-            raise ValueError("initial state dimension mismatch")
-        return arr, None
-    if arr.shape != (shots, dim):
-        raise ValueError("per-shot initial states must have shape (shots, dim)")
-    return None, arr
+def _plan_calls(
+    segments: Sequence[Segment], offsets: np.ndarray, dim: int, forced: bool
+) -> list[list[tuple]]:
+    """Cut segments into chunks and pack the chunks into calls.
 
-
-# ----------------------------------------------------------------------
-# Chunk evolution
-# ----------------------------------------------------------------------
-def _run_chunk(
-    program: CompiledProgram,
-    shots: int,
-    rng: np.random.Generator,
-    noise: NoiseModel | None,
-    start_index: int,
-    init: np.ndarray,
-    forced_outcomes: Sequence[int] | None,
-    return_states: bool,
-) -> BatchRunResult:
-    """Evolve one chunk of shots from op ``start_index`` onward.
-
-    ``init`` is either the already-evolved shared prefix row ``(1, dim)``
-    (broadcast to the chunk here; never mutated, so chunks can share it) or
-    this chunk's slice of per-shot initial states ``(chunk_shots, dim)``.
+    A chunk is ``(rng, initial rows, first result row, shots)``.  The
+    chunks of one generator run in successive rounds, in order; each round
+    packs one chunk per generator while the call's amplitudes fit.
     """
+    by_rng: dict[int, list[tuple]] = {}
+    for seg, offset in zip(segments, offsets):
+        _check_input(seg.initial_state, seg.shots, dim)
+        chunk = seg.shots
+        if seg.shots > 1 and seg.shots * dim > MAX_CHUNK_AMPLITUDES:
+            chunk = max(1, MAX_CHUNK_AMPLITUDES // dim)
+        for lo in range(0, seg.shots, chunk):
+            take = min(chunk, seg.shots - lo)
+            init = seg.initial_state
+            if init is not None and np.ndim(init) == 2:
+                init = init[lo : lo + take]
+            by_rng.setdefault(id(seg.rng), []).append(
+                (seg.rng, init, int(offset) + lo, take)
+            )
+    calls: list[list[tuple]] = []
+    queues = list(by_rng.values())
+    for round_index in range(max(len(q) for q in queues)):
+        current: list[tuple] = []
+        held = 0
+        for queue in queues:
+            if round_index >= len(queue):
+                continue
+            piece = queue[round_index]
+            if current and (forced or (held + piece[3]) * dim > MAX_CHUNK_AMPLITUDES):
+                calls.append(current)
+                current, held = [], 0
+            current.append(piece)
+            held += piece[3]
+        calls.append(current)
+    return calls
+
+
+def _check_input(initial_state: np.ndarray | None, shots: int, dim: int) -> None:
+    """Reject an input whose shape fits neither a shared nor a per-shot state."""
+    if initial_state is None:
+        return
+    shape = np.shape(initial_state)
+    if len(shape) == 1:
+        if shape != (dim,):
+            raise ValueError("initial state dimension mismatch")
+    elif shape != (shots, dim):
+        raise ValueError("per-shot initial states must have shape (shots, dim)")
+
+
+# ----------------------------------------------------------------------
+# The row set
+# ----------------------------------------------------------------------
+class _Rows:
+    """Distinct-history statevectors plus the shot → row map of one call."""
+
+    def __init__(self, pieces: list[tuple], dim: int):
+        initial: list[np.ndarray] = []
+        index_of: dict[bytes, int] = {}
+        row_of = []
+        for _, init, _, take in pieces:
+            if init is not None and np.ndim(init) == 2:
+                row_of.append(np.arange(len(initial), len(initial) + take))
+                initial.extend(np.asarray(init, dtype=complex))
+                continue
+            vector = np.zeros(dim, dtype=complex)
+            if init is None:
+                vector[0] = 1.0
+            else:
+                vector[:] = init
+            key = vector.tobytes()
+            if key not in index_of:
+                index_of[key] = len(initial)
+                initial.append(vector)
+            row_of.append(np.full(take, index_of[key]))
+        self.count = len(initial)
+        self.limit = sum(piece[3] for piece in pieces)
+        self.buf = np.empty((self.count, dim), dtype=complex)
+        self.buf[:] = initial
+        self.row_of = np.concatenate(row_of).astype(np.intp)
+
+    @property
+    def live(self) -> np.ndarray:
+        return self.buf[: self.count]
+
+    def _grow(self, extra: int) -> int:
+        """Reserve ``extra`` rows at the end; returns the first new index."""
+        need = self.count + extra
+        if need > len(self.buf):
+            size = min(self.limit, max(need, 2 * len(self.buf)))
+            buf = np.empty((size, self.buf.shape[1]), dtype=complex)
+            buf[: self.count] = self.live
+            self.buf = buf
+        start = self.count
+        self.count = need
+        return start
+
+    def branch(
+        self, shots: np.ndarray | None, labels: np.ndarray, bound: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Give each distinct ``(row, label)`` of ``shots`` a row of its own.
+
+        ``shots=None`` means every shot; ``labels`` lie in ``[0, bound)``.
+        A key keeps its parent row when it is the parent's first key and
+        no other shot holds that row; the other keys get copies.  Returns
+        the row and the label of every key.
+        """
+        parents = self.row_of if shots is None else self.row_of[shots]
+        keys = parents * bound + labels
+        span = self.count * bound
+        if 8 * keys.size < span:
+            present, inverse = np.unique(keys, return_inverse=True)
+        else:
+            present = np.flatnonzero(np.bincount(keys, minlength=span))
+            inverse = None
+        rows, kinds = np.divmod(present, bound)
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        if shots is not None:
+            held = np.bincount(self.row_of, minlength=self.count)
+            moving = np.bincount(parents, minlength=self.count)
+            first &= held[rows] == moving[rows]
+        fresh = np.flatnonzero(~first)
+        if not fresh.size:
+            return rows, kinds
+        dest = rows.copy()
+        start = self._grow(fresh.size)
+        dest[fresh] = np.arange(start, start + fresh.size)
+        self.buf[start : self.count] = self.buf[rows[fresh]]
+        if inverse is None:
+            lookup = np.empty(span, dtype=np.intp)
+            lookup[present] = np.arange(present.size)
+            inverse = lookup[keys]
+        if shots is None:
+            self.row_of = dest[inverse]
+        else:
+            self.row_of[shots] = dest[inverse]
+        return dest, kinds
+
+    def apply(self, matrix: np.ndarray, qubits: Sequence[int], n: int, rows=None) -> None:
+        """Apply a unitary to every live row, or to the selected rows."""
+        if rows is None or rows.size == self.count:
+            _apply_matrix(self.live, matrix, qubits, n, out=self.live)
+        else:
+            self.buf[rows] = _apply_matrix(self.buf[rows], matrix, qubits, n)
+
+
+# ----------------------------------------------------------------------
+# One kernel call
+# ----------------------------------------------------------------------
+def _run_call(
+    program: CompiledProgram,
+    pieces: list[tuple],
+    noise: NoiseModel | None,
+    forced_outcomes: Sequence[int] | None,
+    result: BatchRunResult,
+) -> None:
+    """Evolve the pieces of one call and write their rows into ``result``."""
     n = program.num_qubits
     ops = program.ops
+    shots = sum(piece[3] for piece in pieces)
+    gens = [piece[0] for piece in pieces]
+    starts = np.cumsum([0] + [piece[3] for piece in pieces]).tolist()
     clbits = np.zeros((shots, program.num_clbits), dtype=np.uint8)
     forced_iter = iter(forced_outcomes) if forced_outcomes is not None else None
+    rows = _Rows(pieces, program.dim)
 
-    if init.shape[0] == 1 and shots != 1:
-        state = np.repeat(init, shots, axis=0)
-    else:
-        state = np.ascontiguousarray(init, dtype=complex).copy()
-
-    for op in ops[start_index:]:
-        if op.kind in ("measure", "reset"):
-            # Conditioned collapse sites execute only on the satisfying
-            # subset of shots (and consume a forced outcome only if at
-            # least one shot executes, matching the reference interpreter).
-            rows = None
-            if op.condition is not None:
-                mask = _parity(clbits, op.condition.clbits) == op.condition.value
-                rows = np.nonzero(mask)[0]
-                if rows.size == 0:
-                    continue
-            outcomes = _collapse_site(state, op.qubits[0], n, rng, forced_iter, rows)
-            if op.kind == "measure":
-                recorded = outcomes
-                flip_rate = noise.meas_flip_rate(op.qpu) if noise is not None else 0.0
-                if flip_rate > 0.0:
-                    flips = rng.random(outcomes.size) < flip_rate
-                    recorded = outcomes ^ flips.astype(np.uint8)
-                if rows is None:
-                    clbits[:, op.clbit] = recorded
-                else:
-                    clbits[rows, op.clbit] = recorded
-            else:
-                hit = np.nonzero(outcomes)[0]
-                if hit.size:
-                    _flip_qubit(state, hit if rows is None else rows[hit], op.qubits[0], n)
-            continue
-        # Unitary (possibly conditioned, possibly a gate- or link-fault site).
+    for op in ops:
+        result.row_ops += rows.count
+        active = None
         if op.condition is not None:
             mask = _parity(clbits, op.condition.clbits) == op.condition.value
-            idx = np.nonzero(mask)[0]
-            if idx.size:
-                state[idx] = _apply_matrix(state[idx], op.matrix, op.qubits, n)
-                _site_faults(state, idx, op, n, noise, rng)
+            active = np.flatnonzero(mask)
+            if active.size == 0:
+                continue
+            if active.size == shots:
+                active = None
+        edges = starts if active is None else np.searchsorted(active, starts).tolist()
+        if op.kind in ("measure", "reset"):
+            outcomes = _collapse_site(rows, op, n, gens, edges, forced_iter, active)
+            if op.kind == "measure":
+                flip_rate = noise.meas_flip_rate(op.qpu) if noise is not None else 0.0
+                if flip_rate > 0.0:
+                    flips = _uniforms(gens, edges) < flip_rate
+                    outcomes = outcomes ^ flips.astype(np.uint8)
+                if active is None:
+                    clbits[:, op.clbit] = outcomes
+                else:
+                    clbits[active, op.clbit] = outcomes
+            continue
+        # Unitary (possibly conditioned, possibly a gate- or link-fault site).
+        if active is None:
+            rows.apply(op.matrix, op.qubits, n)
         else:
-            state = _apply_matrix(state, op.matrix, op.qubits, n)
-            _site_faults(state, np.arange(shots), op, n, noise, rng)
+            targets, _ = rows.branch(active, np.zeros(active.size, dtype=np.intp), 1)
+            rows.apply(op.matrix, op.qubits, n, targets)
+        if noise is not None:
+            # The gate-fault draw precedes the link-fault draw at sites
+            # carrying both (a Bell-generation CX under gate noise).
+            if op.sample_fault:
+                rate = noise.gate_error_rate(len(op.qubits), op.qpu)
+                _inject_faults(rows, op.qubits, n, rate, gens, edges, active)
+            if op.link_hops:
+                rate = noise.link_error_rate(op.link_hops)
+                _inject_faults(rows, op.qubits, n, rate, gens, edges, active)
 
-    return BatchRunResult(clbits=clbits, states=state if return_states else None)
+    result.shot_ops += shots * len(ops)
+    for (_, _, first, take), lo in zip(pieces, starts):
+        result.clbits[first : first + take] = clbits[lo : lo + take]
+        if result.states is not None:
+            result.states[first : first + take] = rows.buf[rows.row_of[lo : lo + take]]
 
 
-def _site_faults(
-    state: np.ndarray,
-    rows: np.ndarray,
+def _uniforms(gens: list, edges: list[int]) -> np.ndarray:
+    """One ``random(m)`` per generator over its ``m`` active shots, in order."""
+    parts = [rng.random(hi - lo) for rng, lo, hi in zip(gens, edges, edges[1:]) if hi > lo]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _collapse_site(
+    rows: _Rows,
     op,
     num_qubits: int,
-    noise: NoiseModel | None,
-    rng: np.random.Generator,
-) -> None:
-    """Stochastic faults after one unitary site: gate fault, then link fault.
-
-    The gate-fault draw precedes the link-fault draw at sites carrying both
-    (a Bell-generation CX under gate noise) — this fixed order is part of
-    the RNG-consumption contract that keeps results deterministic.
-    """
-    if noise is None:
-        return
-    if op.sample_fault:
-        _inject_faults(
-            state, rows, op.qubits, num_qubits,
-            noise.gate_error_rate(len(op.qubits), op.qpu), rng,
-        )
-    if op.link_hops:
-        _inject_faults(
-            state, rows, op.qubits, num_qubits,
-            noise.link_error_rate(op.link_hops), rng,
-        )
-
-
-def _apply_matrix(
-    state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
+    gens: list,
+    edges: list[int],
+    forced_iter,
+    active: np.ndarray | None,
 ) -> np.ndarray:
-    """Apply a k-qubit unitary to every row of a (m, 2**n) batch."""
+    """Sample (or force) a Z-basis collapse and split rows by outcome.
+
+    Returns the uint8 outcome of every active shot.  A reset then flips
+    the rows that collapsed onto |1>.
+    """
+    qubit = op.qubits[0]
+    if active is None:
+        p0 = _zero_probability(rows.live, qubit, num_qubits)[rows.row_of]
+    else:
+        parents = rows.row_of[active]
+        held = np.unique(parents)
+        p0 = _zero_probability(rows.buf[held], qubit, num_qubits)
+        p0 = p0[np.searchsorted(held, parents)]
+    if forced_iter is not None:
+        forced = next(forced_iter)
+        if forced not in (0, 1):
+            raise ValueError("forced outcomes must be 0 or 1")
+        outcomes = np.full(p0.size, forced, dtype=np.uint8)
+    else:
+        outcomes = (_uniforms(gens, edges) >= p0).astype(np.uint8)
+    targets, kept = rows.branch(active, outcomes, 2)
+    if targets.size == rows.count:
+        by_row = np.empty(rows.count, dtype=np.uint8)
+        by_row[targets] = kept
+        _collapse_rows(rows.live, by_row, qubit, num_qubits)
+        flipped = np.flatnonzero(by_row)
+    else:
+        collapsed = rows.buf[targets]
+        _collapse_rows(collapsed, kept, qubit, num_qubits)
+        rows.buf[targets] = collapsed
+        flipped = targets[kept == 1]
+    if op.kind == "reset" and flipped.size:
+        _flip_qubit(rows.live, flipped, qubit, num_qubits)
+    return outcomes
+
+
+def _zero_probability(state: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+    """Probability of outcome 0 on ``qubit``, per row."""
+    m = state.shape[0]
+    amp0 = _moved_view(state, qubit, num_qubits)[:, 0].reshape(m, -1)
+    return np.einsum("ij,ij->i", amp0, amp0.conj()).real
+
+
+def _collapse_rows(
+    state: np.ndarray, outcomes: np.ndarray, qubit: int, num_qubits: int
+) -> None:
+    """Zero each row's dead branch and renormalise, in place."""
+    m = state.shape[0]
+    moved = _moved_view(state, qubit, num_qubits)
+    moved[np.arange(m), 1 - outcomes] = 0.0
+    norms = np.linalg.norm(state, axis=1)
+    if np.any(norms < 1e-15):
+        raise RuntimeError("collapse onto zero-probability branch")
+    state /= norms[:, None]
+
+
+def _inject_faults(
+    rows: _Rows,
+    qubits: Sequence[int],
+    num_qubits: int,
+    rate: float,
+    gens: list,
+    edges: list[int],
+    active: np.ndarray | None,
+) -> None:
+    """Vectorized depolarizing fault injection at one stochastic site.
+
+    Each generator draws the firing mask over its active shots and then
+    one uniform non-identity Pauli word per firing shot — the batched
+    equivalent of :meth:`NoiseModel.sample_gate_fault` /
+    :meth:`NoiseModel.sample_link_fault`.  Faulted shots are split off by
+    word and each distinct word is applied to its rows.  The site's
+    ``rate`` is resolved by the caller (arity + QPU override for gate
+    sites, hop-weighted link rate for Bell-generation sites).
+    """
+    if rate <= 0.0:
+        return
+    k = len(qubits)
+    hits, words = [], []
+    for rng, lo, hi in zip(gens, edges, edges[1:]):
+        if hi == lo:
+            continue
+        fired = lo + np.flatnonzero(rng.random(hi - lo) < rate)
+        if fired.size:
+            hits.append(fired)
+            words.append(rng.integers(1, 4**k, size=fired.size))
+    if not hits:
+        return
+    hit = np.concatenate(hits)
+    if active is not None:
+        hit = active[hit]
+    targets, kinds = rows.branch(hit, np.concatenate(words), 4**k)
+    for word in np.unique(kinds):
+        paulis = [
+            PAULI_MATRICES[_PAULI_NAMES[(int(word) >> (2 * (k - 1 - i))) & 3]]
+            for i in range(k)
+        ]
+        rows.apply(kron_all(paulis), qubits, num_qubits, targets[kinds == word])
+
+
+# ----------------------------------------------------------------------
+# Row kernels
+# ----------------------------------------------------------------------
+def _apply_matrix(
+    state: np.ndarray,
+    matrix: np.ndarray,
+    qubits: Sequence[int],
+    num_qubits: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply a k-qubit unitary to every row of a (m, 2**n) batch.
+
+    With ``out`` (which may be ``state`` itself) the result is written
+    there instead of into a new array.
+    """
     m = state.shape[0]
     k = len(qubits)
+    axes = [1 + q for q in qubits]
     tensor = state.reshape((m,) + (2,) * num_qubits)
-    tensor = np.moveaxis(tensor, [1 + q for q in qubits], range(1, k + 1))
+    tensor = np.moveaxis(tensor, axes, range(1, k + 1))
     block = tensor.reshape(m, 2**k, -1)
     block = np.matmul(matrix, block)
     tensor = block.reshape((m,) + (2,) * num_qubits)
-    tensor = np.moveaxis(tensor, range(1, k + 1), [1 + q for q in qubits])
-    return np.ascontiguousarray(tensor).reshape(m, -1)
+    tensor = np.moveaxis(tensor, range(1, k + 1), axes)
+    if out is None:
+        return np.ascontiguousarray(tensor).reshape(m, -1)
+    out.reshape((m,) + (2,) * num_qubits)[...] = tensor
+    return out
 
 
 def _moved_view(state: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
@@ -304,44 +536,6 @@ def _moved_view(state: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
     m = state.shape[0]
     tensor = state.reshape((m,) + (2,) * num_qubits)
     return np.moveaxis(tensor, 1 + qubit, 1)
-
-
-def _collapse_site(
-    state: np.ndarray,
-    qubit: int,
-    num_qubits: int,
-    rng: np.random.Generator,
-    forced_iter,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sample (or force) a Z-basis collapse of ``qubit``.
-
-    Operates on every shot (``rows=None``, fully in place) or on a selected
-    subset of shots (gather → collapse → scatter).  Mutates ``state``
-    (branch zeroing + row renormalisation) and returns the uint8 outcome
-    vector, one entry per affected shot.
-    """
-    target = state if rows is None else state[rows]
-    m = target.shape[0]
-    moved = _moved_view(target, qubit, num_qubits)
-    amp0 = moved[:, 0].reshape(m, -1)
-    p0 = np.einsum("ij,ij->i", amp0, amp0.conj()).real
-    if forced_iter is not None:
-        forced = next(forced_iter)
-        if forced not in (0, 1):
-            raise ValueError("forced outcomes must be 0 or 1")
-        outcomes = np.full(m, forced, dtype=np.uint8)
-    else:
-        outcomes = (rng.random(m) >= p0).astype(np.uint8)
-    # Zero the dead branch of every shot through the view.
-    moved[np.arange(m), 1 - outcomes] = 0.0
-    norms = np.linalg.norm(target, axis=1)
-    if np.any(norms < 1e-15):
-        raise RuntimeError("collapse onto zero-probability branch")
-    target /= norms[:, None]
-    if rows is not None:
-        state[rows] = target
-    return outcomes
 
 
 def _flip_qubit(
@@ -352,282 +546,9 @@ def _flip_qubit(
     moved[rows] = moved[rows][:, ::-1]
 
 
-def _inject_faults(
-    state: np.ndarray,
-    rows: np.ndarray,
-    qubits: Sequence[int],
-    num_qubits: int,
-    rate: float,
-    rng: np.random.Generator,
-) -> None:
-    """Vectorized depolarizing fault injection at one stochastic site.
-
-    Draws the firing mask for all ``rows`` at once, then one uniform
-    non-identity Pauli word per firing shot, and applies each distinct word
-    to its subset — the batched equivalent of
-    :meth:`NoiseModel.sample_gate_fault` / :meth:`NoiseModel.sample_link_fault`.
-    The site's ``rate`` is resolved by the caller (arity + QPU override for
-    gate sites, hop-weighted link rate for Bell-generation sites).
-    """
-    if rate <= 0.0:
-        return
-    fires = rng.random(rows.size) < rate
-    hit = rows[fires]
-    if not hit.size:
-        return
-    k = len(qubits)
-    words = rng.integers(1, 4**k, size=hit.size)
-    for word in np.unique(words):
-        subset = hit[words == word]
-        paulis = [
-            PAULI_MATRICES[_PAULI_NAMES[(int(word) >> (2 * (k - 1 - i))) & 3]]
-            for i in range(k)
-        ]
-        state[subset] = _apply_matrix(state[subset], kron_all(paulis), qubits, num_qubits)
-
-
 def _parity(clbits: np.ndarray, cond_clbits: Sequence[int]) -> np.ndarray:
     """XOR of the selected classical-bit columns, per shot."""
     acc = np.zeros(clbits.shape[0], dtype=np.uint8)
     for c in cond_clbits:
         acc ^= clbits[:, c]
     return acc
-
-
-# ----------------------------------------------------------------------
-# Portable chunk evolution (array API standard namespaces)
-# ----------------------------------------------------------------------
-# Functional counterparts of the in-place helpers above, restricted to the
-# array API standard: reshape / permute_dims / matmul / where / flip /
-# elementwise arithmetic and reductions.  Classical bits, masks, and every
-# RNG draw stay on the host as NumPy; only the (m, 2**n) state lives in the
-# selected namespace.  Draw sizes and order match the fast path exactly, so
-# on identical floating-point arithmetic (e.g. NumPy forced through this
-# path) the sampled bits are identical too.
-
-
-def _run_chunk_xp(
-    program: CompiledProgram,
-    shots: int,
-    rng: np.random.Generator,
-    noise: NoiseModel | None,
-    start_index: int,
-    init: np.ndarray,
-    forced_outcomes: Sequence[int] | None,
-    return_states: bool,
-    backend: ArrayBackend,
-) -> BatchRunResult:
-    """Portable (array-API) twin of :func:`_run_chunk`."""
-    xp = backend.xp
-    n = program.num_qubits
-    ops = program.ops
-    clbits = np.zeros((shots, program.num_clbits), dtype=np.uint8)
-    forced_iter = iter(forced_outcomes) if forced_outcomes is not None else None
-
-    if init.shape[0] == 1 and shots != 1:
-        host = np.repeat(init, shots, axis=0)
-    else:
-        host = np.ascontiguousarray(init, dtype=complex).copy()
-    state = backend.from_numpy(host)
-
-    for op in ops[start_index:]:
-        if op.kind in ("measure", "reset"):
-            active = None
-            if op.condition is not None:
-                mask = _parity(clbits, op.condition.clbits) == op.condition.value
-                if not mask.any():
-                    continue
-                active = mask
-            state, outcomes = _collapse_site_xp(
-                state, op.qubits[0], n, rng, forced_iter, active, backend
-            )
-            count = shots if active is None else int(active.sum())
-            if op.kind == "measure":
-                recorded = outcomes[active] if active is not None else outcomes
-                flip_rate = noise.meas_flip_rate(op.qpu) if noise is not None else 0.0
-                if flip_rate > 0.0:
-                    flips = rng.random(count) < flip_rate
-                    recorded = recorded ^ flips.astype(np.uint8)
-                if active is None:
-                    clbits[:, op.clbit] = recorded
-                else:
-                    clbits[active, op.clbit] = recorded
-            else:
-                flip = outcomes.astype(bool)
-                if active is not None:
-                    flip &= active
-                if flip.any():
-                    state = _flip_rows_xp(state, flip, op.qubits[0], n, backend)
-            continue
-        if op.condition is not None:
-            mask = _parity(clbits, op.condition.clbits) == op.condition.value
-            idx = np.nonzero(mask)[0]
-            if idx.size:
-                new_state = _apply_matrix_xp(state, op.matrix, op.qubits, n, backend)
-                cond = backend.from_numpy(mask[:, None])
-                state = xp.where(cond, new_state, state)
-                state = _site_faults_xp(state, idx, op, n, noise, rng, backend)
-        else:
-            state = _apply_matrix_xp(state, op.matrix, op.qubits, n, backend)
-            state = _site_faults_xp(
-                state, np.arange(shots), op, n, noise, rng, backend
-            )
-
-    final = backend.to_numpy(state) if return_states else None
-    return BatchRunResult(clbits=clbits, states=final)
-
-
-def _apply_matrix_xp(
-    state, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int,
-    backend: ArrayBackend,
-):
-    """Portable k-qubit unitary on every row of a (m, 2**n) batch."""
-    xp = backend.xp
-    permute = getattr(xp, "permute_dims", None) or xp.transpose
-    m = state.shape[0]
-    k = len(qubits)
-    rest = [1 + q for q in range(num_qubits) if q not in qubits]
-    perm = [0] + [1 + q for q in qubits] + rest
-    inverse = np.argsort(perm)
-    tensor = xp.reshape(state, (m,) + (2,) * num_qubits)
-    tensor = permute(tensor, tuple(perm))
-    block = xp.reshape(tensor, (m, 2**k, -1))
-    block = xp.matmul(backend.from_numpy(np.ascontiguousarray(matrix)), block)
-    tensor = xp.reshape(block, (m,) + (2,) * num_qubits)
-    tensor = permute(tensor, tuple(int(i) for i in inverse))
-    return xp.reshape(tensor, (m, -1))
-
-
-def _collapse_site_xp(
-    state,
-    qubit: int,
-    num_qubits: int,
-    rng: np.random.Generator,
-    forced_iter,
-    active: np.ndarray | None,
-    backend: ArrayBackend,
-):
-    """Portable Z-basis collapse of ``qubit``.
-
-    ``active`` is a host boolean mask of the shots that execute this site
-    (``None`` = all).  Inactive rows pass through untouched: their keep
-    factor is 1 on both branches and their renormalisation divisor is 1.
-    Returns ``(state, outcomes)`` with ``outcomes`` sized over all shots
-    (inactive entries are 0 and meaningless).
-    """
-    xp = backend.xp
-    m = state.shape[0]
-    # Row-major qubit axes put qubit q after 2**q leading block entries.
-    tensor = xp.reshape(state, (m, 2**qubit, 2, -1))
-    amp0 = tensor[:, :, 0, :]
-    p0 = backend.to_numpy(
-        xp.sum(xp.real(amp0 * xp.conj(amp0)), axis=(1, 2))
-    )
-    count = m if active is None else int(active.sum())
-    outcomes = np.zeros(m, dtype=np.uint8)
-    if forced_iter is not None:
-        forced = next(forced_iter)
-        if forced not in (0, 1):
-            raise ValueError("forced outcomes must be 0 or 1")
-        if active is None:
-            outcomes[:] = forced
-        else:
-            outcomes[active] = forced
-    else:
-        draws = rng.random(count)
-        if active is None:
-            outcomes[:] = (draws >= p0).astype(np.uint8)
-        else:
-            outcomes[active] = (draws >= p0[active]).astype(np.uint8)
-
-    keep = np.ones((m, 2), dtype=np.float64)
-    rows = np.arange(m) if active is None else np.nonzero(active)[0]
-    keep[rows, 1 - outcomes[rows]] = 0.0
-    tensor = tensor * xp.reshape(backend.from_numpy(keep), (m, 1, 2, 1))
-    surviving = np.where(outcomes[rows] == 0, p0[rows], 1.0 - p0[rows])
-    if np.any(surviving < 1e-30):
-        raise RuntimeError("collapse onto zero-probability branch")
-    norm2 = xp.sum(xp.real(tensor * xp.conj(tensor)), axis=(1, 2, 3))
-    divisor = xp.sqrt(norm2)
-    if active is not None:
-        one = backend.from_numpy(np.ones(m))
-        divisor = xp.where(backend.from_numpy(active), divisor, one)
-    tensor = tensor / xp.reshape(divisor, (m, 1, 1, 1))
-    return xp.reshape(tensor, (m, -1)), outcomes
-
-
-def _flip_rows_xp(
-    state, flip: np.ndarray, qubit: int, num_qubits: int, backend: ArrayBackend
-):
-    """Portable X on ``qubit`` for the rows marked in host mask ``flip``."""
-    xp = backend.xp
-    m = state.shape[0]
-    tensor = xp.reshape(state, (m, 2**qubit, 2, -1))
-    flipped = xp.flip(tensor, axis=2)
-    cond = backend.from_numpy(flip[:, None, None, None])
-    tensor = xp.where(cond, flipped, tensor)
-    return xp.reshape(tensor, (m, -1))
-
-
-def _site_faults_xp(
-    state,
-    rows: np.ndarray,
-    op,
-    num_qubits: int,
-    noise: NoiseModel | None,
-    rng: np.random.Generator,
-    backend: ArrayBackend,
-):
-    """Portable twin of :func:`_site_faults` (same draw order and sizes)."""
-    if noise is None:
-        return state
-    if op.sample_fault:
-        state = _inject_faults_xp(
-            state, rows, op.qubits, num_qubits,
-            noise.gate_error_rate(len(op.qubits), op.qpu), rng, backend,
-        )
-    if op.link_hops:
-        state = _inject_faults_xp(
-            state, rows, op.qubits, num_qubits,
-            noise.link_error_rate(op.link_hops), rng, backend,
-        )
-    return state
-
-
-def _inject_faults_xp(
-    state,
-    rows: np.ndarray,
-    qubits: Sequence[int],
-    num_qubits: int,
-    rate: float,
-    rng: np.random.Generator,
-    backend: ArrayBackend,
-):
-    """Portable depolarizing fault injection at one stochastic site.
-
-    Each distinct Pauli word is applied to the whole batch and recombined
-    onto its firing subset with ``where`` — more flops than the fast
-    path's subset gather, but free of fancy-index writes.
-    """
-    if rate <= 0.0:
-        return state
-    xp = backend.xp
-    m = state.shape[0]
-    fires = rng.random(rows.size) < rate
-    hit = rows[fires]
-    if not hit.size:
-        return state
-    k = len(qubits)
-    words = rng.integers(1, 4**k, size=hit.size)
-    for word in np.unique(words):
-        subset = hit[words == word]
-        paulis = [
-            PAULI_MATRICES[_PAULI_NAMES[(int(word) >> (2 * (k - 1 - i))) & 3]]
-            for i in range(k)
-        ]
-        applied = _apply_matrix_xp(state, kron_all(paulis), qubits, num_qubits, backend)
-        mask = np.zeros(m, dtype=bool)
-        mask[subset] = True
-        cond = backend.from_numpy(mask[:, None])
-        state = xp.where(cond, applied, state)
-    return state

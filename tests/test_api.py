@@ -168,7 +168,7 @@ class TestHashing:
         )
         assert (
             RunOptions(shots=1000, seed=7).content_hash()
-            == "40e89c6218b6ebb128c0a58ab8f86a2db64798c25d44167009c6ae3ca734a64e"
+            == "ffd42583543e1854ed128234b6ea62c5c3f9ce3dcfbfafae2701aabbd0c482f5"
         )
 
     def test_equal_specs_hash_equal(self):

@@ -16,10 +16,10 @@ import pytest
 
 from repro.api import Experiment, NetworkSpec
 from repro.circuits import Circuit, Condition
-from repro.core import build_nparty_hadamard, protocol_job
+from repro.core import build_monolithic_swap_test, build_nparty_hadamard, protocol_job
 from repro.engine import Batch, Engine, Job
 from repro.engine.runners import _init_pool_worker, execute_batch, execute_batch_group
-from repro.sim import NoiseModel
+from repro.sim import NoiseModel, get_compiled
 from repro.utils.states import random_pure_state
 
 
@@ -204,3 +204,39 @@ class TestGoldenBits:
         assert counts_digest(group.counts) == PACKED_DIGEST
         single = [execute_batch(job, b, "statevector") for b in batches]
         assert group.parity_total == sum(s.parity_total for s in single)
+
+
+class TestRowCensus:
+    """``row_ops`` (history rows held, summed over ops) against ``shot_ops``."""
+
+    def test_rows_never_outnumber_shots(self):
+        feedback = TestGoldenBits().feedback_job()
+        link = NetworkSpec(link_depolarizing=0.05).noise_model(None)
+        jobs = [
+            feedback,
+            protocol_job(
+                build_nparty_hadamard(3, 1, basis="x"), pure_states(3, 1, 6), 300, 7,
+                noise=link,
+            ),
+        ]
+        with Engine(workers=1, executor="serial", cache=False) as engine:
+            results = engine.run_many(jobs)
+        for result in results:
+            assert 0 < result.row_ops <= result.shot_ops
+
+    def test_monolithic_group_shares_rows(self):
+        experiment = Experiment.swap_test(pure_states(2, 2, 1), shots=10_000, seed=17)
+        with Engine(workers=1, executor="serial", cache=False) as engine:
+            result, _ = run_with_counts(experiment, engine)
+        census = result.extra["resources"]["engine"]
+        assert 0 < census["row_ops"] <= census["shot_ops"]
+        job = protocol_job(
+            build_monolithic_swap_test(2, 2, basis="x"), pure_states(2, 2, 1), 5_000, 3
+        )
+        batches = tuple(Batch(i, 250) for i in range(20))
+        _init_pool_worker()
+        group = execute_batch_group(job, job.content_hash(), batches, "statevector")
+        assert group.shot_ops == 5_000 * len(get_compiled(job.circuit).ops)
+        assert group.row_ops / group.shot_ops < 0.1
+        single = execute_batch(job, batches[0], "statevector")
+        assert group.row_ops < 20 * single.row_ops
