@@ -36,9 +36,11 @@ PIPELINE_WORKERS = 8
 EXECUTOR = "process" if CPUS > 1 else "thread"
 
 #: Many small jobs: each job is a handful of batches, so only submitting
-#: across job boundaries can keep all 8 workers busy.
-NUM_JOBS = scaled(full=96, quick=24, smoke=6)
-SHOTS = scaled(full=2_000, quick=600, smoke=200)
+#: across job boundaries can keep all 8 workers busy.  The shot budget
+#: keeps the kernel work well above the per-group dispatch cost; at 200
+#: shots a job took a few milliseconds and the 2-CPU floor measured noise.
+NUM_JOBS = scaled(full=96, quick=24, smoke=24)
+SHOTS = scaled(full=32_000, quick=16_000, smoke=16_000)
 BATCHES = 4
 
 #: Acceptance bar (ISSUE 5): pipelined sweep vs the serial path at 8
