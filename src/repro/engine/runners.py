@@ -8,11 +8,11 @@ with exact floating-point sums (parities are ±1), the engine's results are
 bit-identical for any worker count.
 
 The default ``statevector`` backend executes **compiled programs** through
-the vectorized batch kernel: the circuit is lowered once per process
-(:mod:`repro.sim.compile`, cached by content digest), stochastic input
-ensembles are sampled in one vectorized draw and grouped by component so
-each distinct input state shares its deterministic prefix, and the whole
-group evolves as a ``(shots, 2**n)`` array.  ``statevector-ref`` keeps the
+the shot-branching kernel (:mod:`repro.sim.batched`): the circuit is
+lowered once per process (:mod:`repro.sim.compile`, cached by content
+digest), stochastic input ensembles are sampled in one vectorized draw and
+grouped by component, and the kernel holds one statevector row per
+distinct history rather than per shot.  ``statevector-ref`` keeps the
 historical per-shot interpreter loop for cross-validation.
 
 ``execute_batch`` is a module-level function taking only picklable
@@ -630,7 +630,12 @@ def execute_batch_group(
 
     Every batch still consumes exactly its own ``(job.seed, batch.index)``
     substream, and the fold is the order-insensitive Counter/±1-sum
-    reduction, so grouping cannot change result bits.
+    reduction, so grouping cannot change result bits.  A ``statevector``
+    group runs all its batches through the shot-branching kernel at once
+    (each batch a segment with its own generators, packed into as few
+    calls as :data:`~repro.sim.batched.MAX_CHUNK_AMPLITUDES` allows), so
+    histories are shared across the group's batches; ``row_ops`` and
+    ``shot_ops`` on the returned stats show how much.
     """
     if job is None:
         job = _recall_job(job_key)

@@ -19,6 +19,7 @@ from repro.circuits import Circuit, Condition
 from repro.core import build_monolithic_swap_test, build_nparty_hadamard, protocol_job
 from repro.engine import Batch, Engine, Job
 from repro.engine.runners import _init_pool_worker, execute_batch, execute_batch_group
+from repro.obs import Observability, build_run_report
 from repro.sim import NoiseModel, get_compiled
 from repro.utils.states import random_pure_state
 
@@ -240,3 +241,14 @@ class TestRowCensus:
         assert group.row_ops / group.shot_ops < 0.1
         single = execute_batch(job, batches[0], "statevector")
         assert group.row_ops < 20 * single.row_ops
+
+    def test_run_report_sums_the_census(self):
+        job = protocol_job(
+            build_monolithic_swap_test(2, 2, basis="x"), pure_states(2, 2, 1), 1_000, 5
+        )
+        obs = Observability()
+        with Engine(workers=2, executor="thread", cache=False, obs=obs) as engine:
+            result = engine.run(job)
+        rows = build_run_report(obs)["kernel_rows"]
+        assert (rows["row_ops"], rows["shot_ops"]) == (result.row_ops, result.shot_ops)
+        assert 0 < rows["row_share"] < 1
