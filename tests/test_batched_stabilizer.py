@@ -11,7 +11,9 @@ The correctness argument for the compile-once/sample-many stabilizer path:
 * the vectorized ``sample_error_distribution`` against the retained per-shot
   reference loop (same fault model, different RNG consumption order);
 * engine results on the stabilizer backend across worker counts and
-  executors (bit identity — the engine's determinism contract).
+  executors (bit identity — the engine's determinism contract);
+* the dense kernel's segment packing: a segment's bits do not depend on
+  which other segments share its kernel call.
 """
 
 from collections import Counter
@@ -25,6 +27,7 @@ from repro.circuits import Circuit, Condition
 from repro.engine import BackendRouter, Engine, Job
 from repro.sim import (
     NoiseModel,
+    compile_circuit,
     PauliFrameSimulator,
     TableauSimulator,
     compile_stabilizer,
@@ -32,6 +35,7 @@ from repro.sim import (
     run_batched_frames,
     run_batched_stabilizer,
 )
+from repro.sim.batched import Segment, run_segments
 from repro.sim.batched_stabilizer import (
     clear_stabilizer_cache,
     prime_stabilizer,
@@ -410,3 +414,68 @@ class TestEngineDeterminism:
         assert res.backend == "stabilizer"
         assert set(res.counts) <= {"0" * 64, "1" * 64}
         assert sum(res.counts.values()) == 256
+
+
+# ----------------------------------------------------------------------
+# Dense kernel: segment packing leaves every segment's bits unchanged
+# ----------------------------------------------------------------------
+class TestPackedKernelPath:
+    """A segment packed into one kernel call with another segment must be
+    bit-identical to the same segment run alone: each segment draws from
+    its own generator in its own order and sizes, and rows shared across
+    segments carry the same arithmetic as rows held by one segment."""
+
+    SHOTS = 512
+
+    @staticmethod
+    def _program(circuit, noise):
+        return compile_circuit(
+            circuit,
+            gate_noise=noise is not None and noise.has_gate_noise,
+            link_noise=noise is not None and noise.has_link_noise,
+        )
+
+    def _compare(self, circuit, noise=None):
+        program = self._program(circuit, noise)
+        alone = run_segments(
+            program, [Segment(np.random.default_rng(1234), self.SHOTS)], noise=noise
+        )
+        companion = run_segments(
+            program, [Segment(np.random.default_rng(99), 300)], noise=noise
+        )
+        packed = run_segments(
+            program,
+            [
+                Segment(np.random.default_rng(99), 300),
+                Segment(np.random.default_rng(1234), self.SHOTS),
+            ],
+            noise=noise,
+        )
+        assert np.array_equal(packed.clbits[300:], alone.clbits)
+        assert np.array_equal(packed.clbits[:300], companion.clbits)
+        assert 0 < packed.row_ops <= packed.shot_ops
+        return alone
+
+    def test_noiseless_ghz(self):
+        alone = self._compare(ghz_circuit(4))
+        assert set(alone.clbit_strings()) == {"0000", "1111"}
+        # The deterministic prefix runs on one row: far fewer rows than shots.
+        assert alone.row_ops < alone.shot_ops // 10
+
+    def test_feedback_and_reset(self):
+        circuit = teleport_circuit()
+        circuit.reset(0)
+        circuit.h(0)
+        alone = self._compare(circuit)
+        # Teleporting |0> with Pauli feedback always verifies as 0.
+        assert not alone.clbits[:, 2].any()
+
+    def test_non_clifford(self):
+        alone = self._compare(magic_circuit())
+        # T commutes with the Z readout: the two clbits always agree.
+        assert np.array_equal(alone.clbits[:, 0], alone.clbits[:, 1])
+
+    def test_noisy_ghz(self):
+        alone = self._compare(ghz_circuit(3), noise=NoiseModel.from_base(0.05))
+        # Faults leave GHZ's two-outcome support.
+        assert set(alone.clbit_strings()) - {"000", "111"}
