@@ -65,7 +65,9 @@ def test_protocol_accuracy(once):
             stderr=result.stderr,
             sigmas=f"{sigma:.2f}",
         )
-        assert result.raw.within(result.exact, sigmas=5.5)  # both real and imag
+        assert result.within(result.exact, sigmas=5.5)
+        im_sigma = abs(result.imag - result.exact.imag) / max(result.extra["stderr_im"], 1e-12)
+        assert im_sigma <= 5.5
     emit(
         "protocol_accuracy", table, wall_time=elapsed(), engine=engine, results=results
     )

@@ -32,17 +32,19 @@ def test_table4_fanout_errors(once):
 
     with stopwatch() as elapsed:
         sweep = once(run_grid)
-    reports = [point.result.raw for point in sweep]
+    cells_by_point = [
+        (point.params["p"], point.params["num_targets"], point.result) for point in sweep
+    ]
     table = Table(
         f"Table 4 — top Fanout errors ({SHOTS} shots)",
         ["p_phy", "targets", "1st", "2nd", "3rd", "4th"],
     )
-    for report in reports:
-        tops = report.top_errors(4)
+    for p, targets, result in cells_by_point:
+        tops = result.extra["top_errors"][:4]
         cells = [f"{label}: {prob:.2%}" for label, prob in tops]
         cells += [""] * (4 - len(cells))
         table.add_row(
-            p_phy=report.p, targets=report.num_targets,
+            p_phy=p, targets=targets,
             **{"1st": cells[0], "2nd": cells[1], "3rd": cells[2], "4th": cells[3]},
         )
     emit(
@@ -51,9 +53,9 @@ def test_table4_fanout_errors(once):
     engine.close()
 
     # Shape assertions from the paper.
-    for report in reports:
-        top_label, _ = report.top_errors(1)[0]
-        assert top_label == "Z" + "I" * report.num_targets
-    by_setting = {(r.p, r.num_targets): r.error_probability() for r in reports}
+    for _, targets, result in cells_by_point:
+        top_label, _ = result.extra["top_errors"][0]
+        assert top_label == "Z" + "I" * targets
+    by_setting = {(p, targets): result.estimate for p, targets, result in cells_by_point}
     assert by_setting[(0.005, 4)] > by_setting[(0.001, 4)]
     assert by_setting[(0.003, 8)] > by_setting[(0.003, 4)]

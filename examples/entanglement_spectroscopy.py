@@ -33,11 +33,12 @@ def main() -> None:
             psi, keep=[0], num_qubits=2, max_order=2,
             shots=20000, seed=int(theta * 100), variant="d",
         ).run()
-        spectrum = result.raw
-        recovered = [f"{v:.3f}" for v in spectrum.eigenvalues]
+        recovered = [f"{v:.3f}" for v in result.extra["eigenvalues"]]
+        energies = result.extra["entanglement_energies"]
+        gap = energies[1] - energies[0]  # the two lowest entanglement energies
         print(
             f"{theta:>8.3f} {str([round(e, 3) for e in exact]):>18} "
-            f"{str(recovered):>22} {spectrum.gap():>8.3f}"
+            f"{str(recovered):>22} {gap:>8.3f}"
         )
     print("\ntheta = pi/4 is maximally entangled: a flat {0.5, 0.5} spectrum")
     print("(the degenerate point where shot noise is amplified the most).")

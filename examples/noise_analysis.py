@@ -17,10 +17,10 @@ P = 0.003  # the paper's middle noise level
 
 def main() -> None:
     print(f"== Fanout error distribution (p = {P}, 4 targets) ==")
-    report = Experiment.fanout_errors(4, P, shots=30000, seed=1).run().raw
-    for label, prob in report.top_errors(4):
+    fanout = Experiment.fanout_errors(4, P, shots=30000, seed=1).run()
+    for label, prob in fanout.extra["top_errors"][:4]:
         print(f"   {label}: {prob:.2%}")
-    print(f"   any error: {report.error_probability():.2%}")
+    print(f"   any error: {fanout.estimate:.2%}")
 
     print("\n== Distributed GHZ fidelity (frame sampling) ==")
     sweep = Experiment.ghz_fidelity(4, P, shots=8000, seed=4).sweep(

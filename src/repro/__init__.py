@@ -25,9 +25,7 @@ Every workload is an ``Experiment`` constructor — ``swap_test``,
 ``trace_sum``, ``renyi``, ``spectroscopy``, ``virtual``, ``qsp``,
 ``ghz_fidelity``, ``fanout_errors``, ``overall_fidelity`` — with ``run``,
 ``run_exact``, and grid ``sweep`` methods all returning one
-``ExperimentResult`` envelope.  The per-function entry points
-(``multiparty_swap_test``, ``estimate_renyi_entropy``, ...) remain as
-deprecated wrappers.
+``ExperimentResult`` envelope.
 """
 
 from .circuits import Circuit, Condition, Instruction
@@ -80,18 +78,6 @@ _LAZY_EXPORTS = {
     "ServiceServer": ("repro.service", "ServiceServer"),
     "TenantQuota": ("repro.service", "TenantQuota"),
     "SpecLimits": ("repro.service", "SpecLimits"),
-    # Legacy protocol entry points (deprecated wrappers).
-    "multiparty_swap_test": ("repro.core.estimator", "multiparty_swap_test"),
-    "MultivariateTraceResult": ("repro.core.estimator", "MultivariateTraceResult"),
-    "estimate_trace_sum": ("repro.core.trace_sum", "estimate_trace_sum"),
-    # Legacy Section-6 application entry points (deprecated wrappers).
-    "estimate_renyi_entropy": ("repro.apps.renyi", "estimate_renyi_entropy"),
-    "entanglement_spectroscopy": (
-        "repro.apps.spectroscopy",
-        "entanglement_spectroscopy",
-    ),
-    "virtual_expectation": ("repro.apps.virtual", "virtual_expectation"),
-    "parallel_qsp_trace_sampled": ("repro.apps.qsp", "parallel_qsp_trace_sampled"),
     # Analysis sweep entry point (Experiment-backed).
     "ghz_fidelity_sweep": ("repro.analysis.ghz_fidelity", "ghz_fidelity_sweep"),
 }

@@ -114,22 +114,19 @@ def fanout_error_distribution(
 ) -> FanoutErrorReport:
     """Sample the effective Pauli error distribution of the noisy Fanout.
 
-    With an ``engine`` (or through ``Experiment.fanout_errors``, which
-    this function now fronts), the sampling runs as a frames-mode job;
-    without one it falls back to the direct Pauli-frame loop.
+    With an ``engine`` the sampling runs as a frames-mode job (the path
+    ``Experiment.fanout_errors`` takes); without one it falls back to the
+    direct Pauli-frame loop.
     """
-    if engine is not None:
-        from ..api import Experiment
-
-        return (
-            Experiment.fanout_errors(num_targets, p, shots=shots, seed=seed)
-            .run(engine=engine)
-            .raw
-        )
-    circuit, data = build_fanout_circuit(num_targets)
     noise = NoiseModel.from_base(p)
-    simulator = PauliFrameSimulator(circuit, noise, seed=seed)
-    counts = simulator.sample_error_distribution(data, shots)
+    if engine is not None:
+        counts = sample_fanout_error_counts(
+            num_targets, noise, shots=shots, seed=seed, engine=engine
+        )
+    else:
+        circuit, data = build_fanout_circuit(num_targets)
+        simulator = PauliFrameSimulator(circuit, noise, seed=seed)
+        counts = simulator.sample_error_distribution(data, shots)
     return FanoutErrorReport(
         p=p, num_targets=num_targets, shots=shots, counts=counts, seed=seed
     )

@@ -99,40 +99,21 @@ def overall_fidelity_estimate(
 
     ``cswap_error`` may be supplied to reuse a previously measured value
     across different k (the bound depends on n and p only through it).
-    Without a custom ``model`` this routes through
-    ``Experiment.overall_fidelity`` (same composition, declarative spec);
-    a custom primitive-error model bypasses the spec layer, which cannot
-    hash it.
+    ``Experiment.overall_fidelity`` runs the same composition from a
+    declarative spec; a custom primitive-error ``model`` is only available
+    here, since the spec layer cannot hash it.
     """
-    if model is not None:
-        return compose_overall_fidelity(
-            design,
-            n,
-            k,
-            p,
-            ghz_shots=ghz_shots,
-            cswap_shots_per_input=cswap_shots_per_input,
-            cswap_max_inputs=cswap_max_inputs,
-            seed=seed,
-            model=model,
-            cswap_error=cswap_error,
-        )
-    from ..api import Experiment
-
-    return (
-        Experiment.overall_fidelity(
-            design,
-            n,
-            k,
-            p,
-            ghz_shots=ghz_shots,
-            cswap_shots_per_input=cswap_shots_per_input,
-            cswap_max_inputs=cswap_max_inputs,
-            cswap_error=cswap_error,
-            seed=seed,
-        )
-        .run()
-        .raw
+    return compose_overall_fidelity(
+        design,
+        n,
+        k,
+        p,
+        ghz_shots=ghz_shots,
+        cswap_shots_per_input=cswap_shots_per_input,
+        cswap_max_inputs=cswap_max_inputs,
+        seed=seed,
+        model=model,
+        cswap_error=cswap_error,
     )
 
 

@@ -11,10 +11,6 @@ instead of per-function plumbing:
   every run returns;
 * :class:`SweepResult` — an ordered grid of envelopes, built on the same
   grid machinery as :meth:`repro.engine.Engine.sweep`.
-
-The legacy per-function entry points (``multiparty_swap_test``,
-``estimate_renyi_entropy``, ...) remain as thin wrappers over this layer
-and emit :class:`DeprecationWarning`.
 """
 
 from .experiment import KINDS, Experiment

@@ -73,17 +73,6 @@ def _as_states(states) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(s, dtype=complex) for s in states)
 
 
-def _check_state_widths(states) -> None:
-    if len(states) < 2:
-        raise ValueError("need at least two states")
-    dim = states[0].shape[0]
-    if any(s.shape[0] != dim for s in states):
-        raise ValueError("all states must have equal width")
-    n = int(math.log2(dim))
-    if 2**n != dim:
-        raise ValueError("state dimension must be a power of two")
-
-
 @dataclass(frozen=True)
 class Experiment:
     """One fully-specified, hashable, runnable experiment."""
@@ -698,28 +687,63 @@ class Experiment:
 # ----------------------------------------------------------------------
 # Kind-specific payload validation
 # ----------------------------------------------------------------------
-def _validate_swap_test(experiment) -> None:
-    _check_state_widths(experiment.payload["states"])
-    if experiment.options.shots < 2:
-        raise ValueError("need at least two shots (one per readout basis)")
+def _check_trace_run(experiment, dims, shots, observable=None) -> None:
+    """Reject up front a two-basis trace run the runner cannot honour.
 
-
-def _validate_protocol_family(experiment) -> None:
-    _check_state_widths(experiment.payload["states"])
-    if experiment.protocol.backend != "distributed":
-        raise ValueError(
-            f"kind {experiment.kind!r} always lowers through the distributed IR; "
-            "set protocol.backend='distributed'"
-        )
-    if experiment.kind == "multistate_swap":
-        k = len(experiment.payload["states"])
-        pairs = k * (k - 1) // 2
-        if experiment.options.shots < 2 * pairs:
+    Every trace kind's validator calls this once per distinct run shape,
+    with the dimensions of the run's input states, so the checks live in
+    one place and a bad spec fails here (a 4xx at the service), never in
+    a worker.  ``shots`` is None where no shot count needs checking: no
+    sampled run follows (an exact-circuit virtual run, one QSP factor,
+    first-order spectroscopy), or the runner sets it (trace_sum terms get
+    at least 64 shots each).
+    """
+    backend = experiment.protocol.backend
+    if experiment.kind in _DISTRIBUTED_KINDS:
+        if backend != "distributed":
             raise ValueError(
-                f"need at least {2 * pairs} shots (two per state pair)"
+                f"kind {experiment.kind!r} always lowers through the distributed IR; "
+                "set protocol.backend='distributed'"
             )
-    elif experiment.options.shots < 2:
+    elif backend not in ("monolithic", "compas"):
+        raise ValueError(
+            f"kind {experiment.kind!r} runs the SWAP test: backend must be "
+            f"'monolithic' or 'compas', got {backend!r}"
+        )
+    if len(dims) < 2:
+        raise ValueError("need at least two states")
+    if any(dim != dims[0] for dim in dims):
+        raise ValueError("all states must have equal width")
+    n = int(math.log2(dims[0]))
+    if 2**n != dims[0]:
+        raise ValueError("state dimension must be a power of two")
+    if observable is not None:
+        if backend != "monolithic":
+            raise ValueError(
+                f"an observable needs the monolithic backend; backend={backend!r} "
+                "has no GHZ-controlled observable stage"
+            )
+        if len(observable) != n:
+            raise ValueError(f"observable {observable!r} needs one Pauli per qubit ({n})")
+    if shots is not None and shots < 2:
         raise ValueError("need at least two shots (one per readout basis)")
+
+
+def _validate_states(experiment) -> None:
+    _check_trace_run(
+        experiment,
+        [len(s) for s in experiment.payload["states"]],
+        experiment.options.shots,
+        experiment.protocol.observable,
+    )
+
+
+def _validate_multistate_swap(experiment) -> None:
+    _validate_states(experiment)
+    k = len(experiment.payload["states"])
+    pairs = k * (k - 1) // 2
+    if experiment.options.shots < 2 * pairs:
+        raise ValueError(f"need at least {2 * pairs} shots (two per state pair)")
 
 
 def _validate_trace_sum(experiment) -> None:
@@ -729,11 +753,22 @@ def _validate_trace_sum(experiment) -> None:
         raise ValueError("one weight per group required")
     if not groups:
         raise ValueError("need at least one term")
+    for group in groups:
+        if len(group) >= 2:
+            dims = [len(s) for s in group]
+            _check_trace_run(experiment, dims, None, experiment.protocol.observable)
 
 
 def _validate_renyi(experiment) -> None:
-    if experiment.payload["order"] < 2:
+    order = experiment.payload["order"]
+    if order < 2:
         raise ValueError("integer Rényi order must be >= 2")
+    _check_trace_run(
+        experiment,
+        [len(experiment.payload["rho"])] * order,
+        experiment.options.shots,
+        experiment.protocol.observable,
+    )
 
 
 def _validate_spectroscopy(experiment) -> None:
@@ -746,6 +781,14 @@ def _validate_spectroscopy(experiment) -> None:
         raise ValueError("keep indices must lie in range(num_qubits)")
     if payload["max_order"] is not None and payload["max_order"] < 1:
         raise ValueError("max_order must be positive")
+    dim = 2 ** len(payload["keep"])
+    max_order = payload["max_order"] or dim
+    _check_trace_run(
+        experiment,
+        [dim] * max(max_order, 2),
+        experiment.options.shots if max_order >= 2 else None,
+        experiment.protocol.observable,
+    )
 
 
 def _validate_virtual(experiment) -> None:
@@ -754,11 +797,26 @@ def _validate_virtual(experiment) -> None:
         raise ValueError("the SWAP-test route needs at least two copies")
     if not payload["observable"] or set(payload["observable"]) - _PAULI_LETTERS:
         raise ValueError("observable must be a non-empty Pauli label (IXYZ)")
+    if experiment.protocol.observable is not None:
+        raise ValueError("virtual takes its observable in the payload, not the protocol")
+    _check_trace_run(
+        experiment,
+        [len(payload["rho"])] * payload["copies"],
+        None if payload["exact_circuit"] else experiment.options.shots,
+        payload["observable"],
+    )
 
 
 def _validate_qsp(experiment) -> None:
-    if not experiment.payload["factors"]:
+    factors = len(experiment.payload["factors"])
+    if not factors:
         raise ValueError("need at least one polynomial factor")
+    _check_trace_run(
+        experiment,
+        [len(experiment.payload["rho"])] * max(factors, 2),
+        experiment.options.shots if factors >= 2 else None,
+        experiment.protocol.observable,
+    )
 
 
 def _validate_ghz_fidelity(experiment) -> None:
@@ -784,10 +842,10 @@ def _validate_overall_fidelity(experiment) -> None:
 
 
 _PAYLOAD_VALIDATORS = {
-    "swap_test": _validate_swap_test,
-    "multistate_swap": _validate_protocol_family,
-    "nstate_swap": _validate_protocol_family,
-    "nparty_hadamard": _validate_protocol_family,
+    "swap_test": _validate_states,
+    "multistate_swap": _validate_multistate_swap,
+    "nstate_swap": _validate_states,
+    "nparty_hadamard": _validate_states,
     "trace_sum": _validate_trace_sum,
     "renyi": _validate_renyi,
     "spectroscopy": _validate_spectroscopy,

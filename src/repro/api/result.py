@@ -1,29 +1,22 @@
 """The single result envelope every experiment returns.
 
-:class:`ExperimentResult` replaces the per-application result dataclasses
-(``MultivariateTraceResult``, ``TraceSumResult``, ``RenyiResult``,
-``SpectroscopyResult``, ``VirtualExpectationResult`` and the QSP tuple)
-with one generic shape: a headline ``estimate`` with a ``stderr``, the
-``exact`` reference when one was computed, the shot budget and *recorded*
-seed, the full spec dictionaries, wall time, engine/cache statistics, and
-provenance (experiment content hash, API version).  Kind-specific values
-(entropy, spectrum, numerator/denominator, top errors, ...) live under
-``extra``.
+:class:`ExperimentResult` is the one result shape of every kind: a
+headline ``estimate`` with a ``stderr``, the ``exact`` reference when one
+was computed, the shot budget and *recorded* seed, the full spec
+dictionaries, wall time, engine/cache statistics, and provenance
+(experiment content hash, API version).  Kind-specific values (entropy,
+spectrum, numerator/denominator, top errors, ...) live under ``extra``.
 
 ``to_dict()`` / ``from_dict()`` round-trip losslessly through JSON —
 complex numbers are encoded as ``{"__complex__": [re, im]}`` — so the
 benchmark harness persists envelopes verbatim and a service front-end can
 ship them over the wire.
-
-``raw`` holds the in-process legacy result object (when a legacy wrapper
-needs it back) and is never serialized.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 import numpy as np
 
@@ -122,9 +115,8 @@ class ExperimentResult:
     engine_stats: dict | None = None
     provenance: dict = field(default_factory=dict)
     observability: dict | None = None
-    raw: Any = field(default=None, repr=False, compare=False)
-    #: Set (in-process only, like ``raw``) when this envelope was served
-    #: from a sweep checkpoint instead of being recomputed.
+    #: Set (in-process only, never serialized) when this envelope was
+    #: served from a sweep checkpoint instead of being recomputed.
     resumed: bool = field(default=False, compare=False)
 
     def resumed_copy(self) -> "ExperimentResult":
@@ -166,7 +158,7 @@ class ExperimentResult:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe dict (``raw`` excluded); inverse of :meth:`from_dict`.
+        """JSON-safe dict (``resumed`` excluded); inverse of :meth:`from_dict`.
 
         ``observability`` appears only when a run report was attached, so
         envelopes from untraced runs keep their historical shape.

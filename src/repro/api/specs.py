@@ -315,9 +315,8 @@ class NetworkSpec:
     def check_overrides(self, names) -> None:
         """Reject QPU overrides naming processors absent from ``names``.
 
-        Called from :meth:`build` and from the runner when the caller
-        supplies a pre-built topology (which bypasses :meth:`build`), so a
-        typo in an override name can never silently drop its noise.
+        Called from :meth:`build`, which every physical run goes through,
+        so a typo in an override name can never silently drop its noise.
         """
         names = list(names)
         unknown = [q.name for q in self.qpus if q.name not in names]

@@ -5,20 +5,12 @@ from .qsp import (
     apply_polynomial,
     factor_polynomial,
     parallel_qsp_trace_exact,
-    parallel_qsp_trace_sampled,
 )
-from .renyi import RenyiResult, estimate_renyi_entropy, renyi_entropy_exact
-from .spectroscopy import (
-    SpectroscopyResult,
-    entanglement_spectroscopy,
-    newton_girard_elementary,
-    spectrum_from_power_sums,
-)
+from .renyi import renyi_entropy_exact
+from .spectroscopy import newton_girard_elementary, spectrum_from_power_sums
 from .virtual import (
-    VirtualExpectationResult,
     cooling_schedule_exact,
     distillation_error_exact,
-    virtual_expectation,
     virtual_expectation_exact,
 )
 
@@ -27,17 +19,10 @@ __all__ = [
     "apply_polynomial",
     "factor_polynomial",
     "parallel_qsp_trace_exact",
-    "parallel_qsp_trace_sampled",
-    "RenyiResult",
-    "estimate_renyi_entropy",
     "renyi_entropy_exact",
-    "SpectroscopyResult",
-    "entanglement_spectroscopy",
     "newton_girard_elementary",
     "spectrum_from_power_sums",
-    "VirtualExpectationResult",
     "cooling_schedule_exact",
     "distillation_error_exact",
-    "virtual_expectation",
     "virtual_expectation_exact",
 ]

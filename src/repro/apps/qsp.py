@@ -11,7 +11,7 @@ This module implements the algorithm-level pipeline:
   polynomials (depth = max factor degree, reported);
 * :func:`parallel_qsp_trace_exact` evaluates tr(prod_j P_j(rho)) through the
   cyclic-shift identity (valid for arbitrary Hermitian factors);
-* :func:`parallel_qsp_trace_sampled` additionally runs the *actual*
+* ``Experiment.qsp(...).run()`` additionally runs the *actual*
   multi-party SWAP test when every factor matrix is PSD, normalising each
   P_j(rho) to a state and rescaling — exercising the same protocol the
   paper's distributed QSP would run.
@@ -28,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.cyclic_shift import multivariate_trace
-from ..engine import Engine
 
 __all__ = [
     "FactoredPolynomial",
     "factor_polynomial",
     "apply_polynomial",
     "parallel_qsp_trace_exact",
-    "parallel_qsp_trace_sampled",
 ]
 
 
@@ -130,32 +128,3 @@ def parallel_qsp_trace_exact(rho: np.ndarray, factored: FactoredPolynomial) -> f
     """Exact tr(P(rho)) via the factor-product identity (Eq. in Sec 6.4)."""
     matrices = [apply_polynomial(rho, f) for f in factored.factors]
     return float(np.real(factored.scale * multivariate_trace(matrices)))
-
-
-def parallel_qsp_trace_sampled(
-    rho: np.ndarray,
-    factored: FactoredPolynomial,
-    *,
-    shots: int = 30000,
-    seed: int | None = None,
-    variant: str = "d",
-    engine: Engine | None = None,
-) -> tuple[float, float]:
-    """tr(P(rho)) through the real multi-party SWAP test.
-
-    .. deprecated:: 1.1
-        Thin wrapper over ``Experiment.qsp(...).run(engine)``; use
-        :class:`repro.api.Experiment` directly (its envelope also records
-        the seed, which this tuple cannot).  Returns ``(estimate, exact)``
-        bit-identically to the pre-API implementation at the same integer
-        seed.
-    """
-    from ..api import Experiment
-    from ..api.deprecation import warn_legacy
-
-    warn_legacy("parallel_qsp_trace_sampled()", "Experiment.qsp(...).run()")
-    return (
-        Experiment.qsp(rho, factored, shots=shots, seed=seed, variant=variant)
-        .run(engine=engine)
-        .raw
-    )

@@ -9,29 +9,10 @@ entropy measurement [23, 27, 57] to multi-QPU systems unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.estimator import MultivariateTraceResult
-from ..engine import Engine
-
-__all__ = ["RenyiResult", "renyi_entropy_exact", "estimate_renyi_entropy"]
-
-
-@dataclass
-class RenyiResult:
-    """Estimated Rényi entropy plus the underlying trace estimate."""
-
-    order: int
-    entropy: float
-    trace_estimate: complex
-    trace_result: MultivariateTraceResult
-
-    @property
-    def purity(self) -> float:
-        """tr(rho^2)-style moment (the real part of the trace estimate)."""
-        return self.trace_estimate.real
+__all__ = ["renyi_entropy_exact"]
 
 
 def renyi_entropy_exact(rho: np.ndarray, order: int) -> float:
@@ -41,41 +22,3 @@ def renyi_entropy_exact(rho: np.ndarray, order: int) -> float:
     eigenvalues = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     moment = float(np.sum(eigenvalues**order))
     return math.log(moment) / (1 - order)
-
-
-def estimate_renyi_entropy(
-    rho: np.ndarray,
-    order: int,
-    *,
-    shots: int = 20000,
-    seed: int | None = None,
-    backend: str = "monolithic",
-    variant: str = "d",
-    design: str = "teledata",
-    engine: Engine | None = None,
-) -> RenyiResult:
-    """Estimate S_m(rho) with the (optionally distributed) SWAP test.
-
-    .. deprecated:: 1.1
-        Thin wrapper over ``Experiment.renyi(...).run(engine)``; use
-        :class:`repro.api.Experiment` directly.  Results are bit-identical
-        at the same integer seed; ``seed=None`` draws a fresh seed
-        recorded under ``result.trace_result.resources["seed"]``.
-    """
-    from ..api import Experiment
-    from ..api.deprecation import warn_legacy
-
-    warn_legacy("estimate_renyi_entropy()", "Experiment.renyi(...).run()")
-    return (
-        Experiment.renyi(
-            rho,
-            order,
-            shots=shots,
-            seed=seed,
-            backend=backend,
-            variant=variant,
-            design=design,
-        )
-        .run(engine=engine)
-        .raw
-    )

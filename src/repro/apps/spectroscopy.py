@@ -13,19 +13,11 @@ test, so the distributed protocol performs the whole pipeline across QPUs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
-from ..engine import Engine
-
-__all__ = [
-    "newton_girard_elementary",
-    "spectrum_from_power_sums",
-    "SpectroscopyResult",
-    "entanglement_spectroscopy",
-]
+__all__ = ["newton_girard_elementary", "spectrum_from_power_sums"]
 
 
 def newton_girard_elementary(power_sums: Sequence[float]) -> list[float]:
@@ -56,63 +48,3 @@ def spectrum_from_power_sums(power_sums: Sequence[float]) -> np.ndarray:
         coefficients.append((-1) ** j * e_j)
     roots = np.roots(coefficients)
     return np.sort(roots.real)[::-1]
-
-
-@dataclass
-class SpectroscopyResult:
-    """Recovered entanglement spectrum."""
-
-    power_sums: list[float]
-    eigenvalues: np.ndarray
-    entanglement_energies: np.ndarray
-    seed: int | None = None
-    """The recorded top-level seed the per-order sub-seeds derive from."""
-
-    def gap(self) -> float:
-        """Entanglement gap: difference of the two lowest energies."""
-        if len(self.entanglement_energies) < 2:
-            raise ValueError("need at least two levels for a gap")
-        return float(self.entanglement_energies[1] - self.entanglement_energies[0])
-
-
-def entanglement_spectroscopy(
-    state: np.ndarray,
-    keep: Sequence[int],
-    num_qubits: int,
-    *,
-    max_order: int | None = None,
-    shots: int = 20000,
-    seed: int | None = None,
-    exact: bool = False,
-    backend: str = "monolithic",
-    variant: str = "d",
-    engine: Engine | None = None,
-) -> SpectroscopyResult:
-    """Entanglement spectrum of a subsystem of a pure state.
-
-    .. deprecated:: 1.1
-        Thin wrapper over ``Experiment.spectroscopy(...)``; use
-        :class:`repro.api.Experiment` directly (``exact=True`` maps to
-        ``run_exact()``).  Results are bit-identical at the same integer
-        seed; ``seed=None`` draws a fresh seed recorded on
-        ``result.seed``.
-    """
-    from ..api import Experiment
-    from ..api.deprecation import warn_legacy
-
-    warn_legacy(
-        "entanglement_spectroscopy()", "Experiment.spectroscopy(...).run()"
-    )
-    experiment = Experiment.spectroscopy(
-        state,
-        keep,
-        num_qubits,
-        max_order=max_order,
-        shots=shots,
-        seed=seed,
-        backend=backend,
-        variant=variant,
-    )
-    if exact:
-        return experiment.run_exact().raw
-    return experiment.run(engine=engine).raw

@@ -17,38 +17,15 @@ observable inserted (Sec 6.3); the denominator is the plain test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..engine import Engine
 from ..sim.pauli import Pauli
 
 __all__ = [
-    "VirtualExpectationResult",
     "virtual_expectation_exact",
-    "virtual_expectation",
     "cooling_schedule_exact",
     "distillation_error_exact",
 ]
-
-
-@dataclass
-class VirtualExpectationResult:
-    """<O>_chi estimate with its building blocks."""
-
-    observable: str
-    copies: int
-    numerator: complex
-    denominator: complex
-    value: float
-    seed: int | None = None
-    """The recorded top-level seed the two test sub-seeds derive from."""
-
-    @property
-    def mitigated_expectation(self) -> float:
-        """Alias used in the distillation context."""
-        return self.value
 
 
 def _observable_matrix(label: str) -> np.ndarray:
@@ -64,44 +41,6 @@ def virtual_expectation_exact(rho: np.ndarray, observable: str, copies: int) -> 
     numerator = np.trace(_observable_matrix(observable) @ power)
     denominator = np.trace(power)
     return float(np.real(numerator / denominator))
-
-
-def virtual_expectation(
-    rho: np.ndarray,
-    observable: str,
-    copies: int,
-    *,
-    shots: int = 30000,
-    seed: int | None = None,
-    exact_circuit: bool = False,
-    variant: str = "d",
-    engine: Engine | None = None,
-) -> VirtualExpectationResult:
-    """Estimate <O>_chi with two SWAP tests (numerator and denominator).
-
-    .. deprecated:: 1.1
-        Thin wrapper over ``Experiment.virtual(...).run(engine)``; use
-        :class:`repro.api.Experiment` directly.  Results are bit-identical
-        at the same integer seed; ``seed=None`` draws a fresh seed
-        recorded on ``result.seed``.
-    """
-    from ..api import Experiment
-    from ..api.deprecation import warn_legacy
-
-    warn_legacy("virtual_expectation()", "Experiment.virtual(...).run()")
-    return (
-        Experiment.virtual(
-            rho,
-            observable,
-            copies,
-            shots=shots,
-            seed=seed,
-            exact_circuit=exact_circuit,
-            variant=variant,
-        )
-        .run(engine=engine)
-        .raw
-    )
 
 
 def cooling_schedule_exact(

@@ -13,11 +13,8 @@ from .cyclic_shift import (
     trace_order,
 )
 from .estimator import (
-    MultivariateTraceResult,
     assemble_initial_state,
     exact_swap_test_expectation,
-    multiparty_swap_test,
-    run_swap_test_shots,
     sample_pure_inputs,
     swap_test_job,
 )
@@ -27,7 +24,7 @@ from .nparty_hadamard import NPartyHadamardBuild, build_nparty_hadamard
 from .nstate_swap import NStateSwapBuild, build_nstate_swap
 from .protocol import FAMILY, ProtocolBuild, family_builds, protocol_job
 from .swap_test import VARIANTS, SwapTestBuild, build_monolithic_swap_test
-from .trace_sum import TraceSumResult, estimate_trace_sum, exact_trace_sum
+from .trace_sum import exact_trace_sum
 
 __all__ = [
     "CompasBuild",
@@ -45,11 +42,8 @@ __all__ = [
     "round_position_pairs",
     "slot_assignment",
     "trace_order",
-    "MultivariateTraceResult",
     "assemble_initial_state",
     "exact_swap_test_expectation",
-    "multiparty_swap_test",
-    "run_swap_test_shots",
     "sample_pure_inputs",
     "swap_test_job",
     "GhzPlan",
@@ -69,7 +63,5 @@ __all__ = [
     "VARIANTS",
     "SwapTestBuild",
     "build_monolithic_swap_test",
-    "TraceSumResult",
-    "estimate_trace_sum",
     "exact_trace_sum",
 ]

@@ -6,34 +6,26 @@ The readout statistics of the GHZ register determine the multivariate trace
 * the X^(x)m parity equals  Re tr(W rho),
 * replacing the first X by Y equals  Im tr(W rho).
 
-``multiparty_swap_test`` is the library's front door: it builds the chosen
-variant, samples eigenvector trajectories for mixed inputs, runs the X- and
-Y-basis circuits, and returns a :class:`MultivariateTraceResult`.  The exact
-(shot-free) path used throughout the test-suite evaluates the same circuits
-as unitaries and sums over the input states' eigen-decompositions.
+This module holds the pieces the estimators share: eigenvector sampling
+of mixed inputs, :func:`swap_test_job` (a built circuit packaged as a
+content-hashed :class:`~repro.engine.Job`), and the shot-free reference
+:func:`exact_swap_test_expectation`, which evaluates the same circuits as
+unitaries and sums over the input states' eigen-decompositions.
 
-Shot execution flows through :mod:`repro.engine`: each basis run becomes a
-content-hashed :class:`~repro.engine.Job` whose shots the engine splits into
-deterministic batches.  Passing ``engine=Engine(workers=4, cache=True)``
-parallelises and caches the runs *bit-identically* to the default
-single-worker direct path, because batch RNG substreams depend only on the
-job spec, never on the worker count.
-
-As of the declarative API redesign the estimation pipeline itself lives in
-:func:`repro.api.execution.run_multiparty_swap_test`; the
-:func:`multiparty_swap_test` function kept here is a thin deprecated
-wrapper over ``Experiment.swap_test(...).run()``.
+The sampled estimator is ``Experiment.swap_test(...).run()``: its one
+trace runner lives in :mod:`repro.api.execution`.  The engine splits each
+job's shots into deterministic batches whose RNG substreams depend only on
+the job spec, so any worker count gives bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
 
-from ..engine import Engine, Job
+from ..engine import Job
 from ..sim.noisemodel import NoiseModel
 from ..sim.statevector import StatevectorSimulator, apply_gate
 from ..utils.linalg import kron_all
@@ -42,58 +34,11 @@ from .protocol import ProtocolBuild, _eigen_ensembles, protocol_job
 from .swap_test import SwapTestBuild, build_monolithic_swap_test
 
 __all__ = [
-    "MultivariateTraceResult",
     "assemble_initial_state",
     "sample_pure_inputs",
     "swap_test_job",
-    "run_swap_test_shots",
     "exact_swap_test_expectation",
-    "multiparty_swap_test",
 ]
-
-_FALLBACK_ENGINE: Engine | None = None
-
-
-def _default_engine() -> Engine:
-    """The serial, uncached engine used when the caller supplies none."""
-    global _FALLBACK_ENGINE
-    if _FALLBACK_ENGINE is None:
-        _FALLBACK_ENGINE = Engine(workers=1, executor="serial", cache=False)
-    return _FALLBACK_ENGINE
-
-
-@dataclass
-class MultivariateTraceResult:
-    """Estimated multivariate trace with statistics and resource info."""
-
-    estimate: complex
-    stderr_re: float
-    stderr_im: float
-    shots_re: int
-    shots_im: int
-    k: int
-    n: int
-    variant: str
-    resources: dict = field(default_factory=dict)
-
-    @property
-    def real(self) -> float:
-        """Re tr(rho_1 ... rho_k)."""
-        return self.estimate.real
-
-    @property
-    def imag(self) -> float:
-        """Im tr(rho_1 ... rho_k)."""
-        return self.estimate.imag
-
-    def within(self, exact: complex, sigmas: float = 5.0) -> bool:
-        """Whether ``exact`` lies within ``sigmas`` standard errors."""
-        margin_re = sigmas * max(self.stderr_re, 1e-12)
-        margin_im = sigmas * max(self.stderr_im, 1e-12)
-        return (
-            abs(self.estimate.real - exact.real) <= margin_re
-            and abs(self.estimate.imag - exact.imag) <= margin_im
-        )
 
 
 def sample_pure_inputs(
@@ -144,25 +89,6 @@ def swap_test_job(
         batch_size=batch_size,
         backend=backend,
     )
-
-
-def run_swap_test_shots(
-    build: SwapTestBuild,
-    states: Sequence[np.ndarray],
-    shots: int,
-    rng: np.random.Generator,
-    noise: NoiseModel | None = None,
-    engine: Engine | None = None,
-) -> tuple[float, float]:
-    """Run ``shots`` trajectories of a built (readout-carrying) circuit.
-
-    Returns ``(mean_parity, stderr)`` where parity is the +-1 product of the
-    GHZ-register outcomes.  The job seed is drawn from ``rng``; execution
-    goes through ``engine`` (or the serial fallback engine).
-    """
-    job = swap_test_job(build, states, shots, int(rng.integers(2**63)), noise=noise)
-    result = (engine or _default_engine()).run(job)
-    return result.parity_mean, result.parity_stderr
 
 
 def _ghz_observable(build: SwapTestBuild, which: str) -> np.ndarray:
@@ -217,46 +143,3 @@ def exact_swap_test_expectation(
         return total
 
     return recurse(0, 1.0, [])
-
-
-def multiparty_swap_test(
-    states: Sequence[np.ndarray],
-    *,
-    shots: int = 20000,
-    variant: str = "d",
-    seed: int | None = None,
-    noise: NoiseModel | None = None,
-    ghz_mode: str = "linear",
-    backend: str = "monolithic",
-    design: str = "teledata",
-    observable: str | None = None,
-    engine: Engine | None = None,
-) -> MultivariateTraceResult:
-    """Estimate tr(rho_1 rho_2 ... rho_k) with the multi-party SWAP test.
-
-    .. deprecated:: 1.1
-        Thin wrapper over ``Experiment.swap_test(...).run(engine)``; use
-        :class:`repro.api.Experiment` directly.  Results are bit-identical
-        at the same integer seed.  ``seed=None`` now draws one fresh
-        entropy-pool seed and records it under ``result.resources["seed"]``
-        so the run stays reproducible after the fact.
-    """
-    from ..api import Experiment
-    from ..api.deprecation import warn_legacy
-
-    warn_legacy("multiparty_swap_test()", "Experiment.swap_test(...).run()")
-    return (
-        Experiment.swap_test(
-            states,
-            shots=shots,
-            seed=seed,
-            variant=variant,
-            ghz_mode=ghz_mode,
-            backend=backend,
-            design=design,
-            observable=observable,
-            noise=noise,
-        )
-        .run(engine=engine)
-        .raw
-    )

@@ -2,47 +2,28 @@
 
 The conclusion lists "estimating sums of several multi-party SWAP tests"
 (after Quek et al. [50]) as the generalisation that unlocks multivariate
-polynomial evaluation for distributed QSP.  This module provides that
-estimator at the protocol level:
+polynomial evaluation for distributed QSP.  This module holds the exact
+value of
 
-    S = sum_j  w_j * tr( prod_i rho_{j,i} )
+    S = sum_j  w_j * tr( prod_i rho_{j,i} ) ,
 
-Each term runs one multi-party SWAP test; the shot budget is split across
-terms proportionally to |w_j| (the optimal allocation for a fixed-budget
-linear combination of independent unbiased estimators with comparable
-per-shot variance).  Groups of size one contribute w_j * tr(rho) = w_j
-directly without spending shots.
+which ``Experiment.trace_sum`` estimates.  Each sampled term runs one
+multi-party SWAP test; the shot budget is split across terms
+proportionally to |w_j| (the optimal allocation for a fixed-budget linear
+combination of independent unbiased estimators with comparable per-shot
+variance).  Groups of size one contribute w_j * tr(rho) = w_j directly
+without spending shots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
 
-from ..engine import Engine
 from .cyclic_shift import multivariate_trace
-from .estimator import MultivariateTraceResult
 
-__all__ = ["TraceSumResult", "estimate_trace_sum", "exact_trace_sum"]
-
-
-@dataclass
-class TraceSumResult:
-    """Estimated weighted sum of multivariate traces."""
-
-    estimate: complex
-    stderr: float
-    weights: tuple[complex, ...]
-    terms: list[MultivariateTraceResult | None] = field(default_factory=list)
-    seed: int | None = None
-    """The recorded top-level seed the term sub-seeds derive from."""
-
-    @property
-    def num_terms(self) -> int:
-        """Number of summands."""
-        return len(self.weights)
+__all__ = ["exact_trace_sum"]
 
 
 def exact_trace_sum(
@@ -55,41 +36,3 @@ def exact_trace_sum(
     for group, weight in zip(groups, weights):
         total += weight * multivariate_trace(list(group))
     return complex(total)
-
-
-def estimate_trace_sum(
-    groups: Sequence[Sequence[np.ndarray]],
-    weights: Sequence[complex],
-    *,
-    shots: int = 40000,
-    seed: int | None = None,
-    variant: str = "d",
-    backend: str = "monolithic",
-    design: str = "teledata",
-    engine: Engine | None = None,
-) -> TraceSumResult:
-    """Estimate a weighted sum of multivariate traces.
-
-    .. deprecated:: 1.1
-        Thin wrapper over ``Experiment.trace_sum(...).run(engine)``; use
-        :class:`repro.api.Experiment` directly.  Results are bit-identical
-        at the same integer seed; ``seed=None`` draws a fresh recorded
-        seed (``result.seed``).
-    """
-    from ..api import Experiment
-    from ..api.deprecation import warn_legacy
-
-    warn_legacy("estimate_trace_sum()", "Experiment.trace_sum(...).run()")
-    return (
-        Experiment.trace_sum(
-            groups,
-            weights,
-            shots=shots,
-            seed=seed,
-            variant=variant,
-            backend=backend,
-            design=design,
-        )
-        .run(engine=engine)
-        .raw
-    )

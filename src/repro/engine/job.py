@@ -10,8 +10,8 @@ across processes.
 
 Stochastic inputs are described by :class:`Ensemble` entries: each names a
 register and a convex mixture of pure states to load there, sampled freshly
-per shot (the trajectory unravelling of a mixed input that
-``sample_pure_inputs`` performs in the legacy path).
+per shot (the same trajectory unravelling of a mixed input that
+``sample_pure_inputs`` performs one draw at a time).
 """
 
 from __future__ import annotations

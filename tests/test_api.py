@@ -1,9 +1,9 @@
 """Tests for the declarative experiment API (repro.api).
 
-Covers the satellite checklist of the API redesign: spec validation
-errors, spec hash stability (including pinned digests — the hashes are a
-persistence format), ExperimentResult JSON round-trips, bit-identity of
-every legacy wrapper against the new path, seed recording for
+Covers spec validation errors (including every trace-run shape the
+runner cannot honour), spec fields that must reach the estimate, spec
+hash stability (including pinned digests — the hashes are a persistence
+format), ExperimentResult JSON round-trips, seed recording for
 ``seed=None``, keyword-only enforcement, and sweep determinism across
 worker counts.
 """
@@ -23,17 +23,11 @@ from repro.api import (
     RunOptions,
     SweepResult,
 )
-from repro.apps import (
-    entanglement_spectroscopy,
-    estimate_renyi_entropy,
-    factor_polynomial,
-    parallel_qsp_trace_sampled,
-    virtual_expectation,
-)
-from repro.core import estimate_trace_sum, multiparty_swap_test, multivariate_trace
+from repro.apps import factor_polynomial
+from repro.core import multivariate_trace
 from repro.engine import Engine
 from repro.sim import NoiseModel
-from repro.utils import ghz_state, random_density_matrix
+from repro.utils import ghz_state, random_density_matrix, random_pure_state
 
 RNG = np.random.default_rng(2027)
 
@@ -112,6 +106,52 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Experiment.qsp(rho, np.array([1.0, 0.0, 0.25]))  # missing k=
 
+    @pytest.mark.parametrize(
+        "build,needle",
+        [
+            (lambda rho: Experiment.swap_test(two_states(), backend="distributed"), "backend"),
+            (lambda rho: Experiment.renyi(rho, 2, backend="distributed"), "backend"),
+            (
+                lambda rho: Experiment.swap_test(two_states(), backend="compas", observable="Z"),
+                "monolithic",
+            ),
+            (lambda rho: Experiment.virtual(rho, "Z", 2).derive(backend="compas"), "monolithic"),
+            (lambda rho: Experiment.renyi(rho, 2, shots=1), "two shots"),
+            (
+                lambda rho: Experiment.trace_sum([[rho, np.eye(4) / 4]], [1.0]),
+                "equal width",
+            ),
+            (lambda rho: Experiment.virtual(rho, "ZZ", 2), "one Pauli per qubit"),
+            (
+                lambda rho: Experiment.virtual(rho, "Z", 2).derive(
+                    protocol=ProtocolSpec(k=2, observable="X")
+                ),
+                "payload",
+            ),
+        ],
+        ids=[
+            "swap_test-distributed",
+            "renyi-distributed",
+            "observable-compas",
+            "virtual-compas",
+            "renyi-one-shot",
+            "trace_sum-widths",
+            "virtual-observable-length",
+            "virtual-protocol-observable",
+        ],
+    )
+    def test_trace_runs_the_runner_cannot_honour_are_rejected(self, build, needle):
+        rho = random_density_matrix(1, rng=np.random.default_rng(4))
+        with pytest.raises(ValueError, match=needle):
+            build(rho)
+
+    def test_constructor_knobs_are_keyword_only(self):
+        states = two_states()
+        with pytest.raises(TypeError):
+            Experiment.swap_test(states, 600)  # shots positionally: rejected
+        with pytest.raises(TypeError):
+            Experiment.renyi(states[0], 2, 600)
+
     def test_derive_rejects_unknown_parameter(self):
         experiment = Experiment.swap_test(two_states(), shots=100, seed=1)
         with pytest.raises(ValueError):
@@ -141,7 +181,7 @@ class TestOptionPropagation:
             .derive(noise=NoiseSpec.from_base(0.2))
             .run()
         )
-        assert v_clean.raw.denominator.real > v_noisy.raw.denominator.real + 0.05
+        assert v_clean.extra["denominator"].real > v_noisy.extra["denominator"].real + 0.05
 
     def test_batch_size_changes_partition(self):
         states = two_states()
@@ -151,6 +191,43 @@ class TestOptionPropagation:
         assert default.extra["resources"]["engine"]["batches"] == 4  # 2x ceil(500/256)
         assert fine.extra["resources"]["engine"]["batches"] == 10  # 2x ceil(500/100)
         assert base.content_hash() != base.derive(batch_size=100).content_hash()
+
+
+def compas_trace_kind(kind):
+    """One small ``backend="compas"`` experiment of each trace kind."""
+    rng = np.random.default_rng(31)
+    rho = random_density_matrix(1, rng=rng)
+    if kind == "trace_sum":
+        group = [random_density_matrix(1, rng=rng) for _ in range(2)]
+        return Experiment.trace_sum([group], [1.0], shots=400, seed=5, backend="compas")
+    if kind == "renyi":
+        return Experiment.renyi(rho, 2, shots=400, seed=5, backend="compas")
+    if kind == "spectroscopy":
+        psi = random_pure_state(2, rng)
+        return Experiment.spectroscopy(psi, [0], 2, shots=400, seed=5, backend="compas")
+    factored = factor_polynomial(np.array([1.0, 0.0, 0.5, 0.0, 0.2]), 2)
+    return Experiment.qsp(rho, factored, shots=400, seed=5).derive(backend="compas")
+
+
+class TestNoFieldSilentlyIgnored:
+    @pytest.mark.parametrize(
+        "kind,change",
+        [
+            ("trace_sum", {"network": NetworkSpec(link_depolarizing=0.3)}),
+            ("trace_sum", {"design": "telegate"}),
+            ("renyi", {"network": NetworkSpec(link_depolarizing=0.3)}),
+            ("renyi", {"design": "telegate"}),
+            ("spectroscopy", {"network": NetworkSpec(link_depolarizing=0.3)}),
+            ("spectroscopy", {"design": "telegate"}),
+            ("qsp", {"network": NetworkSpec(link_depolarizing=0.3)}),
+            ("qsp", {"design": "telegate"}),
+            ("qsp", {"backend": "monolithic"}),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "-".join(value),
+    )
+    def test_field_changes_the_estimate(self, kind, change):
+        base = compas_trace_kind(kind)
+        assert base.derive(**change).run().estimate != base.run().estimate
 
 
 class TestHashing:
@@ -210,7 +287,6 @@ class TestResultEnvelope:
         assert rebuilt.exact == result.exact
         assert rebuilt.seed == result.seed
         assert rebuilt.specs["options"]["shots"] == 300
-        assert rebuilt.raw is None  # raw never survives serialization
 
     def test_round_trip_real_valued_kind(self):
         rho = random_density_matrix(1, rng=np.random.default_rng(3))
@@ -232,93 +308,14 @@ class TestResultEnvelope:
         assert result.wall_time > 0
 
 
-class TestLegacyWrappers:
-    def test_swap_test_bit_identity_and_warning(self):
-        states = two_states()
-        new = Experiment.swap_test(states, shots=600, seed=21, variant="b").run()
-        with pytest.warns(DeprecationWarning, match="repro legacy API"):
-            old = multiparty_swap_test(states, shots=600, seed=21, variant="b")
-        assert old.estimate == new.estimate
-        assert old.stderr_re == new.stderr
-        assert old.resources["seed"] == 21
-
-    def test_trace_sum_bit_identity_and_warning(self):
-        states = two_states()
-        groups = [states, [states[0]]]
-        new = Experiment.trace_sum(groups, [1.0, 0.5], shots=500, seed=3, variant="b").run()
-        with pytest.warns(DeprecationWarning, match="repro legacy API"):
-            old = estimate_trace_sum(groups, [1.0, 0.5], shots=500, seed=3, variant="b")
-        assert old.estimate == new.estimate
-        assert old.stderr == new.stderr
-        assert old.seed == 3
-
-    def test_renyi_bit_identity_and_warning(self):
-        rho = random_density_matrix(1, rng=np.random.default_rng(8))
-        new = Experiment.renyi(rho, 2, shots=500, seed=4, variant="b").run()
-        with pytest.warns(DeprecationWarning, match="repro legacy API"):
-            old = estimate_renyi_entropy(rho, 2, shots=500, seed=4, variant="b")
-        assert old.entropy == new.estimate
-        assert old.trace_estimate == new.raw.trace_estimate
-
-    def test_spectroscopy_bit_identity_and_warning(self):
-        new = Experiment.spectroscopy(ghz_state(2), [0], 2, shots=500, seed=5, variant="b").run()
-        with pytest.warns(DeprecationWarning, match="repro legacy API"):
-            old = entanglement_spectroscopy(ghz_state(2), [0], 2, shots=500, seed=5, variant="b")
-        assert old.power_sums == new.raw.power_sums
-        assert np.array_equal(old.eigenvalues, new.raw.eigenvalues)
-
-    def test_spectroscopy_exact_flag_maps_to_run_exact(self):
-        with pytest.warns(DeprecationWarning, match="repro legacy API"):
-            old = entanglement_spectroscopy(ghz_state(2), [0], 2, exact=True)
-        new = Experiment.spectroscopy(ghz_state(2), [0], 2).run_exact()
-        assert np.allclose(old.eigenvalues, [0.5, 0.5], atol=1e-9)
-        assert np.array_equal(old.eigenvalues, new.raw.eigenvalues)
-
-    def test_virtual_bit_identity_and_warning(self):
-        rho = random_density_matrix(1, rng=np.random.default_rng(9))
-        new = Experiment.virtual(rho, "Z", 2, shots=500, seed=6, variant="b").run()
-        with pytest.warns(DeprecationWarning, match="repro legacy API"):
-            old = virtual_expectation(rho, "Z", 2, shots=500, seed=6, variant="b")
-        assert old.value == new.estimate
-        assert old.numerator == new.raw.numerator
-
-    def test_qsp_bit_identity_and_warning(self):
-        rho = random_density_matrix(1, rng=np.random.default_rng(10))
-        factored = factor_polynomial(np.array([1.0, 0.0, 0.5, 0.0, 0.2]), 2)
-        new = Experiment.qsp(rho, factored, shots=500, seed=7, variant="b").run()
-        with pytest.warns(DeprecationWarning, match="repro legacy API"):
-            old_estimate, old_exact = parallel_qsp_trace_sampled(
-                rho, factored, shots=500, seed=7, variant="b"
-            )
-        assert old_estimate == new.estimate
-        assert old_exact == new.raw[1] == new.exact
-
-    def test_spec_like_arguments_are_keyword_only(self):
-        states = two_states()
-        with pytest.raises(TypeError):
-            multiparty_swap_test(states, 600)  # shots positionally: rejected
-        with pytest.raises(TypeError):
-            estimate_renyi_entropy(states[0], 2, 600)
-
-
 class TestSeedRecording:
     def test_seed_none_draws_and_records(self):
         states = two_states()
         result = Experiment.swap_test(states, shots=200).run()
         assert isinstance(result.seed, int)
-        assert result.raw.resources["seed"] == result.seed
+        assert result.extra["resources"]["seed"] == result.seed
         # The recorded seed reproduces the run bit-for-bit.
         replay = Experiment.swap_test(states, shots=200, seed=result.seed).run()
-        assert replay.estimate == result.estimate
-
-    def test_legacy_wrapper_records_drawn_seed(self):
-        states = two_states()
-        with pytest.warns(DeprecationWarning):
-            result = multiparty_swap_test(states, shots=200)
-        recorded = result.resources["seed"]
-        assert isinstance(recorded, int)
-        with pytest.warns(DeprecationWarning):
-            replay = multiparty_swap_test(states, shots=200, seed=recorded)
         assert replay.estimate == result.estimate
 
 
@@ -349,7 +346,7 @@ class TestAnalysisKinds:
     def test_fanout_errors_runs(self):
         result = Experiment.fanout_errors(4, 0.003, shots=4000, seed=2).run()
         assert 0.0 < result.estimate < 0.5
-        assert result.raw.num_targets == 4
+        assert result.extra["num_targets"] == 4
 
     def test_overall_fidelity_runs(self):
         result = Experiment.overall_fidelity(

@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Experiment
 from repro.apps import (
     cooling_schedule_exact,
     distillation_error_exact,
-    entanglement_spectroscopy,
-    estimate_renyi_entropy,
     factor_polynomial,
     newton_girard_elementary,
     parallel_qsp_trace_exact,
-    parallel_qsp_trace_sampled,
     renyi_entropy_exact,
     spectrum_from_power_sums,
-    virtual_expectation,
     virtual_expectation_exact,
 )
 from repro.apps.qsp import apply_polynomial
@@ -53,14 +50,14 @@ class TestRenyi:
 
     def test_estimated_matches_exact(self):
         rho = random_density_matrix(1, rng=RNG)
-        result = estimate_renyi_entropy(rho, 2, shots=3000, seed=1, variant="b")
-        assert abs(result.entropy - renyi_entropy_exact(rho, 2)) < 0.15
+        result = Experiment.renyi(rho, 2, shots=3000, seed=1, variant="b").run()
+        assert abs(result.estimate - renyi_entropy_exact(rho, 2)) < 0.15
 
     def test_estimate_returns_metadata(self):
         rho = random_density_matrix(1, rng=RNG)
-        result = estimate_renyi_entropy(rho, 3, shots=400, seed=2, variant="b")
-        assert result.order == 3
-        assert result.trace_result.k == 3
+        result = Experiment.renyi(rho, 3, shots=400, seed=2, variant="b").run()
+        assert result.extra["order"] == 3
+        assert result.extra["trace"]["k"] == 3
 
 
 class TestSpectroscopy:
@@ -89,25 +86,26 @@ class TestSpectroscopy:
         assert np.allclose(np.sort(recovered), sorted_vals, atol=1e-5)
 
     def test_ghz_half_spectrum(self):
-        result = entanglement_spectroscopy(ghz_state(2), [0], 2, exact=True)
-        assert np.allclose(result.eigenvalues, [0.5, 0.5], atol=1e-9)
+        result = Experiment.spectroscopy(ghz_state(2), [0], 2).run_exact()
+        assert np.allclose(result.extra["eigenvalues"], [0.5, 0.5], atol=1e-9)
 
     def test_product_state_trivial_spectrum(self):
         psi = np.kron([1, 0], [1, 0]).astype(complex)
-        result = entanglement_spectroscopy(psi, [0], 2, exact=True)
-        assert result.eigenvalues[0] == pytest.approx(1.0, abs=1e-9)
+        result = Experiment.spectroscopy(psi, [0], 2).run_exact()
+        assert result.extra["eigenvalues"][0] == pytest.approx(1.0, abs=1e-9)
 
     def test_sampled_spectroscopy_close(self):
         # The degenerate GHZ spectrum amplifies shot noise by a square root
         # (lambda = (1 +- sqrt(2 p2 - 1))/2), so the tolerance is loose.
-        result = entanglement_spectroscopy(
+        result = Experiment.spectroscopy(
             ghz_state(2), [0], 2, shots=6000, seed=3, variant="b"
-        )
-        assert abs(result.eigenvalues[0] - 0.5) < 0.2
+        ).run()
+        assert abs(result.extra["eigenvalues"][0] - 0.5) < 0.2
 
     def test_entanglement_energies(self):
-        result = entanglement_spectroscopy(ghz_state(2), [0], 2, exact=True)
-        assert np.allclose(result.entanglement_energies, [math.log(2)] * 2, atol=1e-6)
+        result = Experiment.spectroscopy(ghz_state(2), [0], 2).run_exact()
+        energies = result.extra["entanglement_energies"]
+        assert np.allclose(energies, [math.log(2)] * 2, atol=1e-6)
 
 
 class TestVirtual:
@@ -120,15 +118,15 @@ class TestVirtual:
 
     def test_circuit_path_matches_exact(self):
         rho = random_density_matrix(1, rng=RNG)
-        result = virtual_expectation(rho, "Z", 2, exact_circuit=True)
+        result = Experiment.virtual(rho, "Z", 2, exact_circuit=True).run()
         want = virtual_expectation_exact(rho, "Z", 2)
-        assert result.value == pytest.approx(want, abs=1e-8)
+        assert result.estimate == pytest.approx(want, abs=1e-8)
 
     def test_sampled_path_close(self):
         rho = random_density_matrix(1, rng=RNG)
-        result = virtual_expectation(rho, "Z", 2, shots=4000, seed=4, variant="b")
+        result = Experiment.virtual(rho, "Z", 2, shots=4000, seed=4, variant="b").run()
         want = virtual_expectation_exact(rho, "Z", 2)
-        assert abs(result.value - want) < 0.15
+        assert abs(result.estimate - want) < 0.15
 
     def test_cooling_monotone(self):
         h = random_hermitian(2, RNG)
@@ -152,7 +150,7 @@ class TestVirtual:
         with pytest.raises(ValueError):
             virtual_expectation_exact(rho, "Z", 0)
         with pytest.raises(ValueError):
-            virtual_expectation(rho, "Z", 1)
+            Experiment.virtual(rho, "Z", 1)
 
 
 class TestParallelQsp:
@@ -197,14 +195,13 @@ class TestParallelQsp:
         rho = random_density_matrix(1, rng=RNG)
         coeffs = np.array([1.0, 0.0, 0.5, 0.0, 0.2])  # PSD factors
         factored = factor_polynomial(coeffs, 2)
-        estimate, exact = parallel_qsp_trace_sampled(
-            rho, factored, shots=3000, seed=5, variant="b"
-        )
-        assert abs(estimate - exact) < 0.3
+        result = Experiment.qsp(rho, factored, shots=3000, seed=5, variant="b").run()
+        assert result.exact == parallel_qsp_trace_exact(rho, factored)
+        assert abs(result.estimate - result.exact) < 0.3
 
     def test_sampled_rejects_non_psd(self):
         rho = random_density_matrix(1, rng=RNG)
         coeffs = np.polynomial.polynomial.polyfromroots([0.3, 0.6])[::-1]
         factored = factor_polynomial(np.array(coeffs), 2)
         with pytest.raises(ValueError):
-            parallel_qsp_trace_sampled(rho, factored, shots=10)
+            Experiment.qsp(rho, factored, shots=10).run()

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core import build_compas, multiparty_swap_test
+from repro.api import Experiment
+from repro.core import build_compas
 from repro.core.cyclic_shift import multivariate_trace
 from repro.utils import random_density_matrix
 
 RNG = np.random.default_rng(91)
+
+
+def within_both(result, exact, sigmas=5.0):
+    """Whether Re and Im of a trace estimate lie within ``sigmas`` stderrs."""
+    margin_im = sigmas * max(result.extra["stderr_im"], 1e-12)
+    return result.within(exact, sigmas) and abs(result.imag - exact.imag) <= margin_im
 
 
 class TestBuildStructure:
@@ -108,29 +115,29 @@ class TestConstantDepthScaling:
 class TestEndToEndEstimation:
     def test_teledata_estimate_within_error(self):
         states = [random_density_matrix(1, rng=RNG) for _ in range(2)]
-        result = multiparty_swap_test(
+        result = Experiment.swap_test(
             states, shots=400, seed=1, backend="compas", design="teledata"
-        )
-        assert result.within(multivariate_trace(states), sigmas=5)
+        ).run()
+        assert within_both(result, multivariate_trace(states), sigmas=5)
 
     def test_telegate_estimate_within_error(self):
         states = [random_density_matrix(1, rng=RNG) for _ in range(2)]
-        result = multiparty_swap_test(
+        result = Experiment.swap_test(
             states, shots=300, seed=2, backend="compas", design="telegate"
-        )
-        assert result.within(multivariate_trace(states), sigmas=5)
+        ).run()
+        assert within_both(result, multivariate_trace(states), sigmas=5)
 
     def test_three_party_distributed(self):
         states = [random_density_matrix(1, rng=RNG) for _ in range(3)]
-        result = multiparty_swap_test(
+        result = Experiment.swap_test(
             states, shots=300, seed=3, backend="compas", design="teledata"
-        )
-        assert result.within(multivariate_trace(states), sigmas=5)
+        ).run()
+        assert within_both(result, multivariate_trace(states), sigmas=5)
 
     def test_result_reports_compas_backend(self):
         states = [random_density_matrix(1, rng=RNG) for _ in range(2)]
-        result = multiparty_swap_test(
+        result = Experiment.swap_test(
             states, shots=60, seed=4, backend="compas", design="teledata"
-        )
-        assert result.variant == "compas-teledata"
-        assert result.resources["backend"] == "compas"
+        ).run()
+        assert result.extra["variant_label"] == "compas-teledata"
+        assert result.extra["resources"]["backend"] == "compas"

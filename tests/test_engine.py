@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import Experiment
 from repro.circuits import Circuit
-from repro.core import build_monolithic_swap_test, multiparty_swap_test, swap_test_job
+from repro.core import build_monolithic_swap_test, swap_test_job
 from repro.engine import (
     DEFAULT_BATCH_SIZE,
     BackendRouter,
@@ -212,14 +213,13 @@ class TestDeterminism:
 
     def test_engine_matches_direct_path_bit_identical(self):
         states = [random_density_matrix(1, rng=RNG) for _ in range(3)]
-        direct = multiparty_swap_test(states, shots=900, variant="b", seed=23)
+        experiment = Experiment.swap_test(states, shots=900, variant="b", seed=23)
+        direct = experiment.run()
         with Engine(workers=4, cache=True) as engine:
-            routed = multiparty_swap_test(
-                states, shots=900, variant="b", seed=23, engine=engine
-            )
+            routed = experiment.run(engine=engine)
         assert routed.estimate == direct.estimate
-        assert routed.stderr_re == direct.stderr_re
-        assert routed.stderr_im == direct.stderr_im
+        assert routed.stderr == direct.stderr
+        assert routed.extra["stderr_im"] == direct.extra["stderr_im"]
 
     def test_stabilizer_sampling_statistics(self):
         job = Job(circuit=ghz_sampling_circuit(3), shots=2000, seed=3, readout=(0, 1))

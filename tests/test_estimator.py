@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.api import Experiment, ExperimentResult
 from repro.core.cyclic_shift import multivariate_trace
-from repro.core.estimator import (
-    MultivariateTraceResult,
-    assemble_initial_state,
-    multiparty_swap_test,
-    sample_pure_inputs,
-)
+from repro.core.estimator import assemble_initial_state, sample_pure_inputs
 from repro.utils import random_density_matrix, random_pure_state
 
 RNG = np.random.default_rng(23)
+
+
+def within_both(result, exact, sigmas=5.0):
+    """Whether Re and Im of a trace estimate lie within ``sigmas`` stderrs.
+
+    The envelope's own ``within`` checks the real part; the imaginary
+    part's spread is ``extra["stderr_im"]``.
+    """
+    margin_im = sigmas * max(result.extra["stderr_im"], 1e-12)
+    return result.within(exact, sigmas) and abs(result.imag - exact.imag) <= margin_im
 
 
 class TestAssembleInitialState:
@@ -76,70 +82,66 @@ class TestSamplePureInputs:
 class TestSampledEstimation:
     def test_matches_exact_within_error(self):
         states = [random_density_matrix(1, rng=RNG) for _ in range(3)]
-        result = multiparty_swap_test(states, shots=3000, variant="b", seed=3)
+        result = Experiment.swap_test(states, shots=3000, variant="b", seed=3).run()
         exact = multivariate_trace(states)
-        assert result.within(exact, sigmas=5)
+        assert within_both(result, exact, sigmas=5)
 
     def test_variant_d_with_shots(self):
         states = [random_density_matrix(1, rng=RNG) for _ in range(2)]
-        result = multiparty_swap_test(states, shots=800, variant="d", seed=4)
+        result = Experiment.swap_test(states, shots=800, variant="d", seed=4).run()
         exact = multivariate_trace(states)
-        assert result.within(exact, sigmas=5)
+        assert within_both(result, exact, sigmas=5)
 
     def test_purity_of_pure_state_is_one(self):
         psi = random_pure_state(1, RNG)
-        result = multiparty_swap_test([psi, psi], shots=600, variant="b", seed=5)
+        result = Experiment.swap_test([psi, psi], shots=600, variant="b", seed=5).run()
         assert result.estimate.real > 0.9
 
     def test_orthogonal_states_give_zero(self):
         a = np.array([1, 0], dtype=complex)
         b = np.array([0, 1], dtype=complex)
-        result = multiparty_swap_test([a, b], shots=600, variant="b", seed=6)
+        result = Experiment.swap_test([a, b], shots=600, variant="b", seed=6).run()
         assert abs(result.estimate.real) < 0.2
 
     def test_result_metadata(self):
         states = [random_density_matrix(1, rng=RNG) for _ in range(2)]
-        result = multiparty_swap_test(states, shots=100, variant="b", seed=7)
-        assert result.k == 2 and result.n == 1
-        assert result.shots_re + result.shots_im == 100
-        assert "ghz_width" in result.resources
+        result = Experiment.swap_test(states, shots=100, variant="b", seed=7).run()
+        assert result.extra["k"] == 2 and result.extra["n"] == 1
+        assert result.extra["shots_re"] + result.extra["shots_im"] == 100
+        assert "ghz_width" in result.extra["resources"]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            multiparty_swap_test([random_density_matrix(1, rng=RNG)], shots=10)
+            Experiment.swap_test([random_density_matrix(1, rng=RNG)], shots=10)
         with pytest.raises(ValueError):
-            multiparty_swap_test(
+            Experiment.swap_test(
                 [random_density_matrix(1, rng=RNG), random_density_matrix(2, rng=RNG)],
                 shots=10,
             )
         with pytest.raises(ValueError):
-            multiparty_swap_test([np.eye(2) / 2] * 2, shots=10, backend="bogus")
+            Experiment.swap_test([np.eye(2) / 2] * 2, shots=10, backend="bogus")
+
+
+def envelope(estimate, stderr_re, stderr_im):
+    return ExperimentResult(
+        kind="swap_test",
+        estimate=estimate,
+        stderr=stderr_re,
+        shots=2,
+        seed=None,
+        extra={"stderr_im": stderr_im},
+    )
 
 
 class TestResultHelpers:
     def test_within_uses_both_parts(self):
-        result = MultivariateTraceResult(
-            estimate=0.5 + 0.1j,
-            stderr_re=0.01,
-            stderr_im=0.01,
-            shots_re=100,
-            shots_im=100,
-            k=2,
-            n=1,
-            variant="b",
-        )
-        assert result.within(0.52 + 0.08j, sigmas=5)
-        assert not result.within(0.8 + 0.1j, sigmas=5)
+        result = envelope(0.5 + 0.1j, 0.01, 0.01)
+        assert within_both(result, 0.52 + 0.08j, sigmas=5)
+        assert not within_both(result, 0.8 + 0.1j, sigmas=5)
+        # The envelope's own check reads the real part only.
+        assert result.within(0.5 + 0.5j, sigmas=5)
+        assert not within_both(result, 0.5 + 0.5j, sigmas=5)
 
     def test_real_imag_accessors(self):
-        result = MultivariateTraceResult(
-            estimate=0.25 - 0.5j,
-            stderr_re=0.0,
-            stderr_im=0.0,
-            shots_re=1,
-            shots_im=1,
-            k=2,
-            n=1,
-            variant="b",
-        )
+        result = envelope(0.25 - 0.5j, 0.0, 0.0)
         assert result.real == 0.25 and result.imag == -0.5

@@ -104,12 +104,10 @@ class TestGoldenBits:
         assert counts_digest(counts) == GHZ8_COUNTS_DIGEST
 
     def test_fanout_errors_counts(self):
+        from repro.analysis.fanout_errors import fanout_error_distribution
+
         with Engine(workers=1, executor="serial", cache=False) as engine:
-            report = (
-                Experiment.fanout_errors(4, 0.01, shots=20000, seed=11)
-                .run(engine=engine)
-                .raw
-            )
+            report = fanout_error_distribution(0.01, 4, shots=20000, seed=11, engine=engine)
         assert dict(report.counts) == FANOUT4_COUNTS
 
     def test_run_batched_frames_links_readout_and_feedback(self):

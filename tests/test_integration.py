@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import build_compas, exact_swap_test_expectation, multiparty_swap_test
+from repro.api import Experiment
+from repro.core import build_compas, exact_swap_test_expectation
 from repro.core.cyclic_shift import multivariate_trace
 from repro.resources import teledata_cost, telegate_cost
 from repro.sim import NoiseModel
@@ -12,16 +13,22 @@ from repro.utils import random_density_matrix
 RNG = np.random.default_rng(101)
 
 
+def within_both(result, exact, sigmas=5.0):
+    """Whether Re and Im of a trace estimate lie within ``sigmas`` stderrs."""
+    margin_im = sigmas * max(result.extra["stderr_im"], 1e-12)
+    return result.within(exact, sigmas) and abs(result.imag - exact.imag) <= margin_im
+
+
 class TestMonolithicVsDistributed:
     def test_both_backends_agree_on_same_states(self):
         states = [random_density_matrix(1, rng=RNG) for _ in range(2)]
         exact = multivariate_trace(states)
-        mono = multiparty_swap_test(states, shots=600, variant="b", seed=1)
-        dist = multiparty_swap_test(
+        mono = Experiment.swap_test(states, shots=600, variant="b", seed=1).run()
+        dist = Experiment.swap_test(
             states, shots=300, seed=1, backend="compas", design="teledata"
-        )
-        assert mono.within(exact, sigmas=5)
-        assert dist.within(exact, sigmas=5)
+        ).run()
+        assert within_both(mono, exact, sigmas=5)
+        assert within_both(dist, exact, sigmas=5)
 
     def test_all_variants_agree_exactly(self):
         states = [random_density_matrix(1, rng=RNG) for _ in range(3)]
@@ -74,14 +81,14 @@ class TestPaperClaims:
         """Circuit-level noise must visibly bias/blur the trace estimate."""
         psi = np.array([1, 0], dtype=complex)
         states = [psi, psi]  # tr = 1 exactly
-        clean = multiparty_swap_test(states, shots=400, variant="b", seed=3)
-        noisy = multiparty_swap_test(
+        clean = Experiment.swap_test(states, shots=400, variant="b", seed=3).run()
+        noisy = Experiment.swap_test(
             states,
             shots=400,
             variant="b",
             seed=3,
             noise=NoiseModel.from_base(0.05),
-        )
+        ).run()
         assert clean.estimate.real > noisy.estimate.real
 
     def test_imaginary_part_recovered(self):

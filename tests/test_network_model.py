@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.api import Experiment, NetworkSpec, NoiseSpec, QpuSpec
-from repro.api.execution import run_multiparty_swap_test
 from repro.circuits import Circuit
 from repro.core.compas import build_compas
 from repro.core.naive import build_naive_distribution
@@ -147,34 +146,20 @@ class TestNetworkSpec:
             assert spec.link_error_rate(hops) == model.link_error_rate(hops)
 
     def test_explicit_topology_still_checks_overrides(self):
-        # A pre-built topology bypasses NetworkSpec.build; the override-name
-        # check must still run so a typo cannot silently drop its noise.
+        # The runner builds its topology through NetworkSpec.build, whose
+        # override-name check runs so a typo cannot silently drop its noise.
         psi = np.array([1.0, 0.0], dtype=complex)
         spec = NetworkSpec(qpus=(QpuSpec("ghost", p2=0.5),))
+        experiment = Experiment.swap_test(
+            [psi, psi], shots=10, seed=0, backend="compas", network=spec
+        )
         with pytest.raises(ValueError, match="unknown QPUs"):
-            run_multiparty_swap_test(
-                [psi, psi],
-                shots=10,
-                seed=0,
-                engine=Engine(workers=1, executor="serial"),
-                backend="compas",
-                topology=line_topology(["qpu0", "qpu1"]),
-                network=spec,
-            )
+            experiment.run(engine=Engine(workers=1, executor="serial"))
 
     def test_physical_network_rejected_on_monolithic_backend(self):
         # A non-ideal network must never be silently ignored.
         psi = np.array([1.0, 0.0], dtype=complex)
         spec = NetworkSpec(link_depolarizing=0.1)
-        with pytest.raises(ValueError, match="distributed backend"):
-            run_multiparty_swap_test(
-                [psi, psi],
-                shots=10,
-                seed=0,
-                engine=Engine(workers=1, executor="serial"),
-                backend="monolithic",
-                network=spec,
-            )
         with pytest.raises(ValueError, match="distributed backend"):
             Experiment.swap_test([psi, psi], network=spec).validate()
         # The all-defaults (ideal) network stays legal everywhere.
@@ -592,15 +577,14 @@ class TestNetworkExperiments:
         psi = np.array([1.0, 0.0], dtype=complex)
         network = NetworkSpec(link_depolarizing=0.1)
         engine = Engine(workers=1, executor="serial")
-        result = run_multiparty_swap_test(
+        result = Experiment.swap_test(
             [psi, psi],
             shots=30_000,
             seed=17,
-            engine=engine,
             variant="d",
             backend="compas",
             network=network,
-        )
+        ).run(engine=engine)
         build = build_compas(2, 1, design="teledata", basis="x")
         circuit = build.circuit()
         from repro.utils.states import assemble_initial_state
@@ -618,7 +602,7 @@ class TestNetworkExperiments:
                 parity ^= bits[clbit]
             expected += p * (1.0 - 2.0 * parity)
         assert result.estimate.real == pytest.approx(
-            expected, abs=5 * max(result.stderr_re, 1e-3)
+            expected, abs=5 * max(result.stderr, 1e-3)
         )
         # And the link noise must actually bite: identical states have
         # trace overlap 1 when links are ideal.

@@ -106,7 +106,9 @@ class TestNoiselessAccuracy:
     def test_estimate_matches_exact_within_5_sigma(self, kind, k, shots):
         states = random_states(k, seed=20 + k)
         result = constructor(kind)(states, shots=shots, seed=7).run(with_exact=True)
-        assert result.raw.within(result.exact, sigmas=5.0)
+        assert result.within(result.exact, sigmas=5.0)
+        margin_im = 5.0 * max(result.extra["stderr_im"], 1e-12)
+        assert abs(result.imag - result.exact.imag) <= margin_im
 
     def test_multistate_gram_matches_pairwise_overlaps(self):
         states = random_states(3, seed=5)

@@ -231,6 +231,63 @@ class TestFamilySpecParse:
 
 
 # ----------------------------------------------------------------------
+# Trace kinds: every run the runner cannot honour is a 4xx at parse time
+# ----------------------------------------------------------------------
+def trace_spec(kind, payload, shots=300, **experiment_extra):
+    spec = {
+        "tenant": "alice",
+        "experiment": {
+            "kind": kind,
+            "payload": payload,
+            "options": {"shots": shots, "seed": 5},
+        },
+    }
+    spec["experiment"].update(experiment_extra)
+    return spec
+
+
+MIXED = [[0.5, 0], [0, 0.5]]
+
+
+class TestTraceSpecParse:
+    @pytest.mark.parametrize("spec,needle", [
+        (trace_spec("swap_test", {"states": [[1, 0], [1, 0]]},
+                    protocol={"backend": "distributed"}), "backend"),
+        (trace_spec("renyi", {"rho": MIXED, "order": 2},
+                    protocol={"backend": "distributed"}), "backend"),
+        (trace_spec("swap_test", {"states": [[1, 0], [1, 0]]},
+                    protocol={"backend": "compas", "observable": "Z"}), "monolithic"),
+        (trace_spec("virtual", {"rho": MIXED, "observable": "Z", "copies": 2},
+                    protocol={"backend": "compas"}), "monolithic"),
+        (trace_spec("renyi", {"rho": MIXED, "order": 2}, shots=1), "two shots"),
+        (trace_spec("trace_sum", {"groups": [[[1, 0], [1, 0, 0, 0]]], "weights": [1.0]}),
+         "equal width"),
+        (trace_spec("virtual", {"rho": MIXED, "observable": "ZZ", "copies": 2}),
+         "one Pauli per qubit"),
+    ], ids=[
+        "swap_test-distributed",
+        "renyi-distributed",
+        "observable-compas",
+        "virtual-compas",
+        "renyi-one-shot",
+        "trace_sum-widths",
+        "virtual-observable-length",
+    ])
+    def test_unrunnable_trace_specs_rejected(self, spec, needle):
+        with pytest.raises(SpecError) as excinfo:
+            parse_submission(spec)
+        message = str(excinfo.value)
+        assert needle in message
+        assert "Traceback" not in message
+
+    def test_runnable_trace_spec_accepted(self):
+        submission = parse_submission(
+            trace_spec("virtual", {"rho": MIXED, "observable": "Z", "copies": 2})
+        )
+        assert submission.experiment.kind == "virtual"
+
+
+# ----------------------------------------------------------------------
 # Fair queue: weighted round-robin under per-tenant quotas
 # ----------------------------------------------------------------------
 def make_record(tenant: str, seed: int) -> JobRecord:

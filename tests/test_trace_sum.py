@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import estimate_trace_sum, exact_trace_sum
+from repro.api import Experiment
+from repro.core import exact_trace_sum
 from repro.utils import random_density_matrix
 
 RNG = np.random.default_rng(83)
@@ -32,44 +33,48 @@ class TestEstimated:
     def test_matches_exact_within_error(self):
         a = [random_density_matrix(1, rng=RNG) for _ in range(2)]
         b = [random_density_matrix(1, rng=RNG) for _ in range(2)]
-        result = estimate_trace_sum([a, b], [1.0, 0.5], shots=3000, seed=1, variant="b")
+        result = Experiment.trace_sum(
+            [a, b], [1.0, 0.5], shots=3000, seed=1, variant="b"
+        ).run()
         exact = exact_trace_sum([a, b], [1.0, 0.5])
         assert abs(result.estimate - exact) < 5 * max(result.stderr, 0.01) + 0.05
 
     def test_singleton_group_costs_no_shots(self):
         rho = random_density_matrix(1, rng=RNG)
-        result = estimate_trace_sum([[rho]], [3.0], shots=100, seed=2)
+        result = Experiment.trace_sum([[rho]], [3.0], shots=100, seed=2).run()
         assert result.estimate == pytest.approx(3.0)
-        assert result.terms == [None]
+        assert result.extra["term_estimates"] == [None]
+        assert result.extra["term_shots"] == [None]
         assert result.stderr == 0.0
 
     def test_zero_weight_skipped(self):
         a = [random_density_matrix(1, rng=RNG) for _ in range(2)]
         b = [random_density_matrix(1, rng=RNG) for _ in range(2)]
-        result = estimate_trace_sum([a, b], [1.0, 0.0], shots=400, seed=3, variant="b")
-        assert result.terms[1] is None
+        result = Experiment.trace_sum(
+            [a, b], [1.0, 0.0], shots=400, seed=3, variant="b"
+        ).run()
+        assert result.extra["term_estimates"][1] is None
 
     def test_shot_allocation_prefers_heavy_weights(self):
         a = [random_density_matrix(1, rng=RNG) for _ in range(2)]
         b = [random_density_matrix(1, rng=RNG) for _ in range(2)]
-        result = estimate_trace_sum(
+        result = Experiment.trace_sum(
             [a, b], [10.0, 1.0], shots=2200, seed=4, variant="b"
-        )
-        heavy = result.terms[0].shots_re + result.terms[0].shots_im
-        light = result.terms[1].shots_re + result.terms[1].shots_im
+        ).run()
+        heavy, light = result.extra["term_shots"]
         assert heavy > 4 * light
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            estimate_trace_sum([], [], shots=10)
+            Experiment.trace_sum([], [], shots=10)
         with pytest.raises(ValueError):
-            estimate_trace_sum([[np.eye(2) / 2]], [1.0, 1.0], shots=10)
+            Experiment.trace_sum([[np.eye(2) / 2]], [1.0, 1.0], shots=10)
 
     def test_mixed_group_sizes(self):
         rho = random_density_matrix(1, rng=RNG)
         pair = [random_density_matrix(1, rng=RNG) for _ in range(2)]
-        result = estimate_trace_sum(
+        result = Experiment.trace_sum(
             [[rho], pair], [0.5, 1.0], shots=1500, seed=5, variant="b"
-        )
+        ).run()
         exact = 0.5 + np.trace(pair[0] @ pair[1])
         assert abs(result.estimate - exact) < 0.2
