@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..engine import Engine, grid_points
+from ..engine.job import JOB_HASH_TAG
 from ..obs.runtime import NOOP, Observability
 from ..utils.jsonio import atomic_write_json, load_json_or_discard
 from .result import ExperimentResult, _encode
@@ -152,10 +153,11 @@ class SweepCheckpoint:
     """Per-point persistence of a sweep's result envelopes.
 
     Files live under ``directory / base_hash`` — one JSON file per grid
-    point, named by a digest of the point's parameters and the
-    ``with_exact`` flag — so two sweeps of different base experiments (or
-    the same base after any spec change), and exact-less envelopes when
-    the re-run asks for the exact reference, can never serve each other's
+    point, named by a digest of the point's parameters, the
+    ``with_exact`` flag and the job-hash tag — so two sweeps of different
+    base experiments (or the same base after any spec change), exact-less
+    envelopes when the re-run asks for the exact reference, and points
+    sampled under another job-hash tag can never serve each other's
     points.  Writes are atomic (same-dir temp file + ``os.replace``, the
     disk-cache discipline), and unreadable or corrupt point files are
     treated as "not finished": deleted and recomputed on resume.
@@ -193,10 +195,19 @@ class SweepCheckpoint:
 
     # ------------------------------------------------------------------
     def point_path(self, params: Mapping) -> Path:
-        """Where one grid point's envelope lives."""
+        """Where one grid point's envelope lives.
+
+        The job-hash tag is part of the name: the experiment hash does
+        not move when a job-hash bump changes the sampled bits, and a
+        resumed sweep must not mix points from two RNG contracts.
+        """
         digest = stable_hash(
             "repro-sweep-point-v1",
-            {"params": _encode(dict(params)), "with_exact": self.with_exact},
+            {
+                "params": _encode(dict(params)),
+                "with_exact": self.with_exact,
+                "job_hash": JOB_HASH_TAG,
+            },
         )
         return self.root / f"point-{digest[:32]}.json"
 

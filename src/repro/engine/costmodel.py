@@ -39,10 +39,13 @@ __all__ = ["CostModel", "DispatchPlan"]
 #: ``estimate_job_seconds`` pay Python-level per-op cost.
 _VECTORIZED_BACKENDS = ("statevector",)
 
-#: Per stochastic site per batch, the frames backend's fault draws (one
-#: uniform draw per site; the XOR of precomputed effects is noise).
-#: Calibrated on the GHZ-64 frames job (506 sites, 79 batches) on 2 vCPUs.
-_FRAME_SITE_SECONDS = 6e-6
+#: The frames backend's batch costs: a fixed cost per rate group per
+#: batch (one block of geometric gap draws and its share of the label
+#: tally) and a cost per fired fault (its word draw and effect XOR).
+#: Calibrated on GHZ-8 and GHZ-64 frames batches (3 rate groups, 256
+#: shots, p = 1e-4 .. 0.05) on 2 vCPUs.
+_FRAME_GROUP_SECONDS = 8e-5
+_FRAME_FAULT_SECONDS = 2e-7
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,16 @@ class CostModel:
         num_instructions: int,
         stochastic_sites: int,
         backend: str,
+        site_groups: int = 0,
+        faults_per_shot: float = 0.0,
     ) -> float:
-        """Rough serial runtime of one job on ``backend``."""
+        """Rough serial runtime of one job on ``backend``.
+
+        ``site_groups`` and ``faults_per_shot`` price the ``pauliframe``
+        backend: its number of distinct ``(rate, words)`` site groups and
+        the sum of its site rates (see
+        :func:`repro.sim.batched_stabilizer.frame_fault_profile`).
+        """
         ops = max(num_instructions, 1)
         if backend == "stabilizer":
             # Compile-once O(ops * n^2) reference pass (cached across
@@ -142,10 +153,12 @@ class CostModel:
             return ref + frames + weighted * self.vector_op_overhead_seconds
         if backend == "pauliframe":
             # One effect-table compile (an op walk of vectorized column
-            # ops, cached across batches) + per-batch fault-site draws.
+            # ops, cached across batches) + per-batch gap draws per rate
+            # group + the expected fired faults.
             batches = math.ceil(shots / DEFAULT_BATCH_SIZE)
-            draws = batches * max(stochastic_sites, 0) * _FRAME_SITE_SECONDS
-            return ops * self.vector_op_overhead_seconds + draws
+            groups = batches * max(site_groups, 0) * _FRAME_GROUP_SECONDS
+            faults = float(shots) * max(faults_per_shot, 0.0) * _FRAME_FAULT_SECONDS
+            return ops * self.vector_op_overhead_seconds + groups + faults
         if backend in _VECTORIZED_BACKENDS:
             weighted = ops + self.stochastic_site_factor * max(stochastic_sites, 0)
             amps = float(shots) * float(2**min(num_qubits, 30))

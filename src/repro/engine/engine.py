@@ -586,9 +586,12 @@ class Engine:
                     cancel.raise_if_cancelled()
                 state = states[index] = self._start(job, key, choice, batches, parent_id)
                 if plan.per_batch:
+                    frames = self.scheduler.frames_for(job, choice.name)
                     for batch in batches:
                         ctx = tracer.batch_context(state.span.span_id) if tracer.enabled else None
-                        future = self.scheduler.submit(job, batch, choice.name, trace=ctx)
+                        future = self.scheduler.submit(
+                            job, batch, choice.name, trace=ctx, frames=frames
+                        )
                         future_map[future] = (index, (batch,), ctx, time.perf_counter())
                 else:
                     # Warm-worker group dispatch: payload + compiled program
@@ -614,11 +617,14 @@ class Engine:
             # batches.
             for index, job, key, choice, _, batches in inline:
                 state = states[index] = self._start(job, key, choice, batches, parent_id)
+                frames = self.scheduler.frames_for(job, choice.name)
                 for batch in batches:
                     if cancel is not None:
                         cancel.raise_if_cancelled()
                     state.stats.append(
-                        self.scheduler.run_batch(job, batch, choice.name, state.span.span_id)
+                        self.scheduler.run_batch(
+                            job, batch, choice.name, state.span.span_id, frames=frames
+                        )
                     )
                 yield from self._complete(index, state, claimed, duplicates, parent_id)
 

@@ -27,7 +27,11 @@ import numpy as np
 from ..circuits.circuit import Circuit, circuit_digest
 from ..sim.noisemodel import NoiseModel
 
-__all__ = ["DEFAULT_BATCH_SIZE", "Ensemble", "Job", "JobResult", "JOB_BACKENDS"]
+__all__ = ["DEFAULT_BATCH_SIZE", "Ensemble", "Job", "JobResult", "JOB_BACKENDS", "JOB_HASH_TAG"]
+
+#: Versions the sampling semantics behind every job hash: bumped whenever
+#: equal jobs may produce different bits (see :meth:`Job.content_hash`).
+JOB_HASH_TAG = "repro-job-v6"
 
 #: Shots per scheduler batch when the job does not override it.  The batch
 #: partition (not the worker count) defines the RNG substreams, so this value
@@ -158,16 +162,15 @@ class Job:
     def content_hash(self) -> str:
         """Stable hex digest of everything that determines the result.
 
-        The ``v5`` tag marks the protocol-family era: the distributed
-        builders gained new family members (pairwise multi-state, single-
-        ancilla n-state, N-party Hadamard) and a shared job-packaging path
-        whose ensemble ordering is position-driven rather than party-
-        driven, so cached bits persisted by the ``v4`` stabilizer-kernel
-        pipeline (or the earlier ``v3``/``v2``/``v1`` eras) must never be
-        served.
+        The tag, :data:`JOB_HASH_TAG` = ``repro-job-v6``, marks the
+        geometric-gap frames sampler: ``mode="frames"`` jobs draw the gaps
+        between fired faults per rate group instead of one uniform per
+        site per shot, so their bits moved.  Cached bits of the ``v5``
+        protocol-family era (or the earlier ``v4``/``v3``/``v2``/``v1``
+        eras) must never be served.
         """
         h = hashlib.sha256()
-        h.update(b"repro-job-v5")
+        h.update(JOB_HASH_TAG.encode())
         h.update(_circuit_digest(self.circuit))
         if self.backend is not None:
             h.update(b"be" + self.backend.encode())

@@ -248,7 +248,11 @@ def _parity(clbits: list[int], readout: tuple[int, ...]) -> int:
 
 
 def execute_batch(
-    job: Job, batch: Batch, backend: str, trace: dict | None = None
+    job: Job,
+    batch: Batch,
+    backend: str,
+    trace: dict | None = None,
+    frames: FrameProgram | None = None,
 ) -> BatchStats:
     """Run one batch on the routed backend, returning its aggregates.
 
@@ -257,13 +261,15 @@ def execute_batch(
     spans (batch / compile / execute, with the measured queue wait) are
     returned in ``BatchStats.spans`` for the parent tracer to adopt.
     Tracing never touches the job's RNG substream, so the aggregates are
-    bit-identical with or without it.
+    bit-identical with or without it.  ``frames`` is a ``pauliframe``
+    job's already-resolved :class:`FrameProgram`, so a job's batches
+    share one program lookup.
     """
     if trace is None:
-        return _dispatch_batch(job, batch, backend)
+        return _dispatch_batch(job, batch, backend, frames)
     start_unix = time.time()
     t0 = time.perf_counter()
-    stats = _dispatch_batch(job, batch, backend)
+    stats = _dispatch_batch(job, batch, backend, frames)
     total = time.perf_counter() - t0
     stats.spans = _worker_spans(
         batch.index, batch.shots, backend, trace, stats, start_unix, total
@@ -508,8 +514,9 @@ def _pauliframe_batch(
 ) -> BatchStats:
     """Frames mode: sample the job's compiled fault-effect table.
 
-    ``program`` is the already-resolved :class:`FrameProgram` when a
-    batch group looked it up once for all its batches.
+    ``program`` is the already-resolved :class:`FrameProgram` when the
+    job (inline or thread-pool) or a batch group looked it up once for
+    all its batches.
     """
     rng = batch_rng(job.seed, batch.index)
     kernel_rng = np.random.default_rng(int(rng.integers(2**63)))

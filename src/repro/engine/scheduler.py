@@ -54,7 +54,12 @@ from concurrent.futures import (
 )
 
 from ..obs.runtime import NOOP
-from ..sim.batched_stabilizer import get_stabilizer
+from ..sim.batched_stabilizer import (
+    FrameProgram,
+    frame_fault_profile,
+    get_frame_program,
+    get_stabilizer,
+)
 from ..sim.compile import get_capabilities, get_compiled
 from .costmodel import CostModel, DispatchPlan
 from .job import Job
@@ -147,12 +152,17 @@ class Scheduler:
                 sites += sum(1 for op in job.circuit.instructions if op.is_gate)
             if noise.has_link_noise:
                 sites += caps.num_link_events
+        groups, faults = 0, 0.0
+        if backend == "pauliframe" and noise is not None:
+            groups, faults = frame_fault_profile(job.circuit, noise)
         return self.cost_model.estimate_job_seconds(
             shots=job.shots,
             num_qubits=caps.num_qubits,
             num_instructions=len(job.circuit.instructions),
             stochastic_sites=sites,
             backend=backend,
+            site_groups=groups,
+            faults_per_shot=faults,
         )
 
     def decide(self, job: Job, backend: str, num_batches: int) -> DispatchPlan:
@@ -189,17 +199,26 @@ class Scheduler:
     # Submission primitives
     # ------------------------------------------------------------------
     def submit(
-        self, job: Job, batch: Batch, backend: str, trace: dict | None = None
+        self,
+        job: Job,
+        batch: Batch,
+        backend: str,
+        trace: dict | None = None,
+        frames: FrameProgram | None = None,
     ) -> Future:
         """Submit one batch to the pool (the cross-job pipeline's primitive).
 
         ``trace`` is an optional picklable batch context shipped to the
         worker; when None (tracing disabled) the submission is exactly the
-        historical three-argument call.
+        historical three-argument call.  ``frames`` is the job's resolved
+        program from :meth:`frames_for`, passed on only when set.
         """
+        extra = {} if frames is None else {"frames": frames}
         if trace is None:
-            return self._ensure_pool().submit(execute_batch, job, batch, backend)
-        return self._ensure_pool().submit(execute_batch, job, batch, backend, trace)
+            return self._ensure_pool().submit(execute_batch, job, batch, backend, **extra)
+        return self._ensure_pool().submit(
+            execute_batch, job, batch, backend, trace, **extra
+        )
 
     def submit_group(
         self,
@@ -315,21 +334,35 @@ class Scheduler:
             link_noise=live and noise.has_link_noise,
         )
 
+    def frames_for(self, job: Job, backend: str) -> FrameProgram | None:
+        """A ``pauliframe`` job's compiled program (else None), resolved
+        once so its inline or thread-pool batches skip the per-batch
+        lookup, which digests the whole circuit."""
+        if backend != "pauliframe":
+            return None
+        return get_frame_program(job.circuit, job.noise, job.frame_qubits)
+
     def run_batch(
-        self, job: Job, batch: Batch, backend: str, trace_parent: str | None = None
+        self,
+        job: Job,
+        batch: Batch,
+        backend: str,
+        trace_parent: str | None = None,
+        frames: FrameProgram | None = None,
     ) -> BatchStats:
         """Run one batch inline on the calling thread (no pool round trip).
 
-        With tracing off this is exactly the historical three-argument
-        ``execute_batch`` call, so this module's global is the one place
-        tests patch batch execution; with tracing on, the worker-side
-        spans are adopted under ``trace_parent``.
+        With tracing off and no ``frames`` this is exactly the historical
+        three-argument ``execute_batch`` call, so this module's global is
+        the one place tests patch batch execution; with tracing on, the
+        worker-side spans are adopted under ``trace_parent``.
         """
+        extra = {} if frames is None else {"frames": frames}
         tracer = self.obs.tracer
         if not tracer.enabled:
-            return execute_batch(job, batch, backend)
+            return execute_batch(job, batch, backend, **extra)
         ctx = tracer.batch_context(trace_parent)
-        stats = execute_batch(job, batch, backend, trace=ctx)
+        stats = execute_batch(job, batch, backend, trace=ctx, **extra)
         tracer.adopt(stats.spans, parent_id=trace_parent)
         return stats
 

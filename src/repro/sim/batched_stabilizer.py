@@ -52,14 +52,18 @@ Two compiled programs share the frame rules:
   measurement randomization the final frame is linear over GF(2) in the
   faults that fire, so :func:`compile_frame_program` propagates one basis
   row per fault component through the circuit once, and sampling only
-  draws the faults and XORs their precomputed effects
-  (:func:`get_frame_program` caches the table per process).
+  draws the faults that fire and XORs their precomputed effects
+  (:func:`get_frame_program` caches the table per process).  Sites that
+  share a rate share one stream of geometric gaps between fired faults,
+  as Stim samples them, so a batch costs a few draws per rate group and
+  per fired fault instead of one uniform per site per shot.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from threading import Lock
 
@@ -84,6 +88,7 @@ __all__ = [
     "run_batched_stabilizer",
     "stabilizer_cache_stats",
     "frame_cache_stats",
+    "frame_fault_profile",
     "clear_stabilizer_cache",
 ]
 
@@ -370,7 +375,7 @@ def get_frame_program(
     """Compile-once accessor for :func:`compile_frame_program`.
 
     Keyed by the circuit's content digest, the noise model and the
-    outputs: the effect table bakes in which sites exist and the site list
+    outputs: the effect table bakes in which sites exist and the groups
     their rates, so unlike :func:`get_stabilizer` one entry serves one
     noise configuration.
     """
@@ -503,39 +508,46 @@ class FrameProgram:
     XOR-linear — so a shot's outputs are the XOR of the precomputed effects
     of its fired faults.
 
-    ``sites`` lists every stochastic site in circuit order as ``(rate,
-    words, offset)``.  A depolarizing site (``words == 4**k``) draws one
-    non-identity word ``w`` in ``[1, words)`` per firing shot and XORs row
-    ``offset + w - 1`` of ``effects``; a readout-flip site (``words ==
-    0``) XORs row ``offset``.  Each row packs ``num_outputs`` bits
-    big-endian into ``uint64`` words.
+    ``groups`` partitions the stochastic sites by ``(rate, words)``, in
+    order of first appearance, as ``(rate, words, offsets)`` with the
+    member sites' offsets in circuit order.  A depolarizing site
+    (``words == 4**k``) draws one non-identity word ``w`` in ``[1,
+    words)`` per firing shot and XORs row ``offset + w - 1`` of
+    ``effects``; a readout-flip site (``words == 0``) XORs row
+    ``offset``.  Each row packs ``num_outputs`` bits big-endian into
+    ``uint64`` words.
     """
 
     num_outputs: int
-    sites: tuple[tuple[float, int, int], ...]
+    groups: tuple[tuple[float, int, np.ndarray], ...]
     effects: np.ndarray
 
     def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
         """``(shots, num_outputs)`` bool matrix of sampled output deviations.
 
-        RNG contract: ``random(shots) < rate`` at every site in circuit
-        order, then, only when some shot fired at a depolarizing site,
-        ``integers(1, words, size=hits)`` — the draws of
-        :func:`_inject_frame_faults`, in the same order and sizes.
+        RNG contract, group by group in ``groups`` order: the group's
+        ``(site, shot)`` cells are flattened site-major into positions
+        ``site * shots + shot``, and :func:`_fired_cells` draws
+        ``geometric(rate)`` gaps between fired positions until they pass
+        the last cell; then, for a depolarizing group with any fired cell,
+        ``integers(1, words, size=fired)`` picks each fired cell's word.
+        Every cell fires independently with its site's rate, exactly as
+        one ``random(shots) < rate`` draw per site would have it, but only
+        the fired cells cost draws.
         """
         if shots < 1:
             raise ValueError("need at least one shot")
-        random, integers = rng.random, rng.integers
         hits, rows = [], []
-        for rate, words, offset in self.sites:
-            hit = (random(shots) < rate).nonzero()[0]
-            if hit.size:
-                hits.append(hit)
-                rows.append(
-                    integers(1, words, size=hit.size) + (offset - 1)
-                    if words
-                    else np.full(hit.size, offset)
-                )
+        for rate, words, offsets in self.groups:
+            fired = _fired_cells(len(offsets) * shots, rate, rng)
+            if not fired.size:
+                continue
+            site, shot = np.divmod(fired, shots)
+            row = offsets[site]
+            if words:
+                row += rng.integers(1, words, size=fired.size) - 1
+            hits.append(shot)
+            rows.append(row)
         # One unbuffered XOR at the end: a shot may fire at many sites.
         acc = np.zeros((shots, self.effects.shape[1]), dtype=np.uint64)
         if hits:
@@ -544,6 +556,31 @@ class FrameProgram:
             )
         bits = np.unpackbits(acc.view(np.uint8), axis=1, count=self.num_outputs)
         return bits.view(bool)
+
+
+def _fired_cells(cells: int, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Ascending positions in ``[0, cells)`` of independent Bernoulli(rate)
+    cells, drawn as geometric gaps between successive fired positions.
+
+    Gaps come in blocks sized from the remaining cells — the mean fired
+    count plus four times its square root, plus two for the gap that
+    passes the end — so one block nearly always suffices; a short block
+    is followed by another from the last fired position.  The block sizes
+    depend only on ``(cells, rate)`` and the draws, so the stream is
+    reproducible.
+    """
+    blocks = []
+    last = -1
+    while True:
+        mean = (cells - 1 - last) * rate
+        size = int(mean + 4.0 * math.sqrt(mean)) + 2
+        positions = last + np.cumsum(rng.geometric(rate, size=size))
+        if positions[-1] >= cells:
+            blocks.append(positions[: np.searchsorted(positions, cells)])
+            break
+        blocks.append(positions)
+        last = int(positions[-1])
+    return np.concatenate(blocks)
 
 
 def compile_frame_program(
@@ -629,8 +666,8 @@ def run_batched_frames(
     exactly — deviation-only frames, no measurement-outcome randomization,
     reset clears the frame, and the noise draw at a conditioned Pauli site
     is unconditional — so the per-shot API remains the cross-check
-    reference.  Only the RNG *consumption order* differs (one vectorized
-    draw per site instead of one scalar draw per shot per site), so equal
+    reference.  Only the RNG *consumption* differs (geometric gaps per
+    rate group instead of one scalar draw per shot per site), so equal
     seeds give different, equally valid samples of the same distribution.
 
     Returns ``(fx, fz, flips)``: the final ``(shots, n)`` X/Z frame
@@ -642,6 +679,16 @@ def run_batched_frames(
     program = get_frame_program(circuit, noise, tuple(range(n)), records=True)
     bits = program.sample(shots, rng)
     return bits[:, :n], bits[:, n : 2 * n], bits[:, 2 * n :]
+
+
+def frame_fault_profile(circuit: Circuit, noise: NoiseModel) -> tuple[int, float]:
+    """``(rate groups, expected fired faults per shot)`` of the frames
+    program of ``circuit`` under ``noise``, without compiling it — what
+    the cost model prices a ``pauliframe`` job by."""
+    groups = Counter(
+        site for inst in circuit.instructions for site in _fault_sites(inst, noise)
+    )
+    return len(groups), sum(rate * count for (rate, _), count in groups.items())
 
 
 def _fault_sites(inst, noise: NoiseModel) -> list[tuple[float, int]]:
@@ -711,10 +758,14 @@ def _effect_table(
             offsets[i] = total + m * per_site
         blocks.append(block.reshape(-1, width))
         total += len(members) * per_site
+    groups: dict[tuple[float, int], list[int]] = {}
+    for (rate, words, _, _), offset in zip(sites, offsets):
+        groups.setdefault((rate, words), []).append(offset)
     return FrameProgram(
         num_outputs=num_outputs,
-        sites=tuple(
-            (rate, words, offsets[i]) for i, (rate, words, _, _) in enumerate(sites)
+        groups=tuple(
+            (rate, words, np.array(members, dtype=np.int64))
+            for (rate, words), members in groups.items()
         ),
         effects=np.concatenate(blocks),
     )

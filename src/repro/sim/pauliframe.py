@@ -175,8 +175,9 @@ class PauliFrameSimulator:
         The circuit compiles once per process into a
         :class:`~repro.sim.batched_stabilizer.FrameProgram` whose outputs
         are the data qubits' final frame; every call then only draws the
-        faults — the same fault model as :meth:`sample`, with one
-        vectorized draw per site — and XORs their precomputed effects.
+        faults that fire — the same fault model as :meth:`sample`, drawn
+        as geometric gaps per rate group — and XORs their precomputed
+        effects.
         The per-shot :meth:`sample` remains the cross-check reference.
         """
         program = get_frame_program(self.circuit, self.noise, tuple(data_qubits))

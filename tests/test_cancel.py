@@ -46,15 +46,15 @@ def trip_in_first_batch(monkeypatch, token: CancelToken) -> dict:
     calls = {"n": 0}
     lock = threading.Lock()
 
-    def tripping(job_, batch, backend, trace=None):
+    def tripping(job_, batch, backend, trace=None, **kwargs):
         with lock:
             calls["n"] += 1
             if calls["n"] == 1:
                 token.cancel()
         time.sleep(0.01)
         if trace is None:
-            return real(job_, batch, backend)
-        return real(job_, batch, backend, trace)
+            return real(job_, batch, backend, **kwargs)
+        return real(job_, batch, backend, trace, **kwargs)
 
     monkeypatch.setattr(sched_mod, "execute_batch", tripping)
     return calls

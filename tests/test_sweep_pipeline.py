@@ -321,6 +321,24 @@ class TestCheckpointedSweeps:
         )
         assert other.resumed == 0  # a different base never serves these points
 
+    def test_checkpoint_under_another_job_hash_tag_not_resumed(self, tmp_path, monkeypatch):
+        # A job-hash bump changes the sampled bits but not the experiment
+        # hash, so a frames sweep checkpointed under the old tag must be
+        # recomputed rather than mixed with points of the new contract.
+        import repro.api.sweep as sweep_module
+
+        base = Experiment.ghz_fidelity(3, p=0.01, shots=300, seed=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep_module, "JOB_HASH_TAG", "repro-job-v5")
+            old = base.sweep(over="num_parties", values=[3, 4], checkpoint=tmp_path)
+        assert old.resumed == 0
+        new = base.sweep(over="num_parties", values=[3, 4], checkpoint=tmp_path)
+        assert new.base_hash == old.base_hash
+        assert new.resumed == 0
+        again = base.sweep(over="num_parties", values=[3, 4], checkpoint=tmp_path)
+        assert again.resumed == 2
+        assert again.estimates() == new.estimates()
+
     def test_unseeded_sweep_resumes_with_recorded_seed(self, tmp_path):
         # seed=None draws a seed on the first run; the checkpoint records
         # it so the re-run lands in the same namespace and resumes.
