@@ -16,11 +16,7 @@ network topology/quality as the main architecture-side extension):
 import numpy as np
 from conftest import emit, make_engine, scaled, stopwatch
 
-from repro.analysis.link_noise import (
-    advantage_curve,
-    crossover_link_rate,
-    scheme_fidelity_bound,
-)
+from repro.analysis.link_noise import crossover_link_rate, protocol_comparison
 from repro.api import Experiment, NetworkSpec
 from repro.network import (
     complete_topology,
@@ -117,13 +113,13 @@ def test_link_noise_degradation_sweep(once):
                 p_link=point.params["link_depolarizing"],
                 estimate=point.result.estimate.real,
                 stderr=point.result.stderr,
-                fidelity_bound=scheme_fidelity_bound(
-                    "teledata",
+                fidelity_bound=protocol_comparison(
                     1,
                     3,
                     network,
                     topology=TOPOLOGY_BUILDERS[topology]([f"qpu{i}" for i in range(3)]),
-                ),
+                    schemes=("compas-teledata",),
+                )[0]["bound"],
             )
             results.append(point.result)
     # Ideal links must reproduce tr(rho^2) = 1; noisy links must bite.
@@ -140,14 +136,39 @@ def test_compas_vs_naive_advantage(once):
         f"COMPAS-vs-naive fidelity-bound advantage vs link infidelity (n={n}, k={k})",
         ["p_link", "compas_bound", "naive_bound", "advantage"],
     )
-    rows = once(lambda: advantage_curve(n, k, [0.0, 0.005, 0.02, 0.05, 0.1, 0.2]))
+    schemes = ("compas-teledata", "naive")
+
+    def curve():
+        rows = []
+        for p_link in (0.0, 0.005, 0.02, 0.05, 0.1, 0.2):
+            network = NetworkSpec(link_depolarizing=p_link)
+            bounds = {
+                row["scheme"]: row["bound"]
+                for row in protocol_comparison(n, k, network, schemes=schemes)
+            }
+            rows.append(
+                {
+                    "p_link": p_link,
+                    "compas_bound": bounds["compas-teledata"],
+                    "naive_bound": bounds["naive"],
+                    "advantage": bounds["compas-teledata"] / bounds["naive"],
+                }
+            )
+        return rows
+
+    rows = once(curve)
     for row in rows:
         table.add_row(**row)
-    crossover = crossover_link_rate(n, k)
+    [compas] = [
+        row
+        for row in crossover_link_rate(n, k, schemes=schemes, topologies=("line",))["line"]
+        if row["scheme"] == "compas-teledata"
+    ]
+    crossover = compas["crossover_vs_naive"]
     table.add_row(p_link="crossover", compas_bound="", naive_bound="", advantage=crossover)
     # COMPAS wins at realistic link rates on an 8-QPU machine, and its
     # advantage eventually erodes as link infidelity saturates naive's few
     # long-range events.
     assert rows[1]["advantage"] > 1.0
-    assert crossover is not None
+    assert isinstance(crossover, float)
     emit("network_compas_advantage", table)

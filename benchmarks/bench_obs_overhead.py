@@ -145,8 +145,8 @@ def run_traced_sweep():
 
     with Engine(workers=SWEEP_WORKERS, executor=EXECUTOR, obs=obs) as engine:
         with stopwatch() as elapsed:
-            points = engine.sweep(
-                point_job, {"seed": list(range(2000, 2000 + SWEEP_POINTS))}
+            points = engine.run_many(
+                [point_job(seed) for seed in range(2000, 2000 + SWEEP_POINTS)]
             )
         wall = elapsed()
         stats = engine.stats_dict()

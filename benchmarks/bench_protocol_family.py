@@ -85,13 +85,11 @@ def test_protocol_family_ranking(once):
         ["topology", "scheme", "rank", "bound", "crossover_vs_naive"],
     )
     network = NetworkSpec(link_depolarizing=0.02)
-    grid = [i / 100 for i in range(1, 51)] if FULL_SCALE else [i / 20 for i in range(1, 11)]
 
     def run():
         rows = protocol_comparison(1, 4, network)
         ranking = crossover_link_rate(
-            1, 4, schemes=FAMILY, topologies=("line", "ring"),
-            grid=grid, network=network,
+            1, 4, schemes=FAMILY, topologies=("line", "ring"), network=network
         )
         return rows, ranking
 
@@ -104,19 +102,14 @@ def test_protocol_family_ranking(once):
         assert "compas-teledata" in schemes
         assert len(schemes & {"multistate", "nstate", "nparty"}) >= 2
         for row in ranked:
+            crossover = row["crossover_vs_naive"]
             table.add_row(
                 topology=topology,
                 scheme=row["scheme"],
                 rank=row["rank"],
                 bound=f"{row['bound']:.4f}",
                 crossover_vs_naive=(
-                    "-" if row["crossover_vs_naive"] is None
-                    else f"{row['crossover_vs_naive']:.3f}"
+                    crossover if isinstance(crossover, str) else f"{crossover:.4f}"
                 ),
             )
-    emit(
-        "protocol_family_ranking",
-        table,
-        wall_time=elapsed(),
-        meta={"grid_points": len(grid)},
-    )
+    emit("protocol_family_ranking", table, wall_time=elapsed())

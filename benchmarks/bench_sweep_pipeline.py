@@ -2,7 +2,7 @@
 
 The paper's headline results (Fig. 9, Table 4, the Appendix-B link-noise
 floors) are parameter sweeps of hundreds of *small* jobs.  The historical
-``run_many``/``sweep`` path executed jobs one at a time, so a sweep of
+``run_many`` path executed jobs one at a time, so a sweep of
 4-batch jobs left a many-worker pool almost idle at every job boundary.
 This benchmark measures the cross-job pipeline on exactly that workload:
 
@@ -59,20 +59,20 @@ def make_job(seed: int):
     )
 
 
-GRID = {"seed": list(range(1000, 1000 + NUM_JOBS))}
+SEEDS = range(1000, 1000 + NUM_JOBS)
 
 
 def run_sweep_configs():
     rows = {}
     with Engine(workers=1) as serial, stopwatch() as serial_time:
-        rows["serial"] = serial.sweep(make_job, GRID)
+        rows["serial"] = serial.run_many([make_job(seed) for seed in SEEDS])
     rows["serial_time"] = serial_time()
     with Engine(workers=PIPELINE_WORKERS, executor=EXECUTOR) as pool:
         # One untimed pass spawns the workers and primes their compile
         # caches, so the pipeline row measures dispatch on a warm pool.
-        pool.sweep(make_job, GRID)
+        pool.run_many([make_job(seed) for seed in SEEDS])
         with stopwatch() as pipeline_time:
-            rows["pipeline"] = pool.sweep(make_job, GRID)
+            rows["pipeline"] = pool.run_many([make_job(seed) for seed in SEEDS])
         rows["pipeline_time"] = pipeline_time()
         rows["pool_stats"] = pool.stats_dict()
     return rows
@@ -123,8 +123,8 @@ def test_sweep_pipeline(once):
     pipeline_t = rows["pipeline_time"]
     pipeline_speedup = serial_t / max(pipeline_t, 1e-9)
 
-    def estimates(points):
-        return [(p.result.parity_mean, p.result.parity_stderr) for p in points]
+    def estimates(results):
+        return [(r.parity_mean, r.parity_stderr) for r in results]
 
     identical = estimates(rows["serial"]) == estimates(rows["pipeline"])
 
@@ -133,7 +133,7 @@ def test_sweep_pipeline(once):
         wall_time_s=serial_t,
         jobs_per_s=f"{NUM_JOBS / max(serial_t, 1e-9):.1f}",
         speedup="x1.00",
-        note="the historical run_many/sweep path",
+        note="the historical run_many path",
     )
     table.add_row(
         configuration=f"cross-job pipeline ({PIPELINE_WORKERS} workers)",

@@ -19,8 +19,8 @@ Run:  python examples/link_noise_sweep.py
 
 import numpy as np
 
-from repro import Experiment
-from repro.analysis import advantage_curve, crossover_link_rate
+from repro import Experiment, NetworkSpec
+from repro.analysis import crossover_link_rate, protocol_comparison
 from repro.resources import measure_scheme_cost
 
 P_LINKS = [0.0, 0.01, 0.03, 0.1]
@@ -52,13 +52,25 @@ def main() -> None:
     )
 
     print("\n== COMPAS-vs-naive fidelity-bound crossover (n = 4, k = 8) ==")
-    for row in advantage_curve(4, 8, [0.005, 0.02, 0.1, 0.2]):
+    schemes = ("compas-teledata", "naive")
+    for p_link in (0.005, 0.02, 0.1, 0.2):
+        bounds = {
+            row["scheme"]: row["bound"]
+            for row in protocol_comparison(
+                4, 8, NetworkSpec(link_depolarizing=p_link), schemes=schemes
+            )
+        }
+        compas, naive = bounds["compas-teledata"], bounds["naive"]
         print(
-            f"   p_link={row['p_link']:.3f}: compas {row['compas_bound']:.4f} "
-            f"vs naive {row['naive_bound']:.4f}  (advantage {row['advantage']:.2f}x)"
+            f"   p_link={p_link:.3f}: compas {compas:.4f} "
+            f"vs naive {naive:.4f}  (advantage {compas / naive:.2f}x)"
         )
-    crossover = crossover_link_rate(4, 8)
-    print(f"   COMPAS keeps its advantage until p_link ~= {crossover}")
+    [row] = [
+        row
+        for row in crossover_link_rate(4, 8, schemes=schemes, topologies=("line",))["line"]
+        if row["scheme"] == "compas-teledata"
+    ]
+    print(f"   COMPAS keeps its advantage until p_link ~= {row['crossover_vs_naive']:.4f}")
 
 
 if __name__ == "__main__":

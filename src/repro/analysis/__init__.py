@@ -24,11 +24,10 @@ from .ghz_fidelity import (
     sample_ghz_fidelity_frames,
 )
 from .link_noise import (
-    advantage_curve,
     crossover_link_rate,
     event_fidelity_floor,
+    protocol_comparison,
     protocol_fidelity_bound,
-    scheme_fidelity_bound,
 )
 from .network import (
     DISTILLATION_CODES,
@@ -70,11 +69,10 @@ __all__ = [
     "ghz_fidelity_frames",
     "ghz_fidelity_sweep",
     "sample_ghz_fidelity_frames",
-    "advantage_curve",
     "crossover_link_rate",
     "event_fidelity_floor",
+    "protocol_comparison",
     "protocol_fidelity_bound",
-    "scheme_fidelity_bound",
     "DISTILLATION_CODES",
     "QECCode",
     "bell_pair_depolarized",

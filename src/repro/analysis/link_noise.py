@@ -17,15 +17,14 @@ protocol, so COMPAS and the naive redistribution can be compared on the
 same physical network.  Because the naive scheme concentrates long-range
 (multi-hop) events whose error rate *saturates* with ``h`` while COMPAS
 spends many short-range events, the two bounds can cross as ``p_link``
-grows — :func:`crossover_link_rate` locates that point.
+grows — :func:`crossover_link_rate` locates that point by bisection, or
+reports that there is none.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from ..core.compas import build_compas
-from ..core.naive import build_naive_distribution
 from ..core.protocol import FAMILY, family_builds
 from ..network.bell import BellEvent
 from ..network.topology import Topology
@@ -33,9 +32,7 @@ from ..network.topology import Topology
 __all__ = [
     "event_fidelity_floor",
     "protocol_fidelity_bound",
-    "scheme_fidelity_bound",
     "protocol_comparison",
-    "advantage_curve",
     "crossover_link_rate",
 ]
 
@@ -43,18 +40,21 @@ __all__ = [
 #: other purpose is a cat-mediated gate (floor 1 - 3r/4).
 _TELEPORT_PURPOSES = ("teledata-in", "teledata-out", "naive-redistribute")
 
+#: ``crossover_link_rate`` brackets a sign change on a scan of this many
+#: equal steps over (0, 0.5], then bisects the bracket to this width.
+_SCAN_STEPS = 200
+_SCAN_MAX = 0.5
+_BISECT_TOL = 1e-6
 
-def _link_rate(network, hops: int) -> float:
-    """Hop-weighted pair error rate from a NetworkSpec-like object."""
-    return network.link_error_rate(hops)
+
+def _floor_weight(event: BellEvent) -> float:
+    """``c`` in the event's Appendix-B floor ``1 - c r``."""
+    return 0.5 if event.purpose in _TELEPORT_PURPOSES else 0.75
 
 
 def event_fidelity_floor(event: BellEvent, network) -> float:
     """Appendix-B worst-case fidelity of one teleoperation on noisy links."""
-    rate = _link_rate(network, event.hops)
-    if event.purpose in _TELEPORT_PURPOSES:
-        return max(1.0 - 0.5 * rate, 0.0)
-    return max(1.0 - 0.75 * rate, 0.0)
+    return max(1.0 - _floor_weight(event) * network.link_error_rate(event.hops), 0.0)
 
 
 def protocol_fidelity_bound(events: Iterable[BellEvent], network) -> float:
@@ -63,27 +63,6 @@ def protocol_fidelity_bound(events: Iterable[BellEvent], network) -> float:
     for event in events:
         bound *= event_fidelity_floor(event, network)
     return bound
-
-
-def scheme_fidelity_bound(
-    scheme: str,
-    n: int,
-    k: int,
-    network,
-    topology: Topology | None = None,
-) -> float:
-    """Build one scheme and bound its fidelity on the given network.
-
-    ``scheme`` is ``"teledata"`` / ``"telegate"`` (COMPAS designs) or
-    ``"naive"``; ``network`` is a :class:`~repro.api.NetworkSpec` (anything
-    with ``link_error_rate``).  The bound multiplies the floor of every
-    Bell event the built circuit actually records.
-    """
-    if scheme == "naive":
-        build = build_naive_distribution(k, n, basis="x", topology=topology)
-    else:
-        build = build_compas(k, n, design=scheme, basis="x", topology=topology)
-    return protocol_fidelity_bound(build.program.ledger.events, network)
 
 
 def _family_events(member: str, n: int, k: int, topology: Topology | None) -> list[BellEvent]:
@@ -128,84 +107,74 @@ def protocol_comparison(
     return rows
 
 
-def advantage_curve(
-    n: int,
-    k: int,
-    p_links: Sequence[float],
-    design: str = "teledata",
-    topology: Topology | None = None,
-) -> list[dict]:
-    """COMPAS-vs-naive fidelity bounds across a link-noise sweep.
+def _initial_slope(events: Sequence[BellEvent]) -> float:
+    """``-d bound / d p_link`` at ``p_link = 0``: the sum of ``c h``.
 
-    One row per ``p_link`` with both bounds and their ratio (> 1 means
-    COMPAS wins).  Builds each scheme once and re-evaluates the recorded
-    events, so the sweep costs no circuit reconstruction.
+    An ``h``-hop pair's rate is ``h p + O(p^2)`` (no swap penalty), so the
+    product of floors starts as ``1 - p * sum(c h)``.
+    """
+    return sum(_floor_weight(event) * event.hops for event in events)
+
+
+def _crossover(events: Sequence[BellEvent], naive: Sequence[BellEvent]) -> float | str:
+    """Smallest ``p_link`` at which ``events``' bound falls below naive's.
+
+    ``"always"`` when it is already below as ``p_link -> 0+`` (a steeper
+    initial slope), ``"never"`` when no sign change lies in (0, 0.5];
+    otherwise the first sign change, bracketed on a scan and bisected.
     """
     from ..api.specs import NetworkSpec
 
-    compas_build = build_compas(k, n, design=design, basis="x", topology=topology)
-    naive_build = build_naive_distribution(k, n, basis="x", topology=topology)
-    rows = []
-    for p_link in p_links:
-        network = NetworkSpec(link_depolarizing=float(p_link))
-        compas_bound = protocol_fidelity_bound(
-            compas_build.program.ledger.events, network
+    def gap(p_link: float) -> float:
+        probe = NetworkSpec(link_depolarizing=p_link)
+        return protocol_fidelity_bound(events, probe) - protocol_fidelity_bound(
+            naive, probe
         )
-        naive_bound = protocol_fidelity_bound(naive_build.program.ledger.events, network)
-        rows.append(
-            {
-                "p_link": float(p_link),
-                "compas_bound": compas_bound,
-                "naive_bound": naive_bound,
-                "advantage": compas_bound / naive_bound if naive_bound > 0 else float("inf"),
-            }
-        )
-    return rows
+
+    if _initial_slope(events) > _initial_slope(naive):
+        return "always"
+    low = 0.0
+    for step in range(1, _SCAN_STEPS + 1):
+        high = _SCAN_MAX * step / _SCAN_STEPS
+        if gap(high) < 0.0:
+            break
+        low = high
+    else:
+        return "never"
+    while high - low > _BISECT_TOL:
+        mid = 0.5 * (low + high)
+        if gap(mid) < 0.0:
+            high = mid
+        else:
+            low = mid
+    return high
 
 
 def crossover_link_rate(
     n: int,
     k: int,
-    design: str = "teledata",
-    topology: Topology | None = None,
-    grid: Sequence[float] | None = None,
     *,
-    schemes: Sequence[str] | None = None,
+    schemes: Sequence[str] = FAMILY,
     topologies: Sequence[str] | None = None,
     network=None,
-) -> float | None | dict[str, list[dict]]:
-    """Crossover analysis: where each scheme's bound falls below naive's.
+) -> dict[str, list[dict]]:
+    """Per-topology family ranking with each scheme's crossover vs naive.
 
-    Two modes share the swept ``grid`` (default: 200 points up to 0.5):
-
-    * **legacy scalar** (``schemes=None``): the smallest swept ``p_link``
-      where the COMPAS ``design``'s bound falls below naive's on the
-      default line — ``None`` when COMPAS keeps its advantage over the
-      whole grid.  The crossover exists because naive's few long-range
-      events saturate with hop count while COMPAS's many short-range
-      events keep compounding.
-    * **family ranking** (``schemes`` given, e.g. :data:`FAMILY`): one
-      entry per topology name in ``topologies`` (default: every named
-      topology), each a best-bound-first ranking of the schemes at the
-      reference ``network`` (default: 2% link depolarizing) in the shape
-      of :func:`protocol_comparison` rows, plus ``crossover_vs_naive`` —
-      the first swept ``p_link`` where that scheme's bound drops below
-      the naive redistribution's on the same topology (``None`` if it
-      never does).
+    One entry per topology name in ``topologies`` (default: every named
+    topology): the :func:`protocol_comparison` rows of ``schemes`` at the
+    reference ``network`` (default: 2% link depolarizing), each with a
+    ``crossover_vs_naive`` — the smallest ``p_link`` at which that
+    scheme's bound falls below the naive redistribution's on the same
+    topology (to within 1e-6), ``"always"`` if it is below for every small
+    ``p_link``, or ``"never"`` if it stays at or above naive's on
+    (0, 0.5].  A crossover exists when naive's few long-range events
+    saturate with hop count while the scheme's many short-range events
+    keep compounding.
     """
-    if grid is None:
-        grid = [i / 400.0 for i in range(1, 201)]
-    if schemes is None:
-        for row in advantage_curve(n, k, grid, design=design, topology=topology):
-            if row["advantage"] < 1.0:
-                return row["p_link"]
-        return None
-
     from ..api.specs import TOPOLOGIES, NetworkSpec
 
     if network is None:
         network = NetworkSpec(link_depolarizing=0.02)
-    members = tuple(schemes)
     names = tuple(topologies) if topologies is not None else tuple(TOPOLOGIES)
     qpus = [f"qpu{p}" for p in range(k)]
     comparison: dict[str, list[dict]] = {}
@@ -213,30 +182,10 @@ def crossover_link_rate(
         if name not in TOPOLOGIES:
             raise ValueError(f"topology must be one of {tuple(TOPOLOGIES)}, got {name!r}")
         topo = TOPOLOGIES[name](qpus)
-        events = {member: _family_events(member, n, k, topo) for member in members}
-        naive_events = (
-            events["naive"] if "naive" in events else _family_events("naive", n, k, topo)
-        )
-        rows = []
-        for member in members:
-            crossover = None
-            for p_link in grid:
-                probe = NetworkSpec(link_depolarizing=float(p_link))
-                member_bound = protocol_fidelity_bound(events[member], probe)
-                if member_bound < protocol_fidelity_bound(naive_events, probe):
-                    crossover = float(p_link)
-                    break
-            rows.append(
-                {
-                    "scheme": member,
-                    "bound": protocol_fidelity_bound(events[member], network),
-                    "logical_pairs": len(events[member]),
-                    "physical_pairs": sum(e.hops for e in events[member]),
-                    "crossover_vs_naive": crossover,
-                }
-            )
-        rows.sort(key=lambda row: row["bound"], reverse=True)
-        for rank, row in enumerate(rows, start=1):
-            row["rank"] = rank
+        rows = protocol_comparison(n, k, network, topology=topo, schemes=schemes)
+        naive = _family_events("naive", n, k, topo)
+        for row in rows:
+            events = _family_events(row["scheme"], n, k, topo)
+            row["crossover_vs_naive"] = _crossover(events, naive)
         comparison[name] = rows
     return comparison

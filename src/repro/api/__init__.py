@@ -9,8 +9,9 @@ instead of per-function plumbing:
   ``run`` / ``run_exact`` / ``sweep`` methods;
 * :class:`ExperimentResult` — the single JSON-round-trippable envelope
   every run returns;
-* :class:`SweepResult` — an ordered grid of envelopes, built on the same
-  grid machinery as :meth:`repro.engine.Engine.sweep`.
+* :class:`SweepResult` — an ordered grid of envelopes, in the row-major
+  order of :func:`repro.engine.grid_points`; ``Experiment.sweep`` is the
+  one sweep API.
 """
 
 from .experiment import KINDS, Experiment

@@ -225,7 +225,7 @@ class Experiment:
 
         ``over=/values=`` sweeps one axis (or zips several when ``over``
         is a tuple of names); ``grid=`` takes the cartesian product in
-        row-major key order, exactly like :meth:`repro.engine.Engine.sweep`.
+        row-major key order (:func:`repro.engine.grid_points`).
         Worker count never changes the estimates (engine determinism).
 
         ``checkpoint=dir`` makes the sweep crash-safe: each point's

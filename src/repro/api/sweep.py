@@ -1,8 +1,8 @@
 """Sweep-first execution: run one experiment over a parameter grid.
 
-Built on the same grid machinery as :meth:`repro.engine.Engine.sweep`
-(:func:`repro.engine.grid_points` — cartesian product in row-major key
-order), lifted from jobs to experiments: each grid point derives a new
+The repository's one sweep API.  Grid points come from
+:func:`repro.engine.grid_points` (cartesian product in row-major key
+order); each grid point derives a new
 :class:`~repro.api.Experiment` via :meth:`~repro.api.Experiment.derive`
 and runs it through one shared engine, so the whole sweep benefits from
 the engine's worker pool (whose cross-job pipeline keeps every worker

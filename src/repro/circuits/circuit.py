@@ -344,66 +344,6 @@ class Circuit:
             unitary = embed_operator(matrix, inst.qubits, self.num_qubits) @ unitary
         return unitary
 
-    def defer_measurements(self) -> "Circuit":
-        """Rewrite measure+parity-feedback into coherent controls.
-
-        Returns an equivalent *unitary* circuit by the principle of deferred
-        measurement: each ``measure q -> c`` is dropped (the qubit itself now
-        carries the record) and each Pauli correction conditioned on a parity
-        of classical bits becomes a product of controlled-Paulis from the
-        measured qubits (valid because Pauli**2 = I, so the XOR exponent
-        distributes).
-
-        Requirements: each classical bit is written at most once, measured
-        qubits are never operated on again afterwards (no reuse/reset), and
-        every conditioned gate is a Pauli (x/y/z).
-        """
-        writer: dict[int, int] = {}
-        measured: set[int] = set()
-        out = Circuit(self.num_qubits, 0, name=f"{self.name}_deferred")
-        for inst in self.instructions:
-            if inst.name == "barrier":
-                out.instructions.append(Instruction("barrier", inst.qubits))
-                continue
-            if inst.name == "measure":
-                q, c = inst.qubits[0], inst.clbits[0]
-                if c in writer:
-                    raise ValueError(f"clbit {c} written twice; cannot defer")
-                writer[c] = q
-                measured.add(q)
-                continue
-            if inst.name == "reset":
-                raise ValueError("cannot defer measurements in a circuit with reset")
-            for q in inst.qubits:
-                if q in measured:
-                    raise ValueError(
-                        f"qubit {q} reused after measurement; cannot defer"
-                    )
-            if inst.condition is None:
-                out.append(inst.name, inst.qubits, params=inst.params)
-                continue
-            if inst.name not in ("x", "y", "z"):
-                raise ValueError(
-                    f"only Pauli feedback can be deferred, found {inst.name}"
-                )
-            target = inst.qubits[0]
-            controlled = {"x": "cx", "z": "cz"}
-            for c in inst.condition.clbits:
-                source = writer.get(c)
-                if source is None:
-                    raise ValueError(f"condition reads clbit {c} before it is written")
-                if inst.name == "y":
-                    # CY = S CX Sdg on the target.
-                    out.append("sdg", [target])
-                    out.append("cx", [source, target])
-                    out.append("s", [target])
-                else:
-                    out.append(controlled[inst.name], [source, target])
-            if inst.condition.value == 0:
-                # Condition met when parity is 0: complement with one more flip.
-                out.append(inst.name, [target], params=inst.params)
-        return out
-
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ estimator, the Section-6 applications, and the benchmarks submit
 from .cache import CacheStats, ResultCache
 from .cancel import CancelToken, JobCancelled
 from .costmodel import CostModel, DispatchPlan
-from .engine import Engine, EngineStats, SweepPoint, grid_points
+from .engine import Engine, EngineStats, grid_points
 from .job import DEFAULT_BATCH_SIZE, JOB_BACKENDS, Ensemble, Job, JobResult
 from .router import BACKENDS, BackendChoice, BackendRouter
 from .runners import (
@@ -21,10 +21,8 @@ from .runners import (
     batch_rng,
     execute_batch,
     execute_batch_group,
-    execute_batch_outcomes,
 )
 from .scheduler import Scheduler
-from .shm import OutcomeMatrix, SharedOutcomeBuffer
 
 __all__ = [
     "CacheStats",
@@ -35,7 +33,6 @@ __all__ = [
     "DispatchPlan",
     "Engine",
     "EngineStats",
-    "SweepPoint",
     "DEFAULT_BATCH_SIZE",
     "JOB_BACKENDS",
     "BACKENDS",
@@ -49,12 +46,9 @@ __all__ = [
     "BatchStats",
     "GroupStats",
     "WorkerJobMiss",
-    "OutcomeMatrix",
-    "SharedOutcomeBuffer",
     "batch_rng",
     "execute_batch",
     "execute_batch_group",
-    "execute_batch_outcomes",
     "Scheduler",
     "grid_points",
 ]

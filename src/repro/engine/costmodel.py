@@ -54,9 +54,10 @@ class DispatchPlan:
 
     ``pooled=False`` means run every batch inline on the calling thread.
     ``per_batch=True`` keeps the historical one-future-per-batch fan-out
-    (thread pools: no pickling, so grouping buys nothing and would only
-    coarsen trace spans).  Otherwise the job's batches are shipped as
-    ``num_groups`` contiguous batch groups, each reduced in the worker.
+    (thread pools).  Otherwise the job's batches are shipped as
+    ``num_groups`` contiguous batch groups, each run as one kernel call
+    (its batches share history rows) and reduced in the worker.  Thread
+    pools pickle nothing, but grouping would share rows there too.
     """
 
     pooled: bool

@@ -11,11 +11,12 @@ Layers (each independently testable):
 * :class:`~repro.engine.cache.ResultCache` — in-memory + on-disk result
   store keyed on the job hash.
 
-One execution loop: :meth:`Engine.run`, :meth:`Engine.run_many`,
-:meth:`Engine.sweep` and :meth:`Engine.as_completed` all drive the same
-private stream.  It submits *all* pooled batches of *all* non-cached jobs
-to the shared pool at once (futures keyed by ``(job_index, batch_index)``),
-runs the jobs :meth:`Scheduler.decide <repro.engine.scheduler.Scheduler.decide>`
+One execution loop and one result channel: :meth:`Engine.run`,
+:meth:`Engine.run_many` and :meth:`Engine.as_completed` all drive the same
+private stream and return :class:`~repro.engine.job.JobResult` aggregates.
+The stream submits *all* pooled batches of *all* non-cached jobs to the
+shared pool at once (futures keyed by ``(job_index, batch_index)``), runs
+the jobs :meth:`Scheduler.decide <repro.engine.scheduler.Scheduler.decide>`
 keeps inline on the calling thread meanwhile, and reduces each job in
 batch-index order as its futures complete — so a sweep of many small jobs
 keeps every worker busy across job boundaries, and ``run`` is simply a
@@ -33,12 +34,10 @@ import math
 import threading
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, FIRST_EXCEPTION, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
+from collections.abc import Iterator, Mapping, Sequence
 
 from ..obs.runtime import NOOP, Observability
 from .cache import ResultCache
@@ -46,16 +45,10 @@ from .cancel import CancelToken, JobCancelled
 from .costmodel import CostModel
 from .job import Job, JobResult
 from .router import BackendChoice, BackendRouter
-from .runners import (
-    BatchExecutionError,
-    BatchStats,
-    WorkerJobMiss,
-    execute_batch_outcomes,
-)
+from .runners import BatchExecutionError, BatchStats, WorkerJobMiss
 from .scheduler import Scheduler
-from .shm import OutcomeMatrix, SharedOutcomeBuffer
 
-__all__ = ["Engine", "EngineStats", "SweepPoint", "grid_points"]
+__all__ = ["Engine", "EngineStats", "grid_points"]
 
 _log = logging.getLogger("repro.engine")
 
@@ -63,8 +56,9 @@ _log = logging.getLogger("repro.engine")
 def grid_points(grid: Mapping[str, Sequence]):
     """Yield the cartesian product of ``grid`` as parameter dicts.
 
-    Row-major order of the grid's keys — the ordering contract shared by
-    :meth:`Engine.sweep` and :meth:`repro.api.Experiment.sweep`.
+    Row-major order of the grid's keys — the ordering contract of
+    :meth:`repro.api.Experiment.sweep`.  A job-level sweep is
+    ``engine.run_many([make_job(**p) for p in grid_points(grid)])``.
     """
     keys = list(grid)
     for combo in itertools.product(*(grid[k] for k in keys)):
@@ -81,7 +75,7 @@ class EngineStats:
       pipelining jobs overlap, so this total can exceed the actual wall
       clock (it measures work, not latency);
     * ``elapsed`` is the true wall clock, measured at the outermost
-      ``run``/``run_many``/``sweep`` call (nested calls are not double
+      ``run``/``run_many``/``as_completed`` call (nested calls are not double
       counted) — the denominator for throughput (``shots / elapsed``).
     """
 
@@ -112,14 +106,6 @@ class EngineStats:
             "execute_time": self.execute_time,
             "backends": dict(self.backends),
         }
-
-
-@dataclass
-class SweepPoint:
-    """One grid point of a parameter sweep."""
-
-    params: dict
-    result: JobResult
 
 
 @dataclass
@@ -372,142 +358,16 @@ class Engine:
         if pending:
             yield from self._pipeline(pending, parent_id, cancel)
 
-    def sweep(
-        self,
-        make_job: Callable[..., Job],
-        grid: Mapping[str, Sequence],
-        *,
-        cancel: CancelToken | None = None,
-    ) -> list[SweepPoint]:
-        """Run ``make_job(**params)`` over the cartesian product of ``grid``.
-
-        Returns one :class:`SweepPoint` per grid point, in row-major order
-        of the grid's keys.  All points' batches share the worker pool
-        (see :meth:`run_many`).
-        """
-        params_list = list(grid_points(grid))
-        jobs = [make_job(**params) for params in params_list]
-        with self._toplevel():
-            results = self.run_many(jobs, cancel=cancel)
-        return [
-            SweepPoint(params=params, result=result)
-            for params, result in zip(params_list, results)
-        ]
-
-    def sample_outcomes(
-        self,
-        job: Job,
-        *,
-        forced_outcomes: tuple[int, ...] | None = None,
-        cancel: CancelToken | None = None,
-    ) -> OutcomeMatrix:
-        """Every shot's classical register as one ``(shots, num_clbits)`` matrix.
-
-        The cross-validation surface: rows come from exactly the RNG
-        substreams the aggregate path consumes, so a ``Counter`` over the
-        rows equals :meth:`run`'s counts at equal seeds, and row order is
-        the deterministic batch-partition order.  On a process pool each
-        batch writes its rows into one shared-memory segment *in place*
-        (nothing crosses the IPC boundary by value); the returned handle
-        owns the segment — use it as a context manager, or ``close()`` it,
-        and take :meth:`~repro.engine.shm.OutcomeMatrix.copy` for data that
-        must outlive the handle.
-
-        ``forced_outcomes`` forces collapse outcomes in program order for
-        every shot (the batched analogue of the reference interpreter's
-        branch forcing).
-        """
-        cancel = self._cancel_for(cancel)
-        if job.mode == "exact":
-            raise ValueError("exact-mode jobs have no per-shot outcomes to sample")
-        if job.ensembles:
-            raise ValueError(
-                "outcome matrices require a fixed initial state; ensemble draws "
-                "are grouped by component and would reorder rows"
-            )
-        choice = self.router.select(job)
-        backend = (
-            choice.name
-            if choice.name in ("statevector", "statevector-ref")
-            else "statevector"
-        )
-        batches = self.scheduler.plan(job)
-        offsets = []
-        offset = 0
-        for batch in batches:
-            offsets.append(offset)
-            offset += batch.shots
-        num_clbits = job.circuit.num_clbits
-        pooled = self.scheduler.process_pooled and len(batches) > 1
-        tracer = self.obs.tracer
-        span = tracer.begin(
-            "engine.outcomes", shots=job.shots, backend=backend, shared=pooled
-        )
-        error = None
-        try:
-            if not pooled:
-                matrix = np.zeros((job.shots, num_clbits), dtype=np.uint8)
-                for batch, row_offset in zip(batches, offsets):
-                    if cancel is not None:
-                        cancel.raise_if_cancelled()
-                    piece = execute_batch_outcomes(
-                        job,
-                        batch,
-                        backend,
-                        row_offset=row_offset,
-                        forced_outcomes=forced_outcomes,
-                    )
-                    matrix[row_offset : row_offset + batch.shots] = piece.clbits
-                return OutcomeMatrix(matrix)
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            buffer = SharedOutcomeBuffer.create(job.shots, num_clbits)
-            try:
-                futures = [
-                    self.scheduler.submit_outcomes(
-                        job,
-                        batch,
-                        backend,
-                        row_offset=row_offset,
-                        shm_spec=buffer.spec(),
-                        forced_outcomes=forced_outcomes,
-                    )
-                    for batch, row_offset in zip(batches, offsets)
-                ]
-                done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-                failed = next(
-                    (
-                        f
-                        for f in done
-                        if not f.cancelled() and f.exception() is not None
-                    ),
-                    None,
-                )
-                if failed is not None:
-                    self.scheduler.cancel_and_drain(not_done)
-                    exc = failed.exception()
-                    raise BatchExecutionError(
-                        f"outcome batch failed on backend {backend!r}: {exc}"
-                    ) from exc
-            except BaseException:
-                buffer.close()
-                raise
-            return OutcomeMatrix(buffer.array, buffer)
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            tracer.end(span, error=error)
-
     @contextmanager
     def _toplevel(self):
         """Accumulate ``stats.elapsed`` on the outermost engine call only.
 
-        ``sweep`` → ``run_many`` → ``as_completed`` all pass through here;
-        the depth guard (per thread, so concurrent service calls do not
-        corrupt each other's nesting) makes sure true wall clock is
-        counted exactly once per user-facing call, never summed across
-        the nesting.
+        ``run``, ``run_many`` and ``as_completed`` each enter here once.
+        The depth guard (per thread, so concurrent service calls do not
+        corrupt each other's nesting) makes sure a call made while another
+        call's stream is still open on the same thread (say, between two
+        ``as_completed`` yields) is not counted on top of it, so true wall
+        clock is never summed across the nesting.
         """
         depth = getattr(self._tls, "depth", 0)
         self._tls.depth = depth + 1

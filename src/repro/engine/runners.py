@@ -40,7 +40,7 @@ from threading import Lock
 import numpy as np
 
 from ..obs.trace import span_record
-from ..sim.batched import Segment, run_batched, run_segments
+from ..sim.batched import Segment, run_segments
 from ..sim.batched_stabilizer import (
     FrameProgram,
     StabilizerProgram,
@@ -58,19 +58,16 @@ from ..sim.statevector import StatevectorSimulator
 from ..sim.tableau import TableauSimulator
 from ..utils.states import assemble_initial_state
 from .job import Job
-from .shm import SharedOutcomeBuffer
 
 __all__ = [
     "Batch",
     "BatchExecutionError",
     "BatchStats",
     "GroupStats",
-    "OutcomeSlice",
     "WorkerJobMiss",
     "batch_rng",
     "execute_batch",
     "execute_batch_group",
-    "execute_batch_outcomes",
     "worker_cache_info",
 ]
 
@@ -200,23 +197,6 @@ class GroupStats:
     @property
     def num_batches(self) -> int:
         return len(self.indices)
-
-
-@dataclass
-class OutcomeSlice:
-    """One batch's contribution to a full outcome matrix.
-
-    ``clbits`` is the batch's ``(shots, num_clbits)`` rows when they
-    travelled by value (serial/thread executors) and ``None`` when the
-    worker already wrote them into the shared-memory segment at
-    ``row_offset``.
-    """
-
-    index: int
-    row_offset: int
-    shots: int
-    execute_time: float = 0.0
-    clbits: np.ndarray | None = None
 
 
 def batch_rng(seed: int, index: int) -> np.random.Generator:
@@ -703,89 +683,3 @@ def execute_batch_group(
             batches=len(batches),
         )
     return group
-
-
-# ----------------------------------------------------------------------
-# Full outcome matrices (shared-memory result buffers)
-# ----------------------------------------------------------------------
-def execute_batch_outcomes(
-    job: Job,
-    batch: Batch,
-    backend: str,
-    row_offset: int = 0,
-    shm_spec: tuple[str, int, int] | None = None,
-    forced_outcomes: tuple[int, ...] | None = None,
-) -> OutcomeSlice:
-    """Run one batch and return its raw ``(shots, num_clbits)`` rows.
-
-    Consumes exactly the same RNG substream as :func:`execute_batch`'s
-    aggregate path, so the outcome rows are the very shots whose counts
-    the engine would report.  With ``shm_spec`` the rows are written in
-    place into the parent-owned shared segment at ``row_offset`` (workers
-    never overlap: offsets come from the deterministic batch partition)
-    and nothing crosses the IPC boundary by value; otherwise the rows
-    travel in the returned slice (serial/thread executors).
-    """
-    if job.ensembles:
-        raise ValueError(
-            "outcome matrices require a fixed initial state; ensemble draws are "
-            "grouped by component and would reorder rows"
-        )
-    rng = batch_rng(job.seed, batch.index)
-    noise = job.noise if job.noise is not None and not job.noise.is_noiseless else None
-    execute_start = time.perf_counter()
-    if backend == "statevector":
-        kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
-        program = get_compiled(
-            job.circuit,
-            gate_noise=noise is not None and noise.has_gate_noise,
-            link_noise=noise is not None and noise.has_link_noise,
-        )
-        clbits = run_batched(
-            program,
-            batch.shots,
-            kernel_rng,
-            noise=noise,
-            initial_state=job.initial_state,
-            forced_outcomes=forced_outcomes,
-        ).clbits
-    elif backend == "statevector-ref":
-        simulator = StatevectorSimulator(seed=int(rng.integers(2**63)), noise=job.noise)
-        rows = []
-        for _ in range(batch.shots):
-            result = simulator.run(
-                job.circuit,
-                initial_state=job.initial_state,
-                forced_outcomes=forced_outcomes,
-            )
-            rows.append(result.clbits)
-        clbits = np.array(rows, dtype=np.uint8).reshape(
-            batch.shots, job.circuit.num_clbits
-        )
-    else:
-        raise ValueError(f"backend {backend!r} does not produce outcome matrices")
-    execute_time = time.perf_counter() - execute_start
-
-    if shm_spec is not None:
-        name, total_shots, num_clbits = shm_spec
-        buffer = SharedOutcomeBuffer.attach(name, total_shots, num_clbits)
-        try:
-            if num_clbits:
-                target = buffer.array
-                target[row_offset : row_offset + batch.shots] = clbits
-                del target
-        finally:
-            buffer.close()
-        return OutcomeSlice(
-            index=batch.index,
-            row_offset=row_offset,
-            shots=batch.shots,
-            execute_time=execute_time,
-        )
-    return OutcomeSlice(
-        index=batch.index,
-        row_offset=row_offset,
-        shots=batch.shots,
-        execute_time=execute_time,
-        clbits=clbits,
-    )

@@ -29,9 +29,11 @@ protocol: a job's full payload and its parent-compiled program ship with
 the first ``workers`` groups; later groups carry only the job's content
 hash and ride the worker-resident caches.  A worker that never saw the
 payload raises ``WorkerJobMiss`` and the engine resubmits the group with
-the payload attached.  Thread pools keep the historical
-one-future-per-batch shape — nothing is pickled, so grouping would only
-coarsen spans.
+the payload attached.  A group also runs as one shot-branching kernel
+call, so its batches share history rows.  Thread pools still keep the
+historical one-future-per-batch shape: nothing is pickled there, but
+grouping them (and inline jobs) would share rows the same way and is not
+done yet.
 
 :meth:`Scheduler.cancel_and_drain` is where the pool-stays-reusable
 invariant lives: after a failure or a cancel, every not-yet-started batch
@@ -70,7 +72,6 @@ from .runners import (
     _warm_worker,
     execute_batch,
     execute_batch_group,
-    execute_batch_outcomes,
 )
 
 __all__ = ["Scheduler"]
@@ -169,7 +170,8 @@ class Scheduler:
         """How this job's batches should be dispatched.
 
         Exact-distribution jobs and serial schedulers always run inline.
-        Thread pools keep the historical one-future-per-batch fan-out.
+        Thread pools keep the historical one-future-per-batch fan-out,
+        so they forgo the kernel-row sharing a batch group gets.
         Process pools ship batch groups sized by the cost model; with
         ``executor="auto"`` the cost model may also veto pooling entirely
         (a job smaller than its own dispatch overhead stays on the calling
@@ -253,26 +255,6 @@ class Scheduler:
                 pass
         return self._ensure_pool().submit(
             execute_batch_group, payload, job_key, group, backend, trace, program
-        )
-
-    def submit_outcomes(
-        self,
-        job: Job,
-        batch: Batch,
-        backend: str,
-        row_offset: int = 0,
-        shm_spec: tuple[str, int, int] | None = None,
-        forced_outcomes: tuple[int, ...] | None = None,
-    ) -> Future:
-        """Submit one raw-outcome batch (shared-memory result path)."""
-        return self._ensure_pool().submit(
-            execute_batch_outcomes,
-            job,
-            batch,
-            backend,
-            row_offset,
-            shm_spec,
-            forced_outcomes,
         )
 
     def note_group(self, stats) -> None:

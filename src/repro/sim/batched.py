@@ -108,16 +108,12 @@ def run_batched(
     *,
     noise: NoiseModel | None = None,
     initial_state: np.ndarray | None = None,
-    forced_outcomes: Sequence[int] | None = None,
     return_states: bool = False,
 ) -> BatchRunResult:
     """Run ``shots`` trajectories of a compiled program as one batch.
 
     ``initial_state`` may be ``None`` (|0...0>), a shared ``(dim,)`` vector,
-    or a per-shot ``(shots, dim)`` array.  ``forced_outcomes`` supplies
-    collapse outcomes (applied to *every* shot of the batch) for measure and
-    reset sites in program order — the batched analogue of the reference
-    interpreter's branch forcing; forcing a zero-probability branch raises.
+    or a per-shot ``(shots, dim)`` array.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -125,7 +121,6 @@ def run_batched(
         program,
         [Segment(rng, shots, initial_state)],
         noise=noise,
-        forced_outcomes=forced_outcomes,
         return_states=return_states,
     )
 
@@ -135,13 +130,11 @@ def run_segments(
     segments: Sequence[Segment],
     *,
     noise: NoiseModel | None = None,
-    forced_outcomes: Sequence[int] | None = None,
     return_states: bool = False,
 ) -> BatchRunResult:
     """Run several segments, packed into as few kernel calls as memory allows.
 
-    Rows of the result follow the segments' order.  ``forced_outcomes``
-    (see :func:`run_batched`) puts every chunk in a call of its own.
+    Rows of the result follow the segments' order.
     """
     if noise is not None and noise.is_noiseless:
         noise = None
@@ -165,13 +158,13 @@ def run_segments(
     clbits = np.zeros((total, program.num_clbits), dtype=np.uint8)
     states = np.empty((total, dim), dtype=complex) if return_states else None
     result = BatchRunResult(clbits=clbits, states=states)
-    for call in _plan_calls(segments, offsets, dim, forced_outcomes is not None):
-        _run_call(program, call, noise, forced_outcomes, result)
+    for call in _plan_calls(segments, offsets, dim):
+        _run_call(program, call, noise, result)
     return result
 
 
 def _plan_calls(
-    segments: Sequence[Segment], offsets: np.ndarray, dim: int, forced: bool
+    segments: Sequence[Segment], offsets: np.ndarray, dim: int
 ) -> list[list[tuple]]:
     """Cut segments into chunks and pack the chunks into calls.
 
@@ -202,7 +195,7 @@ def _plan_calls(
             if round_index >= len(queue):
                 continue
             piece = queue[round_index]
-            if current and (forced or (held + piece[3]) * dim > MAX_CHUNK_AMPLITUDES):
+            if current and (held + piece[3]) * dim > MAX_CHUNK_AMPLITUDES:
                 calls.append(current)
                 current, held = [], 0
             current.append(piece)
@@ -327,7 +320,6 @@ def _run_call(
     program: CompiledProgram,
     pieces: list[tuple],
     noise: NoiseModel | None,
-    forced_outcomes: Sequence[int] | None,
     result: BatchRunResult,
 ) -> None:
     """Evolve the pieces of one call and write their rows into ``result``."""
@@ -337,7 +329,6 @@ def _run_call(
     gens = [piece[0] for piece in pieces]
     starts = np.cumsum([0] + [piece[3] for piece in pieces]).tolist()
     clbits = np.zeros((shots, program.num_clbits), dtype=np.uint8)
-    forced_iter = iter(forced_outcomes) if forced_outcomes is not None else None
     rows = _Rows(pieces, program.dim)
 
     for op in ops:
@@ -352,7 +343,7 @@ def _run_call(
                 active = None
         edges = starts if active is None else np.searchsorted(active, starts).tolist()
         if op.kind in ("measure", "reset"):
-            outcomes = _collapse_site(rows, op, n, gens, edges, forced_iter, active)
+            outcomes = _collapse_site(rows, op, n, gens, edges, active)
             if op.kind == "measure":
                 flip_rate = noise.meas_flip_rate(op.qpu) if noise is not None else 0.0
                 if flip_rate > 0.0:
@@ -398,10 +389,9 @@ def _collapse_site(
     num_qubits: int,
     gens: list,
     edges: list[int],
-    forced_iter,
     active: np.ndarray | None,
 ) -> np.ndarray:
-    """Sample (or force) a Z-basis collapse and split rows by outcome.
+    """Sample a Z-basis collapse and split rows by outcome.
 
     Returns the uint8 outcome of every active shot.  A reset then flips
     the rows that collapsed onto |1>.
@@ -414,13 +404,7 @@ def _collapse_site(
         held = np.unique(parents)
         p0 = _zero_probability(rows.buf[held], qubit, num_qubits)
         p0 = p0[np.searchsorted(held, parents)]
-    if forced_iter is not None:
-        forced = next(forced_iter)
-        if forced not in (0, 1):
-            raise ValueError("forced outcomes must be 0 or 1")
-        outcomes = np.full(p0.size, forced, dtype=np.uint8)
-    else:
-        outcomes = (_uniforms(gens, edges) >= p0).astype(np.uint8)
+    outcomes = (_uniforms(gens, edges) >= p0).astype(np.uint8)
     targets, kept = rows.branch(active, outcomes, 2)
     if targets.size == rows.count:
         by_row = np.empty(rows.count, dtype=np.uint8)

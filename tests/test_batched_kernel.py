@@ -158,36 +158,6 @@ class TestKernelVsReference:
         # All four measurement branches appear.
         assert set(out.clbit_strings()) == {"00", "01", "10", "11"}
 
-    def test_forced_outcomes_cover_measure_and_reset(self):
-        circuit = Circuit(1, 1).h(0).measure(0, 0)
-        out = run_batched(
-            get_compiled(circuit),
-            3,
-            np.random.default_rng(0),
-            forced_outcomes=[1],
-            return_states=True,
-        )
-        assert all(s == "1" for s in out.clbit_strings())
-        assert np.allclose(np.abs(out.states[:, 1]), 1.0)
-
-        resetting = Circuit(1, 0).h(0).reset(0)
-        out = run_batched(
-            get_compiled(resetting),
-            2,
-            np.random.default_rng(0),
-            forced_outcomes=[1],
-            return_states=True,
-        )
-        # Forced onto the |1> branch, then reset flips back to |0>.
-        assert np.allclose(np.abs(out.states[:, 0]), 1.0)
-
-    def test_forcing_zero_probability_branch_raises(self):
-        circuit = Circuit(1, 1).measure(0, 0)  # state |0>, outcome 1 impossible
-        with pytest.raises(RuntimeError):
-            run_batched(
-                get_compiled(circuit), 2, np.random.default_rng(0), forced_outcomes=[1]
-            )
-
     def test_reset_in_superposition_lands_in_zero(self):
         circuit = Circuit(2).h(0).cx(0, 1).reset(0)
         out = run_batched(

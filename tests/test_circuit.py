@@ -159,50 +159,6 @@ class TestToUnitary:
             c.to_unitary()
 
 
-class TestDeferMeasurements:
-    def test_defers_measure_and_x_feedback(self):
-        c = Circuit(2, 1)
-        c.h(0).measure(0, 0)
-        c.x(1, condition=Condition((0,), 1))
-        deferred = c.defer_measurements()
-        assert deferred.num_measurements() == 0
-        names = [i.name for i in deferred]
-        assert "cx" in names
-
-    def test_defer_value_zero_adds_complement(self):
-        c = Circuit(2, 1)
-        c.measure(0, 0)
-        c.x(1, condition=Condition((0,), 0))
-        deferred = c.defer_measurements()
-        names = [i.name for i in deferred]
-        assert names.count("x") == 1 and "cx" in names
-
-    def test_defer_rejects_reuse(self):
-        c = Circuit(1, 1)
-        c.measure(0, 0).h(0)
-        with pytest.raises(ValueError):
-            c.defer_measurements()
-
-    def test_defer_rejects_reset(self):
-        c = Circuit(1, 1).measure(0, 0)
-        c.reset(0)
-        with pytest.raises(ValueError):
-            c.defer_measurements()
-
-    def test_defer_rejects_non_pauli_feedback(self):
-        c = Circuit(2, 1).measure(0, 0)
-        c.h(1, condition=Condition((0,), 1))
-        with pytest.raises(ValueError):
-            c.defer_measurements()
-
-    def test_defer_y_feedback(self):
-        c = Circuit(2, 1)
-        c.h(0).measure(0, 0)
-        c.y(1, condition=Condition((0,), 1))
-        deferred = c.defer_measurements()
-        assert deferred.num_measurements() == 0
-
-
 class TestDepth:
     def test_empty_circuit(self):
         assert Circuit(2).depth() == 0

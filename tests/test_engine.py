@@ -15,6 +15,7 @@ from repro.engine import (
     ResultCache,
     Scheduler,
     batch_rng,
+    grid_points,
 )
 from repro.sim import NoiseModel
 from repro.utils import random_density_matrix, random_pure_state
@@ -275,11 +276,13 @@ class TestEngineFacade:
         def make_job(shots, seed):
             return small_sv_job(seed=seed, shots=shots)
 
+        params = list(grid_points({"shots": [50, 100], "seed": [1, 2]}))
         with Engine() as engine:
-            points = engine.sweep(make_job, {"shots": [50, 100], "seed": [1, 2]})
-        assert len(points) == 4
-        assert points[0].params == {"shots": 50, "seed": 1}
-        assert {p.result.shots for p in points} == {50, 100}
+            results = engine.run_many([make_job(**p) for p in params])
+        assert len(results) == 4
+        assert params[0] == {"shots": 50, "seed": 1}
+        assert [r.shots for r in results] == [p["shots"] for p in params]
+        assert {r.shots for r in results} == {50, 100}
 
     def test_exact_mode_probabilities(self):
         job = Job(

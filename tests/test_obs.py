@@ -12,6 +12,7 @@ envelope round-trips with and without the ``observability`` key, and the
 
 import json
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -322,14 +323,17 @@ class TestStatsSatellites:
         )
 
     def test_elapsed_sweep_counts_once(self):
+        jobs = [
+            Job(circuit=ghz_sampling_circuit(), shots=shots, seed=5, batch_size=100)
+            for shots in (200, 400)
+        ]
         with Engine(workers=2, executor="thread") as engine:
-            engine.sweep(
-                lambda shots: Job(
-                    circuit=ghz_sampling_circuit(), shots=shots, seed=5, batch_size=100
-                ),
-                {"shots": [200, 400]},
-            )
+            start = time.perf_counter()
+            engine.run_many(jobs)
+            wall = time.perf_counter() - start
             elapsed_after_sweep = engine.stats.elapsed
+            # run_many -> as_completed -> the stream nest; counted once.
+            assert 0.0 < elapsed_after_sweep <= wall
             engine.run(make_jobs(count=1)[0])
         # run() added its own elapsed on top of the sweep's single share.
         assert engine.stats.elapsed > elapsed_after_sweep

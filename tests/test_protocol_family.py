@@ -9,7 +9,13 @@ and exercises the extended analysis/accounting surface.
 import numpy as np
 import pytest
 
-from repro.analysis.link_noise import crossover_link_rate, protocol_comparison
+from repro.analysis.link_noise import (
+    _crossover,
+    _family_events,
+    _initial_slope,
+    crossover_link_rate,
+    protocol_comparison,
+)
 from repro.api import Experiment, NetworkSpec
 from repro.circuits import recycle_qubits
 from repro.core import (
@@ -20,6 +26,7 @@ from repro.core import (
     family_builds,
     protocol_job,
 )
+from repro.network.bell import BellEvent
 from repro.resources.measured import SCHEMES, measure_scheme_cost
 from repro.sim.density import DensitySimulator
 from repro.utils.states import assemble_initial_state
@@ -246,10 +253,6 @@ class TestFamilyAnalysis:
         for row in rows:
             assert row["physical_pairs"] >= row["logical_pairs"]
 
-    def test_crossover_legacy_scalar_path_unchanged(self):
-        value = crossover_link_rate(2, 4, grid=[0.05, 0.2, 0.45])
-        assert value is None or isinstance(value, float)
-
     def test_crossover_family_mode_ranks_per_topology(self):
         # Acceptance criterion: a per-topology ranking including COMPAS
         # and at least two family alternatives under the same NetworkSpec.
@@ -258,7 +261,6 @@ class TestFamilyAnalysis:
             4,
             schemes=FAMILY,
             topologies=("line", "ring"),
-            grid=[i / 50 for i in range(1, 26)],
             network=NetworkSpec(link_depolarizing=0.02),
         )
         assert set(comparison) == {"line", "ring"}
@@ -269,7 +271,65 @@ class TestFamilyAnalysis:
             assert [row["rank"] for row in rows] == list(range(1, len(rows) + 1))
             for row in rows:
                 crossover = row["crossover_vs_naive"]
-                assert crossover is None or 0.0 < crossover <= 0.5
+                assert crossover in ("always", "never") or 0.0 < crossover <= 0.5
+
+    def test_crossover_is_a_real_sign_change(self):
+        # n=4, k=8 on the line: COMPAS teledata starts ahead of naive
+        # (initial slope 32.5 vs 42) and falls behind near p_link = 0.27.
+        [row] = [
+            row
+            for row in crossover_link_rate(
+                4, 8, schemes=("compas-teledata", "naive"), topologies=("line",)
+            )["line"]
+            if row["scheme"] == "compas-teledata"
+        ]
+        crossover = row["crossover_vs_naive"]
+        assert isinstance(crossover, float)
+        assert abs(crossover - 0.27) <= 0.0025
+
+        def gap(p_link):
+            ranked = protocol_comparison(
+                4, 8, NetworkSpec(link_depolarizing=p_link),
+                schemes=("compas-teledata", "naive"),
+            )
+            bounds = {r["scheme"]: r["bound"] for r in ranked}
+            return bounds["compas-teledata"] - bounds["naive"]
+
+        assert gap(crossover - 1e-5) > 0.0 > gap(crossover)
+        assert gap(crossover / 2) > 0.0
+
+    def test_crossover_from_zero_is_always_not_a_grid_point(self):
+        # n=1, k=4 on the line: naive's 3 short events have the smallest
+        # initial slope, so every other member is behind from p_link -> 0+.
+        rows = crossover_link_rate(1, 4, topologies=("line",))["line"]
+        outcome = {row["scheme"]: row["crossover_vs_naive"] for row in rows}
+        assert outcome.pop("naive") == "never"
+        assert set(outcome.values()) == {"always"}
+        tiny = {
+            r["scheme"]: r["bound"]
+            for r in protocol_comparison(1, 4, NetworkSpec(link_depolarizing=1e-4))
+        }
+        for scheme in outcome:
+            assert tiny[scheme] < tiny["naive"]
+
+    @pytest.mark.parametrize("n, k", [(1, 4), (4, 8)])
+    def test_initial_slope_is_the_bounds_derivative(self, n, k):
+        # "always" rests on the analytic slope sum(c h): it must be the
+        # bound's one-sided derivative at p_link = 0.
+        p_link = 1e-7
+        for row in protocol_comparison(n, k, NetworkSpec(link_depolarizing=p_link)):
+            slope = _initial_slope(_family_events(row["scheme"], n, k, None))
+            assert (1.0 - row["bound"]) / p_link == pytest.approx(slope, rel=1e-4)
+
+    def test_crossover_outcomes_on_nested_event_lists(self):
+        naive = [
+            BellEvent("qpu0", "qpu3", 3, "naive-redistribute"),
+            BellEvent("qpu0", "qpu2", 2, "ghz-fusion"),
+        ]
+        # A subset of naive's pairs is never behind; a superset always is.
+        assert _crossover(naive[:1], naive) == "never"
+        assert _crossover(naive, naive) == "never"
+        assert _crossover(naive + naive[1:], naive) == "always"
 
     def test_crossover_rejects_unknown_topology(self):
         with pytest.raises(ValueError, match="topology"):

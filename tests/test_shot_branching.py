@@ -17,10 +17,11 @@ import pytest
 from repro.api import Experiment, NetworkSpec
 from repro.circuits import Circuit, Condition
 from repro.core import build_monolithic_swap_test, build_nparty_hadamard, protocol_job
-from repro.engine import Batch, Engine, Job
+from repro.engine import Batch, Engine, Job, Scheduler, batch_rng
 from repro.engine.runners import _init_pool_worker, execute_batch, execute_batch_group
 from repro.obs import Observability, build_run_report
 from repro.sim import NoiseModel, get_compiled
+from repro.sim.batched import run_batched
 from repro.utils.states import random_pure_state
 
 
@@ -175,10 +176,20 @@ class TestGoldenBits:
             counts = engine.run(self.feedback_job()).counts
         assert counts_digest(counts) == FEEDBACK_DIGEST
 
-    def test_sample_outcomes_rows(self):
-        with Engine(workers=2, executor="process", cache=False) as engine:
-            with engine.sample_outcomes(self.feedback_job()) as matrix:
-                rows = matrix.copy()
+    def test_per_shot_rows(self):
+        # Every shot's register, batch after batch, from each batch's own
+        # kernel substream: the rows behind the engine's counts.
+        job = self.feedback_job()
+        program = get_compiled(job.circuit, gate_noise=True)
+        pieces = []
+        for batch in Scheduler().plan(job):
+            rng = batch_rng(job.seed, batch.index)
+            kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
+            pieces.append(
+                run_batched(program, batch.shots, kernel_rng, noise=job.noise).clbits
+            )
+        rows = np.concatenate(pieces)
+        assert rows.shape == (1_500, 4)
         assert hashlib.sha256(rows.tobytes()).hexdigest() == FEEDBACK_ROWS_DIGEST
 
     def test_wide_batches_run_in_chunks(self):

@@ -21,7 +21,7 @@ import pytest
 from repro.api import Experiment
 from repro.circuits import Circuit
 from repro.core import build_monolithic_swap_test, swap_test_job
-from repro.engine import BatchExecutionError, Engine, Job, ResultCache
+from repro.engine import BatchExecutionError, Engine, Job, ResultCache, grid_points
 from repro.utils import random_density_matrix, random_pure_state
 
 
@@ -71,15 +71,13 @@ class TestPipelinedExecution:
         def make_job(seed):
             return small_sv_job(seed=seed)
 
-        grid = {"seed": [7, 8, 9]}
+        params = list(grid_points({"seed": [7, 8, 9]}))
         with Engine(workers=1) as serial:
-            base = serial.sweep(make_job, grid)
+            base = serial.run_many([make_job(**p) for p in params])
         with Engine(workers=4) as pooled:
-            piped = pooled.sweep(make_job, grid)
-        assert [p.params for p in piped] == [p.params for p in base]
-        assert [result_bits(p.result) for p in piped] == [
-            result_bits(p.result) for p in base
-        ]
+            piped = pooled.run_many([make_job(**p) for p in params])
+        assert [r.job_hash for r in piped] == [make_job(**p).content_hash() for p in params]
+        assert [result_bits(r) for r in piped] == [result_bits(r) for r in base]
 
     def test_as_completed_yields_every_job_once(self):
         jobs = [small_sv_job(seed=s) for s in self.SEEDS]

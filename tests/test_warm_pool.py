@@ -1,4 +1,4 @@
-"""Tests for the warm process-pool path: batch groups, shared memory, cost model.
+"""Tests for the warm process-pool path: batch groups and the cost model.
 
 The load-bearing invariant under test: results are bit-identical at any
 worker count and any dispatch shape, because RNG substreams depend only on
@@ -19,8 +19,6 @@ from repro.engine import (
     Engine,
     GroupStats,
     Job,
-    OutcomeMatrix,
-    SharedOutcomeBuffer,
     WorkerJobMiss,
 )
 from repro.engine.runners import (
@@ -28,7 +26,6 @@ from repro.engine.runners import (
     _init_pool_worker,
     execute_batch,
     execute_batch_group,
-    execute_batch_outcomes,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Observability
@@ -235,75 +232,6 @@ class TestCancelAndDrain:
                 engine.run_many([sv_job(seed=1), bad])
             results = engine.run_many([sv_job(), sv_job(seed=2)])
         assert results[0].counts == serial_results["sv"].counts
-
-
-class TestSharedMemoryOutcomes:
-    def test_serial_rows_reproduce_counts(self):
-        job = sv_job(shots=500)
-        with Engine(workers=1, executor="serial") as engine:
-            base = engine.run(job)
-            with engine.sample_outcomes(sv_job(shots=500)) as matrix:
-                assert not matrix.shared
-                rows = ["".join(str(int(b)) for b in row) for row in matrix.array]
-        assert Counter(rows) == Counter(base.counts)
-
-    def test_pooled_rows_identical_to_serial(self):
-        with Engine(workers=1, executor="serial") as serial:
-            with serial.sample_outcomes(sv_job(shots=500)) as matrix:
-                expected = matrix.copy()
-        with Engine(workers=2, executor="process") as engine:
-            with engine.sample_outcomes(sv_job(shots=500)) as matrix:
-                assert matrix.shared
-                np.testing.assert_array_equal(matrix.array, expected)
-
-    def test_buffer_lifetime_and_copy(self):
-        buffer = SharedOutcomeBuffer.create(10, 4)
-        view = buffer.array
-        view[:] = 7
-        attached = SharedOutcomeBuffer.attach(buffer.name, 10, 4)
-        np.testing.assert_array_equal(attached.copy(), np.full((10, 4), 7))
-        attached.close()
-        del view
-        copy = buffer.copy()
-        buffer.close()
-        buffer.close()  # idempotent
-        np.testing.assert_array_equal(copy, np.full((10, 4), 7))
-        with pytest.raises(ValueError):
-            _ = buffer.array
-
-    def test_outcome_matrix_close_releases(self):
-        matrix = OutcomeMatrix(np.zeros((3, 2), dtype=np.uint8))
-        assert not matrix.shared
-        matrix.close()
-        with pytest.raises(ValueError):
-            _ = matrix.array
-
-    def test_forced_outcomes_and_offsets(self):
-        job = sv_job(shots=100)
-        piece = execute_batch_outcomes(
-            job, Batch(0, 40), "statevector", forced_outcomes=(0, 0, 0)
-        )
-        assert piece.clbits.shape == (40, 3)
-        assert not piece.clbits.any()
-
-    def test_ensembles_rejected(self):
-        job = sv_job()
-        with Engine(workers=1, executor="serial") as engine:
-            with pytest.raises(ValueError, match="exact-mode"):
-                engine.sample_outcomes(
-                    Job(circuit=sv_circuit(), shots=1, seed=0, mode="exact")
-                )
-        with pytest.raises(ValueError, match="fixed initial state"):
-            execute_batch_outcomes(
-                Job(
-                    circuit=sv_circuit(),
-                    shots=10,
-                    seed=0,
-                    ensembles=(_one_qubit_ensemble(),),
-                ),
-                Batch(0, 10),
-                "statevector",
-            )
 
 
 def _one_qubit_ensemble():
