@@ -120,8 +120,9 @@ def _crossover(events: Sequence[BellEvent], naive: Sequence[BellEvent]) -> float
     """Smallest ``p_link`` at which ``events``' bound falls below naive's.
 
     ``"always"`` when it is already below as ``p_link -> 0+`` (a steeper
-    initial slope), ``"never"`` when no sign change lies in (0, 0.5];
-    otherwise the first sign change, bracketed on a scan and bisected.
+    initial slope, or an equal one whose bisection never leaves 0),
+    ``"never"`` when no sign change lies in (0, 0.5]; otherwise the first
+    sign change, bracketed on a scan and bisected.
     """
     from ..api.specs import NetworkSpec
 
@@ -147,7 +148,7 @@ def _crossover(events: Sequence[BellEvent], naive: Sequence[BellEvent]) -> float
             high = mid
         else:
             low = mid
-    return high
+    return high if low > 0.0 else "always"
 
 
 def crossover_link_rate(

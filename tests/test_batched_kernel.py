@@ -167,6 +167,72 @@ class TestKernelVsReference:
         assert np.allclose(tensor[:, 1, :], 0.0)  # qubit 0 always |0>
 
 
+def _controlled_deferral(circuit: Circuit, gate: str, control: int, target: int, value: int):
+    """Append the coherent controlled-``gate`` that feedback on ``control``
+    defers to: ``value`` 0 conditions on |0>, i.e. X-conjugated control."""
+    if value == 0:
+        circuit.x(control)
+    if gate == "x":
+        circuit.cx(control, target)
+    elif gate == "y":
+        circuit.sdg(target).cx(control, target).s(target)  # S X S^dag = Y
+    else:
+        circuit.cz(control, target)
+    if value == 0:
+        circuit.x(control)
+
+
+class TestDeferredMeasurement:
+    """Mid-circuit measurement + Pauli feedback = deferred controlled Pauli.
+
+    The kernel's per-shot post-measurement state, in every branch, must
+    equal the state of the circuit that applies the controlled gate
+    coherently and measures at the end (the principle of deferred
+    measurement), from an arbitrary entangled input.
+    """
+
+    @staticmethod
+    def _branch_states(circuit, initial_state):
+        out = run_batched(
+            get_compiled(circuit),
+            64,
+            np.random.default_rng(3),
+            initial_state=initial_state,
+            return_states=True,
+        )
+        keys = np.array(out.clbit_strings())
+        return {key: out.states[keys == key] for key in set(keys)}
+
+    def _assert_same_branches(self, feedback, deferred, num_qubits, measured):
+        psi = random_pure_state(num_qubits, np.random.default_rng(8))
+        got = self._branch_states(feedback, psi)
+        want = self._branch_states(deferred, psi)
+        assert set(got) == set(want) and len(got) == 2 ** len(measured)
+        for key, rows in got.items():
+            reference = want[key][0]
+            for row in np.concatenate([rows, want[key]]):
+                assert abs(np.vdot(reference, row)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "gate, value", [("x", 1), ("x", 0), ("y", 1), ("z", 1)]
+    )
+    def test_single_bit_feedback(self, gate, value):
+        feedback = Circuit(2, 1).measure(0, 0)
+        getattr(feedback, gate)(1, condition=Condition((0,), value))
+        deferred = Circuit(2, 1)
+        _controlled_deferral(deferred, gate, 0, 1, value)
+        deferred.measure(0, 0)
+        self._assert_same_branches(feedback, deferred, 2, (0,))
+
+    def test_parity_feedback(self):
+        # A correction conditioned on the parity of two outcomes defers to
+        # one CX per measured qubit.
+        feedback = Circuit(3, 2).measure(0, 0).measure(1, 1)
+        feedback.x(2, condition=Condition((0, 1), 1))
+        deferred = Circuit(3, 2).cx(0, 2).cx(1, 2).measure(0, 0).measure(1, 1)
+        self._assert_same_branches(feedback, deferred, 3, (0, 1))
+
+
 class TestKernelVsDensityExact:
     def _compare(self, circuit, noise, shots=6000, atol=0.035, seed=11):
         gate_noise = noise is not None and (noise.p1 > 0 or noise.p2 > 0)

@@ -15,6 +15,7 @@ from repro.analysis.link_noise import (
     _initial_slope,
     crossover_link_rate,
     protocol_comparison,
+    protocol_fidelity_bound,
 )
 from repro.api import Experiment, NetworkSpec
 from repro.circuits import recycle_qubits
@@ -330,6 +331,34 @@ class TestFamilyAnalysis:
         assert _crossover(naive[:1], naive) == "never"
         assert _crossover(naive, naive) == "never"
         assert _crossover(naive + naive[1:], naive) == "always"
+
+    def test_crossover_is_bisected_to_tolerance(self):
+        # Three 1-hop teledata pairs (slope 1.5) against one 4-hop naive
+        # redistribution (slope 2): ahead at first, behind past ~0.28.
+        member = [BellEvent("qpu0", "qpu1", 1, "teledata-in")] * 3
+        naive = [BellEvent("qpu0", "qpu4", 4, "naive-redistribute")]
+        crossover = _crossover(member, naive)
+        assert isinstance(crossover, float) and 0.0 < crossover <= 0.5
+
+        def gap(p_link):
+            network = NetworkSpec(link_depolarizing=p_link)
+            return protocol_fidelity_bound(member, network) - protocol_fidelity_bound(
+                naive, network
+            )
+
+        assert gap(crossover) < 0.0 <= gap(crossover - 1e-6)
+        assert gap(crossover / 2) > 0.0
+
+    def test_equal_initial_slopes_fall_back_to_the_curvature(self):
+        # Three 1-hop teledata pairs against one 3-hop naive pair: both
+        # slopes are 1.5, and the second-order terms put the member behind
+        # from p_link -> 0+, which is "always", not a crossover near 1e-6.
+        member = [BellEvent("qpu0", "qpu1", 1, "teledata-in")] * 3
+        naive = [BellEvent("qpu0", "qpu3", 3, "naive-redistribute")]
+        assert _initial_slope(member) == _initial_slope(naive)
+        assert _crossover(member, naive) == "always"
+        tiny = NetworkSpec(link_depolarizing=1e-3)
+        assert protocol_fidelity_bound(member, tiny) < protocol_fidelity_bound(naive, tiny)
 
     def test_crossover_rejects_unknown_topology(self):
         with pytest.raises(ValueError, match="topology"):

@@ -10,6 +10,7 @@ bit-identical at equal seed.
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -75,6 +76,20 @@ def feedback_circuit() -> Circuit:
     circuit.x(2, condition=Condition((1,), 1))
     circuit.measure(1, 2).measure(3, 3)
     return circuit
+
+
+def per_shot_rows(job: Job) -> np.ndarray:
+    """Every shot's register, batch after batch, from each batch's own
+    kernel substream: the rows behind the engine's counts."""
+    program = get_compiled(job.circuit, gate_noise=True)
+    pieces = []
+    for batch in Scheduler().plan(job):
+        rng = batch_rng(job.seed, batch.index)
+        kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
+        pieces.append(
+            run_batched(program, batch.shots, kernel_rng, noise=job.noise).clbits
+        )
+    return np.concatenate(pieces)
 
 
 def wide_circuit(width: int = 14) -> Circuit:
@@ -177,18 +192,7 @@ class TestGoldenBits:
         assert counts_digest(counts) == FEEDBACK_DIGEST
 
     def test_per_shot_rows(self):
-        # Every shot's register, batch after batch, from each batch's own
-        # kernel substream: the rows behind the engine's counts.
-        job = self.feedback_job()
-        program = get_compiled(job.circuit, gate_noise=True)
-        pieces = []
-        for batch in Scheduler().plan(job):
-            rng = batch_rng(job.seed, batch.index)
-            kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
-            pieces.append(
-                run_batched(program, batch.shots, kernel_rng, noise=job.noise).clbits
-            )
-        rows = np.concatenate(pieces)
+        rows = per_shot_rows(self.feedback_job())
         assert rows.shape == (1_500, 4)
         assert hashlib.sha256(rows.tobytes()).hexdigest() == FEEDBACK_ROWS_DIGEST
 
@@ -216,6 +220,43 @@ class TestGoldenBits:
         assert counts_digest(group.counts) == PACKED_DIGEST
         single = [execute_batch(job, b, "statevector") for b in batches]
         assert group.parity_total == sum(s.parity_total for s in single)
+
+
+class TestRowsBehindCounts:
+    """The engine's aggregates are exactly the histogram of the kernel rows.
+
+    ``JobResult`` is the engine's only result channel; this pins that its
+    counts and readout parity are what the per-shot rows of
+    :func:`per_shot_rows` add up to, whatever the executor.
+    """
+
+    def wide_job(self) -> Job:
+        return Job(
+            circuit=wide_circuit(8),
+            shots=400,
+            seed=43,
+            noise=NoiseModel(p1=0.0, p2=0.0, p_meas=0.02),
+            batch_size=150,
+            readout=(2, 5),
+            backend="statevector",
+        )
+
+    @pytest.mark.parametrize("which", ["feedback", "wide"])
+    @pytest.mark.parametrize(
+        "engine_kwargs",
+        [{"workers": 1, "executor": "serial"}, {"workers": 2, "executor": "process"}],
+        ids=["serial", "process"],
+    )
+    def test_rows_reproduce_counts_and_parity(self, which, engine_kwargs):
+        job = TestGoldenBits().feedback_job() if which == "feedback" else self.wide_job()
+        rows = per_shot_rows(job)
+        with Engine(cache=False, **engine_kwargs) as engine:
+            result = engine.run(job)
+        assert len(list(Scheduler().plan(job))) > 1
+        histogram = Counter("".join(str(int(b)) for b in row) for row in rows)
+        assert result.counts == dict(histogram)
+        parity = (-1.0) ** rows[:, list(job.readout)].sum(axis=1)
+        assert result.parity_mean == pytest.approx(parity.mean(), abs=1e-12)
 
 
 class TestRowCensus:
