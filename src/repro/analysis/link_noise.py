@@ -24,6 +24,7 @@ reports that there is none.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import replace
 
 from ..core.protocol import FAMILY, family_builds
 from ..network.bell import BellEvent
@@ -45,6 +46,9 @@ _TELEPORT_PURPOSES = ("teledata-in", "teledata-out", "naive-redistribute")
 _SCAN_STEPS = 200
 _SCAN_MAX = 0.5
 _BISECT_TOL = 1e-6
+#: Bounds at ``p_link = 0`` closer than this are tied (rounding of the
+#: floor products), and the initial slopes decide.
+_TIE_TOL = 1e-12
 
 
 def _floor_weight(event: BellEvent) -> float:
@@ -107,32 +111,53 @@ def protocol_comparison(
     return rows
 
 
-def _initial_slope(events: Sequence[BellEvent]) -> float:
-    """``-d bound / d p_link`` at ``p_link = 0``: the sum of ``c h``.
+def _initial_slope(events: Sequence[BellEvent], swap_penalty: float = 0.0) -> float:
+    """``-d ln(bound) / d p_link`` at ``p_link = 0``.
 
-    An ``h``-hop pair's rate is ``h p + O(p^2)`` (no swap penalty), so the
-    product of floors starts as ``1 - p * sum(c h)``.
+    An ``h``-hop pair's rate is ``r = 1 - (1 - p)^h (1 - s)^(h-1)``, so at
+    ``p = 0`` it is ``r0 = 1 - (1 - s)^(h-1)`` and grows as
+    ``h (1 - s)^(h-1) p``; each floor ``1 - c r`` then contributes
+    ``c h (1 - s)^(h-1) / (1 - c r0)``.  With no swap penalty this is
+    ``sum(c h)``: the product of floors starts as ``1 - p * sum(c h)``.
+    Two bounds equal at ``p = 0`` are ordered just above it by this slope.
     """
-    return sum(_floor_weight(event) * event.hops for event in events)
+    slope = 0.0
+    for event in events:
+        c, h = _floor_weight(event), event.hops
+        survive = (1.0 - swap_penalty) ** (h - 1)
+        slope += c * h * survive / (1.0 - c * (1.0 - survive))
+    return slope
 
 
-def _crossover(events: Sequence[BellEvent], naive: Sequence[BellEvent]) -> float | str:
+def _crossover(
+    events: Sequence[BellEvent], naive: Sequence[BellEvent], network=None
+) -> float | str:
     """Smallest ``p_link`` at which ``events``' bound falls below naive's.
 
-    ``"always"`` when it is already below as ``p_link -> 0+`` (a steeper
-    initial slope, or an equal one whose bisection never leaves 0),
-    ``"never"`` when no sign change lies in (0, 0.5]; otherwise the first
-    sign change, bracketed on a scan and bisected.
+    Probes vary only ``link_depolarizing`` of ``network`` (default: ideal
+    links), so its swap penalty counts throughout.  ``"always"`` when the
+    bound is already below as ``p_link -> 0+``: below at ``p_link = 0``
+    (the swap penalty alone separates them), or tied there with a steeper
+    slope, or tied with an equal slope and a bisection that never leaves
+    0.  ``"never"`` when no sign change lies in (0, 0.5]; otherwise the
+    first sign change, bracketed on a scan and bisected.
     """
     from ..api.specs import NetworkSpec
 
+    network = network if network is not None else NetworkSpec()
+
     def gap(p_link: float) -> float:
-        probe = NetworkSpec(link_depolarizing=p_link)
+        probe = replace(network, link_depolarizing=p_link)
         return protocol_fidelity_bound(events, probe) - protocol_fidelity_bound(
             naive, probe
         )
 
-    if _initial_slope(events) > _initial_slope(naive):
+    start = gap(0.0)
+    if start < -_TIE_TOL:
+        return "always"
+    if start <= _TIE_TOL and _initial_slope(events, network.swap_penalty) > _initial_slope(
+        naive, network.swap_penalty
+    ):
         return "always"
     low = 0.0
     for step in range(1, _SCAN_STEPS + 1):
@@ -168,7 +193,9 @@ def crossover_link_rate(
     scheme's bound falls below the naive redistribution's on the same
     topology (to within 1e-6), ``"always"`` if it is below for every small
     ``p_link``, or ``"never"`` if it stays at or above naive's on
-    (0, 0.5].  A crossover exists when naive's few long-range events
+    (0, 0.5].  The crossover probes keep every other field of
+    ``network`` (its swap penalty included) and vary only
+    ``link_depolarizing``.  A crossover exists when naive's few long-range events
     saturate with hop count while the scheme's many short-range events
     keep compounding.
     """
@@ -187,6 +214,6 @@ def crossover_link_rate(
         naive = _family_events("naive", n, k, topo)
         for row in rows:
             events = _family_events(row["scheme"], n, k, topo)
-            row["crossover_vs_naive"] = _crossover(events, naive)
+            row["crossover_vs_naive"] = _crossover(events, naive, network)
         comparison[name] = rows
     return comparison

@@ -16,10 +16,8 @@ from .runners import (
     Batch,
     BatchExecutionError,
     BatchStats,
-    GroupStats,
     WorkerJobMiss,
     batch_rng,
-    execute_batch,
     execute_batch_group,
 )
 from .scheduler import Scheduler
@@ -44,10 +42,8 @@ __all__ = [
     "Batch",
     "BatchExecutionError",
     "BatchStats",
-    "GroupStats",
     "WorkerJobMiss",
     "batch_rng",
-    "execute_batch",
     "execute_batch_group",
     "Scheduler",
     "grid_points",

@@ -2,14 +2,14 @@
 
 A :class:`CancelToken` is a thread-safe latch shared between whoever
 *submitted* a job (a service endpoint, an interactive session) and the
-engine executing it.  Cancellation is cooperative and batch-granular: the
-engine checks the token between batches — before submitting work to the
-pool, on every completed pooled batch, and between inline batches — and
-raises :class:`JobCancelled` at the first checkpoint after the token
-trips.  A batch already running on a worker finishes (its result is
-discarded); batches still queued are cancelled and never computed, which
-is the point: dropping a long sweep nobody will read should not keep
-burning the pool.
+engine executing it.  Cancellation is cooperative and granular to a batch
+group (the engine's unit of dispatch): the engine checks the token
+between groups — before submitting work to the pool, on every completed
+pooled group, and between inline groups — and raises
+:class:`JobCancelled` at the first checkpoint after the token trips.  A
+group already running finishes (its result is discarded); groups still
+queued are cancelled and never computed, which is the point: dropping a
+long sweep nobody will read should not keep burning the pool.
 
 Tokens are engine-agnostic: one token can guard a whole multi-job
 pipeline (``Engine.run_many(jobs, cancel=token)``) or every engine call

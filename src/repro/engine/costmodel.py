@@ -1,19 +1,20 @@
-"""Dispatch cost model: should a job fan out, and at what granularity?
+"""Dispatch cost model: where a job's batch groups run, and how many.
 
 The scheduler's batch partition is a *correctness* contract — RNG
 substreams derive from ``(job.seed, batch.index)``, so the partition is
 part of the job hash and can never depend on the machine.  How those
 batches are *dispatched* is pure policy, and this module is where that
-policy lives:
+policy lives.  Every job runs as contiguous batch *groups* (several
+batches of one job per call, one kernel call and one reduction per
+group); the model decides
 
 * **inline vs pooled** — a job whose whole estimated runtime is
   comparable to one pickle/queue/IPC round trip loses by fanning out, no
   matter how many workers exist;
-* **batch-group size** — pooled batches are shipped in contiguous
-  *groups* (several batches of one job per worker call, reduced
-  worker-side), so the job payload crosses the IPC boundary once per
-  group instead of once per batch.  Few big groups minimise IPC; more
-  smaller groups improve load balance and cancellation granularity.
+* **group count** — few big groups minimise dispatch overhead and let
+  more histories share kernel rows; more smaller groups improve load
+  balance and cancellation granularity (the cancel token is checked
+  between groups).
 
 Cost estimates come from ``(shots, n_qubits, stochastic sites, op
 count)`` with per-backend constants calibrated against
@@ -52,17 +53,15 @@ _FRAME_FAULT_SECONDS = 2e-7
 class DispatchPlan:
     """One job's dispatch decision.
 
-    ``pooled=False`` means run every batch inline on the calling thread.
-    ``per_batch=True`` keeps the historical one-future-per-batch fan-out
-    (thread pools).  Otherwise the job's batches are shipped as
-    ``num_groups`` contiguous batch groups, each run as one kernel call
-    (its batches share history rows) and reduced in the worker.  Thread
-    pools pickle nothing, but grouping would share rows there too.
+    The job's batches run as ``num_groups`` contiguous batch groups, each
+    one :func:`~repro.engine.runners.execute_batch_group` call.
+    ``pooled`` only says where the groups run: on the worker pool, or
+    inline on the calling thread with the cancel token checked between
+    groups.
     """
 
     pooled: bool
-    num_groups: int = 0
-    per_batch: bool = False
+    num_groups: int = 1
     estimated_seconds: float = 0.0
     reason: str = ""
 
@@ -168,28 +167,29 @@ class CostModel:
 
     def plan(self, estimated_seconds: float, num_batches: int, workers: int) -> DispatchPlan:
         """Inline-vs-pool and group-count decision for one job."""
-        if workers <= 1 or num_batches < 1:
-            return DispatchPlan(pooled=False, reason="single worker")
         # Critical path with perfect balance: work/W plus one group round trip.
-        pooled_seconds = estimated_seconds / workers + self.group_overhead_seconds
-        if pooled_seconds >= estimated_seconds * (1.0 - self.fanout_gain_floor):
+        pooled_seconds = estimated_seconds / max(workers, 1) + self.group_overhead_seconds
+        if workers > 1 and pooled_seconds < estimated_seconds * (1.0 - self.fanout_gain_floor):
             return DispatchPlan(
-                pooled=False,
+                pooled=True,
+                num_groups=self.group_count(estimated_seconds, num_batches, workers),
                 estimated_seconds=estimated_seconds,
-                reason=(
-                    f"estimated {estimated_seconds * 1e3:.2f}ms cannot amortize "
-                    f"{self.group_overhead_seconds * 1e3:.1f}ms dispatch"
-                ),
+                reason=f"estimated {estimated_seconds * 1e3:.1f}ms across {workers} workers",
             )
         return DispatchPlan(
-            pooled=True,
-            num_groups=self.group_count(estimated_seconds, num_batches, workers),
+            pooled=False,
+            num_groups=self.group_count(estimated_seconds, num_batches, 1),
             estimated_seconds=estimated_seconds,
-            reason=f"estimated {estimated_seconds * 1e3:.1f}ms across {workers} workers",
+            reason=(
+                "single worker"
+                if workers <= 1
+                else f"estimated {estimated_seconds * 1e3:.2f}ms cannot amortize "
+                f"{self.group_overhead_seconds * 1e3:.1f}ms dispatch"
+            ),
         )
 
     def group_count(self, estimated_seconds: float, num_batches: int, workers: int) -> int:
-        """How many batch groups a pooled job should ship as."""
+        """How many batch groups a job runs as on ``workers`` workers."""
         per_worker_seconds = estimated_seconds / max(workers, 1)
         per_worker = int(round(per_worker_seconds / self.target_group_seconds))
         per_worker = max(1, min(self.max_groups_per_worker, per_worker))

@@ -7,23 +7,27 @@ Layers (each independently testable):
 * :class:`~repro.engine.router.BackendRouter` — picks the cheapest capable
   simulator per job;
 * :class:`~repro.engine.scheduler.Scheduler` — splits shots into batches,
-  decides how each job is dispatched, and submits them to a worker pool;
+  decides how many batch groups each job runs as and where, and runs or
+  submits them;
 * :class:`~repro.engine.cache.ResultCache` — in-memory + on-disk result
   store keyed on the job hash.
 
-One execution loop and one result channel: :meth:`Engine.run`,
-:meth:`Engine.run_many` and :meth:`Engine.as_completed` all drive the same
-private stream and return :class:`~repro.engine.job.JobResult` aggregates.
-The stream submits *all* pooled batches of *all* non-cached jobs to the
-shared pool at once (futures keyed by ``(job_index, batch_index)``), runs
-the jobs :meth:`Scheduler.decide <repro.engine.scheduler.Scheduler.decide>`
-keeps inline on the calling thread meanwhile, and reduces each job in
-batch-index order as its futures complete — so a sweep of many small jobs
-keeps every worker busy across job boundaries, and ``run`` is simply a
-one-job pipeline.  RNG substreams depend only on ``(job.seed,
-batch.index)``, so results are bit-identical at any worker count and
-executor kind.  The cancel token is checked before every inline batch and
-on every completed pooled batch, whatever the entry point.
+One execution loop, one dispatch shape and one result channel:
+:meth:`Engine.run`, :meth:`Engine.run_many` and :meth:`Engine.as_completed`
+all drive the same private stream and return
+:class:`~repro.engine.job.JobResult` aggregates.  Every job runs as the
+contiguous batch groups
+:meth:`Scheduler.decide <repro.engine.scheduler.Scheduler.decide>` sizes,
+each one :func:`~repro.engine.runners.execute_batch_group` call.  The
+stream submits *all* pooled groups of *all* non-cached jobs to the shared
+pool at once, runs the inline jobs' groups on the calling thread
+meanwhile, and reduces each job in batch-index order as its groups land —
+so a sweep of many small jobs keeps every worker busy across job
+boundaries, and ``run`` is simply a one-job pipeline.  RNG substreams
+depend only on ``(job.seed, batch.index)``, so results are bit-identical
+at any worker count, executor kind and grouping.  The cancel token is
+checked before every inline group and on every completed pooled group,
+whatever the entry point.
 """
 
 from __future__ import annotations
@@ -258,7 +262,7 @@ class Engine:
 
         ``cancel`` (or an enclosing :meth:`cancel_scope`) cooperatively
         aborts with :class:`~repro.engine.cancel.JobCancelled` before any
-        inline batch and on any completed pooled batch.
+        inline batch group and on any completed pooled group.
         """
         # The private stream, not run_many: wrappers of the public methods
         # must see one call per job.
@@ -270,8 +274,8 @@ class Engine:
     ) -> list[JobResult]:
         """Execute several jobs; all jobs' batches share the worker pool.
 
-        Every pooled batch of every non-cached job is submitted at once,
-        so small jobs cannot leave workers idle at job boundaries.
+        Every pooled batch group of every non-cached job is submitted at
+        once, so small jobs cannot leave workers idle at job boundaries.
         Bit-identical to running the jobs one at a time, at equal seeds,
         for any worker count.
         """
@@ -286,9 +290,9 @@ class Engine:
     ) -> Iterator[tuple[int, JobResult]]:
         """Yield ``(job_index, JobResult)`` pairs in completion order.
 
-        Cache hits are yielded immediately; the remaining jobs' batches
+        Cache hits are yielded immediately; the remaining jobs' groups
         are all submitted to the pool at once and each job is reduced (in
-        batch-index order) the moment its last batch lands, so long sweeps
+        batch-index order) the moment its last group lands, so long sweeps
         can report progress incrementally.  When the cache is enabled,
         duplicate jobs inside one call are computed once and the repeats
         served as cache hits — exactly what the serial path would do.
@@ -298,13 +302,13 @@ class Engine:
         served from the cache when that computation stores, so identical
         physics is computed exactly once engine-wide.
         Under pipelining a job's ``elapsed`` is its submission-to-reduce
-        latency on the shared pool (batches of different jobs interleave),
+        latency on the shared pool (groups of different jobs interleave),
         not the time a dedicated pool would have needed.
 
-        On the first batch failure every outstanding future is cancelled
+        On the first group failure every outstanding future is cancelled
         and drained, then a
         :class:`~repro.engine.runners.BatchExecutionError` naming the
-        failed ``(job_index, batch_index)`` propagates.  A tripped
+        failed job and the group's first batch index propagates.  A tripped
         ``cancel`` token likewise cancels and drains, then raises
         :class:`~repro.engine.cancel.JobCancelled` — the service's
         ``DELETE /jobs/{id}`` path.
@@ -386,7 +390,7 @@ class Engine:
     def _pipeline(
         self, pending, parent_id: str | None = None, cancel: CancelToken | None = None
     ) -> Iterator[tuple[int, JobResult]]:
-        """Run the pending jobs: pooled batches fan out, the rest run inline."""
+        """Run the pending jobs: pooled groups fan out, the rest run inline."""
         # Within-run dedupe: with a cache, one computation per distinct
         # hash; repeats are served from cache when the original finishes
         # (matching the serial path's behaviour and counters).
@@ -423,16 +427,17 @@ class Engine:
 
         # Routing and dispatch planning happen up front so a bad job fails
         # before anything runs.  Scheduler.decide is the one dispatch
-        # policy: jobs it keeps inline (serial schedulers, single-batch and
-        # density jobs, jobs smaller than one dispatch round trip) run on
-        # the calling thread, overlapping the pooled futures.
+        # policy: it sizes every job's batch groups, and the groups of the
+        # jobs it keeps inline (serial schedulers, single-batch jobs, jobs
+        # smaller than one dispatch round trip) run on the calling thread,
+        # overlapping the pooled futures.
         pooled: list[tuple] = []
         inline: list[tuple] = []
         for index, job, key in owned:
             choice = self.router.select(job)
             batches = self.scheduler.plan(job)
             plan = self.scheduler.decide(job, choice.name, len(batches))
-            entry = (index, job, key, choice, plan, batches)
+            entry = (index, job, key, choice, plan.split(batches))
             (pooled if plan.pooled else inline).append(entry)
 
         tracer = self.obs.tracer
@@ -441,50 +446,36 @@ class Engine:
         try:
             # Submission happens inside the try so a mid-loop failure
             # (e.g. a broken process pool) still cancels what went in.
-            for index, job, key, choice, plan, batches in pooled:
+            for index, job, key, choice, groups in pooled:
                 if cancel is not None:
                     cancel.raise_if_cancelled()
-                state = states[index] = self._start(job, key, choice, batches, parent_id)
-                if plan.per_batch:
-                    frames = self.scheduler.frames_for(job, choice.name)
-                    for batch in batches:
-                        ctx = tracer.batch_context(state.span.span_id) if tracer.enabled else None
-                        future = self.scheduler.submit(
-                            job, batch, choice.name, trace=ctx, frames=frames
-                        )
-                        future_map[future] = (index, (batch,), ctx, time.perf_counter())
-                else:
-                    # Warm-worker group dispatch: payload + compiled program
-                    # ride the first `workers` groups, later groups go
-                    # key-only (WorkerJobMiss retries re-ship the payload).
-                    state.program = self.scheduler.compiled_for(job, choice.name)
-                    groups = plan.split(batches)
-                    state.expected = len(groups)
-                    warm = min(len(groups), self.scheduler.workers)
-                    for position, group in enumerate(groups):
-                        ctx = tracer.batch_context(state.span.span_id) if tracer.enabled else None
-                        future = self.scheduler.submit_group(
-                            job,
-                            key,
-                            group,
-                            choice.name,
-                            trace=ctx,
-                            program=state.program if position < warm else None,
-                            ship_job=position < warm,
-                        )
-                        future_map[future] = (index, group, ctx, time.perf_counter())
+                state = states[index] = self._start(job, key, choice, groups, parent_id)
+                # Process pools: the payload and compiled program ride the
+                # first `workers` groups, later groups go key-only
+                # (WorkerJobMiss retries re-ship the payload).
+                state.program = self.scheduler.compiled_for(job, choice.name)
+                warm = min(len(groups), self.scheduler.workers)
+                for position, group in enumerate(groups):
+                    ctx = tracer.batch_context(state.span.span_id) if tracer.enabled else None
+                    future = self.scheduler.submit_group(
+                        job,
+                        key,
+                        group,
+                        choice.name,
+                        trace=ctx,
+                        program=state.program if position < warm else None,
+                        ship_job=position < warm,
+                    )
+                    future_map[future] = (index, group, ctx, time.perf_counter())
             # Inline jobs run here while the pool chews on the submitted
-            # batches.
-            for index, job, key, choice, _, batches in inline:
-                state = states[index] = self._start(job, key, choice, batches, parent_id)
-                frames = self.scheduler.frames_for(job, choice.name)
-                for batch in batches:
+            # groups.
+            for index, job, key, choice, groups in inline:
+                state = states[index] = self._start(job, key, choice, groups, parent_id)
+                for group in groups:
                     if cancel is not None:
                         cancel.raise_if_cancelled()
                     state.stats.append(
-                        self.scheduler.run_batch(
-                            job, batch, choice.name, state.span.span_id, frames=frames
-                        )
+                        self.scheduler.run_group(job, group, choice.name, state.span.span_id)
                     )
                 yield from self._complete(index, state, claimed, duplicates, parent_id)
 
@@ -532,13 +523,13 @@ class Engine:
                             job_index=index,
                             batch_index=group[0].index,
                         ) from exc
-                    batch_stats = future.result()
+                    group_stats = future.result()
                     if ctx is not None:
                         self._record_batch(
-                            state, group, batch_stats, ctx, time.perf_counter() - submitted
+                            state, group, group_stats, ctx, time.perf_counter() - submitted
                         )
-                    self.scheduler.note_group(batch_stats)
-                    state.stats.append(batch_stats)
+                    self.scheduler.note_group(group_stats)
+                    state.stats.append(group_stats)
                     if len(state.stats) == state.expected:
                         yield from self._complete(
                             index, state, claimed, duplicates, parent_id
@@ -572,7 +563,7 @@ class Engine:
                 future.cancel()
             raise
         except BaseException as exc:
-            # Any failure (a dead batch, an inline batch, a cache write)
+            # Any failure (a dead group, an inline group, a cache write)
             # quiets the pool before it propagates.
             if tracer.enabled:
                 tracer.event(
@@ -592,7 +583,7 @@ class Engine:
             for key in claimed:
                 self._release(key)
 
-    def _start(self, job, key, choice, batches, parent_id) -> _PendingJob:
+    def _start(self, job, key, choice, groups, parent_id) -> _PendingJob:
         """Open one job's ``engine.job`` span and its bookkeeping."""
         span = self.obs.tracer.begin(
             "engine.job",
@@ -600,13 +591,13 @@ class Engine:
             job_hash=key[:16],
             backend=choice.name,
             shots=job.shots,
-            batches=len(batches),
+            batches=sum(len(group) for group in groups),
         )
         return _PendingJob(
             job=job,
             key=key,
             choice=choice,
-            expected=len(batches),
+            expected=len(groups),
             started=time.perf_counter(),
             span=span,
         )
@@ -635,10 +626,9 @@ class Engine:
         yield from self._serve_duplicates(duplicates, state.key, parent_id)
 
     def _record_batch(self, state, group, stats, ctx, latency: float) -> None:
-        """Stitch one pooled dispatch into the trace, parent-side view first.
+        """Stitch one pooled group into the trace, parent-side view first.
 
-        ``group`` is the tuple of batches behind one future — a single
-        batch on thread pools, a whole batch group on process pools.  The
+        ``group`` is the tuple of batches behind one future.  The
         parent-observed latency (submit → future resolved) decomposes
         into queue wait (submit → worker start, from the shipped context)
         plus worker-side time plus the serialization/IPC remainder — the
@@ -692,13 +682,13 @@ class Engine:
         job: Job,
         key: str,
         choice: BackendChoice,
-        batch_stats: Sequence[BatchStats],
+        group_stats: Sequence[BatchStats],
         elapsed: float,
         parent_id: str | None = None,
     ) -> JobResult:
         tracer = self.obs.tracer
-        span = tracer.begin("engine.reduce", parent_id=parent_id, batches=len(batch_stats))
-        result = _combine(job, key, choice, batch_stats, elapsed)
+        span = tracer.begin("engine.reduce", parent_id=parent_id, groups=len(group_stats))
+        result = _combine(job, key, choice, group_stats, elapsed)
         if self.cache is not None:
             self.cache.put(key, result)
         tracer.end(span)
@@ -736,17 +726,17 @@ def _combine(
     job: Job,
     key: str,
     choice: BackendChoice,
-    batch_stats: Sequence[BatchStats],
+    group_stats: Sequence[BatchStats],
     elapsed: float,
 ) -> JobResult:
-    """Reduce batch (or worker-reduced group) aggregates in index order.
+    """Reduce a job's group aggregates in batch-index order.
 
-    Group stats arrive pre-folded (see
-    :class:`~repro.engine.runners.GroupStats`); their contribution to the
+    Groups arrive pre-folded (see
+    :class:`~repro.engine.runners.BatchStats`); their contribution to the
     Counter/parity sums is identical to their member batches', so this
-    reduction is bit-identical across dispatch shapes.
+    reduction is bit-identical however the batches were grouped.
     """
-    ordered = sorted(batch_stats, key=lambda s: s.index)
+    ordered = sorted(group_stats, key=lambda s: s.index)
     counts: Counter = Counter()
     compile_time = 0.0
     execute_time = 0.0
@@ -777,7 +767,7 @@ def _combine(
         job_hash=key,
         backend=choice.name,
         shots=job.shots,
-        num_batches=sum(getattr(stats, "num_batches", 1) for stats in ordered),
+        num_batches=sum(len(stats.indices) for stats in ordered),
         counts=dict(counts) if counts else None,
         probabilities=probabilities,
         parity_mean=parity_mean,

@@ -1,32 +1,32 @@
-"""Per-backend batch executors.
+"""Per-backend batch executors and the engine's one execution entry.
 
-A *batch* is the engine's unit of parallel work: ``shots`` trajectories of
-one job driven by an RNG derived solely from ``(job.seed, batch.index)``.
-Because the substream never depends on which worker runs the batch — or on
-how many workers exist — and batch statistics are combined in index order
-with exact floating-point sums (parities are ±1), the engine's results are
-bit-identical for any worker count.
+A *batch* is the unit of the RNG partition: ``shots`` trajectories of one
+job driven by an RNG derived solely from ``(job.seed, batch.index)``.  A
+*batch group* — a contiguous run of one job's batches — is the unit of
+dispatch: :func:`execute_batch_group` runs a group and folds it into one
+:class:`BatchStats`, whether it runs inline, on a pool thread or in a
+pool process.  Because no substream depends on which group, worker or
+process runs its batch, and every fold is an exact Counter/±1 sum reduced
+in index order, the engine's results are bit-identical for any worker
+count, executor kind and grouping.
 
 The default ``statevector`` backend executes **compiled programs** through
 the shot-branching kernel (:mod:`repro.sim.batched`): the circuit is
 lowered once per process (:mod:`repro.sim.compile`, cached by content
 digest), stochastic input ensembles are sampled in one vectorized draw and
 grouped by component, and the kernel holds one statevector row per
-distinct history rather than per shot.  ``statevector-ref`` keeps the
-historical per-shot interpreter loop for cross-validation.
-
-``execute_batch`` is a module-level function taking only picklable
-arguments, so the scheduler can dispatch it to thread *or* process pools.
+distinct history rather than per shot.  A group's batches go to the kernel
+together, so they share rows.  ``statevector-ref`` keeps the historical
+per-shot interpreter loop for cross-validation.
 
 Tracing: when the scheduler ships a batch context (a small picklable dict
-from :meth:`repro.obs.Tracer.batch_context`), the worker measures its own
+from :meth:`repro.obs.Tracer.batch_context`), the group measures its own
 side — queue wait (context submit time → worker start), compile, and
 execute — as plain span records returned in ``BatchStats.spans``.  The
 parent tracer adopts them, so one trace covers both sides of the pool
 boundary and the pickle/IPC gap (parent-observed latency minus queue wait
 minus worker time) is directly measurable.  With tracing disabled the
-context is None and the execution path is byte-for-byte the historical
-one.
+context is None and no span is built.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import numpy as np
 from ..obs.trace import span_record
 from ..sim.batched import Segment, run_segments
 from ..sim.batched_stabilizer import (
-    FrameProgram,
     StabilizerProgram,
     frame_cache_stats,
     get_frame_program,
@@ -63,10 +62,8 @@ __all__ = [
     "Batch",
     "BatchExecutionError",
     "BatchStats",
-    "GroupStats",
     "WorkerJobMiss",
     "batch_rng",
-    "execute_batch",
     "execute_batch_group",
     "worker_cache_info",
 ]
@@ -81,14 +78,14 @@ class Batch:
 
 
 class BatchExecutionError(RuntimeError):
-    """A batch died inside the worker pool.
+    """A batch group died inside the worker pool.
 
-    The scheduler and the engine's cross-job pipeline raise this in place
-    of the worker's original exception (kept as ``__cause__``) so the
-    failure names the exact ``(job_index, batch_index)`` RNG substream that
-    failed.  By the time it propagates, every outstanding future of the
-    submission has been cancelled and the still-running ones drained, so
-    the pool is quiet and reusable.  ``job_index`` is ``None`` when the
+    The engine's pipeline raises this in place of the worker's original
+    exception (kept as ``__cause__``) so the failure names the job and
+    the group's first ``batch_index`` (the exact RNG substream when the
+    group is one batch).  By the time it propagates, every outstanding
+    future of the submission has been cancelled and the still-running
+    ones drained, so the pool is quiet and reusable.  ``job_index`` is ``None`` when the
     failure came from a single-job submission.
     """
 
@@ -127,19 +124,30 @@ class WorkerJobMiss(RuntimeError):
 
 @dataclass
 class BatchStats:
-    """Order-independent aggregates of one batch.
+    """Order-independent aggregates of one batch group.
+
+    A group is a contiguous run of one job's batches, executed by one
+    :func:`execute_batch_group` call and folded where it ran.  Counts are
+    a ``Counter`` sum and parity totals are exact sums of ±1, so folding
+    a group can never change the bits the parent's index-ordered
+    reduction produces.  Only this object (a few hundred bytes) crosses a
+    process boundary.  ``probabilities`` is set only by an exact-mode
+    group, which is always one batch.
 
     ``spans`` carries the worker-side span records (plain picklable
-    dicts) when the batch ran under a trace context; the parent tracer
+    dicts) when the group ran under a trace context; the parent tracer
     adopts them into its trace.  It is None on untraced runs and never
     affects the statistical aggregates.
 
     ``row_ops`` / ``shot_ops`` are the dense kernel's row census: history
     rows held summed over ops, against shots times ops (zero on other
-    backends).
+    backends).  ``compile_hits`` / ``compile_misses`` snapshot the
+    process's compile cache across the group; ``job_shipped`` /
+    ``program_primed`` record whether a process-pool dispatch paid the
+    full-payload and compile costs or rode the warm caches.
     """
 
-    index: int
+    indices: tuple[int, ...]
     shots: int
     counts: Counter = field(default_factory=Counter)
     parity_total: float = 0.0
@@ -150,53 +158,15 @@ class BatchStats:
     spans: list[dict] | None = None
     row_ops: int = 0
     shot_ops: int = 0
-
-
-@dataclass
-class GroupStats:
-    """Worker-side reduction of one batch group (reduce-in-worker).
-
-    Carries exactly the order-insensitive aggregates of its batches —
-    counts are a ``Counter`` sum and parity totals are exact sums of ±1,
-    so folding inside the worker can never change the bits the parent's
-    index-ordered reduction would have produced.  Only this object (a few
-    hundred bytes) crosses the IPC boundary, instead of one
-    :class:`BatchStats` per batch.
-
-    ``compile_hits`` / ``compile_misses`` snapshot the worker-resident
-    compile cache across the group (the warm-worker observability the
-    engine surfaces as ``engine.worker_compile`` counters);
-    ``job_shipped`` / ``program_primed`` record whether this dispatch
-    paid the full-payload and compile costs or rode the warm caches.
-    """
-
-    indices: tuple[int, ...]
-    shots: int
-    counts: Counter = field(default_factory=Counter)
-    parity_total: float = 0.0
-    parity_total_sq: float = 0.0
-    compile_time: float = 0.0
-    execute_time: float = 0.0
-    spans: list[dict] | None = None
-    row_ops: int = 0
-    shot_ops: int = 0
     compile_hits: int = 0
     compile_misses: int = 0
     job_shipped: bool = False
     program_primed: bool = False
 
-    #: Exact-mode distributions never travel in groups; the attribute
-    #: exists so the engine's reducer treats Group- and BatchStats alike.
-    probabilities = None
-
     @property
     def index(self) -> int:
         """The group's first batch index (its reduction sort key)."""
         return self.indices[0]
-
-    @property
-    def num_batches(self) -> int:
-        return len(self.indices)
 
 
 def batch_rng(seed: int, index: int) -> np.random.Generator:
@@ -227,54 +197,6 @@ def _parity(clbits: list[int], readout: tuple[int, ...]) -> int:
     return acc
 
 
-def execute_batch(
-    job: Job,
-    batch: Batch,
-    backend: str,
-    trace: dict | None = None,
-    frames: FrameProgram | None = None,
-) -> BatchStats:
-    """Run one batch on the routed backend, returning its aggregates.
-
-    ``trace`` is an optional batch context
-    (:meth:`repro.obs.Tracer.batch_context`): when given, worker-side
-    spans (batch / compile / execute, with the measured queue wait) are
-    returned in ``BatchStats.spans`` for the parent tracer to adopt.
-    Tracing never touches the job's RNG substream, so the aggregates are
-    bit-identical with or without it.  ``frames`` is a ``pauliframe``
-    job's already-resolved :class:`FrameProgram`, so a job's batches
-    share one program lookup.
-    """
-    if trace is None:
-        return _dispatch_batch(job, batch, backend, frames)
-    start_unix = time.time()
-    t0 = time.perf_counter()
-    stats = _dispatch_batch(job, batch, backend, frames)
-    total = time.perf_counter() - t0
-    stats.spans = _worker_spans(
-        batch.index, batch.shots, backend, trace, stats, start_unix, total
-    )
-    return stats
-
-
-def _dispatch_batch(
-    job: Job, batch: Batch, backend: str, frames: FrameProgram | None = None
-) -> BatchStats:
-    if backend == "statevector":
-        return _statevector_batch(job, batch)
-    if backend == "statevector-ref":
-        return _statevector_ref_batch(job, batch)
-    if backend == "stabilizer":
-        return _stabilizer_batch(job, batch)
-    if backend == "tableau":
-        return _tableau_batch(job, batch)
-    if backend == "pauliframe":
-        return _pauliframe_batch(job, batch, frames)
-    if backend == "density":
-        return _density_batch(job, batch)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def _worker_spans(
     index: int,
     shots: int,
@@ -283,15 +205,15 @@ def _worker_spans(
     stats,
     start_unix: float,
     total: float,
-    batches: int = 1,
+    batches: int,
 ) -> list[dict]:
-    """The worker-side view of one batch (or batch group) as span records.
+    """The worker-side view of one batch group as span records.
 
     The root ``worker.batch`` record is left parent-less — the adopting
-    tracer re-parents it under its parent-side batch span — and carries
-    the measured queue wait (submit → worker start, comparable because
-    both sides stamp the same machine's wall clock).  A batch group
-    produces one root covering all its batches (``batches`` > 1).
+    tracer re-parents it under its parent-side batch span — covers all
+    the group's batches, and carries the measured queue wait (submit →
+    worker start, comparable because both sides stamp the same machine's
+    wall clock).
     """
     queue_wait = max(start_unix - trace.get("submit_unix", start_unix), 0.0)
     root = span_record(
@@ -435,108 +357,92 @@ def _statevector_batches(job: Job, batches, stats) -> None:
     stats.execute_time += time.perf_counter() - execute_start
 
 
-def _statevector_batch(job: Job, batch: Batch) -> BatchStats:
-    stats = BatchStats(index=batch.index, shots=batch.shots)
-    _statevector_batches(job, (batch,), stats)
-    return stats
-
-
 # ----------------------------------------------------------------------
 # Per-shot reference backend (cross-validation)
 # ----------------------------------------------------------------------
-def _statevector_ref_batch(job: Job, batch: Batch) -> BatchStats:
-    rng = batch_rng(job.seed, batch.index)
-    simulator = StatevectorSimulator(seed=int(rng.integers(2**63)), noise=job.noise)
-    stats = BatchStats(index=batch.index, shots=batch.shots)
+def _statevector_ref_batches(job: Job, batches, stats: BatchStats) -> None:
     execute_start = time.perf_counter()
-    for _ in range(batch.shots):
-        init = _sample_initial_state(job, rng)
-        result = simulator.run(job.circuit, initial_state=init)
-        _accumulate(stats, result.clbits, job)
-    stats.execute_time = time.perf_counter() - execute_start
-    return stats
+    for batch in batches:
+        rng = batch_rng(job.seed, batch.index)
+        simulator = StatevectorSimulator(seed=int(rng.integers(2**63)), noise=job.noise)
+        for _ in range(batch.shots):
+            init = _sample_initial_state(job, rng)
+            result = simulator.run(job.circuit, initial_state=init)
+            _accumulate(stats, result.clbits, job)
+    stats.execute_time += time.perf_counter() - execute_start
 
 
-def _stabilizer_batch(job: Job, batch: Batch) -> BatchStats:
+def _stabilizer_batches(job: Job, batches, stats: BatchStats) -> None:
     """Batched stabilizer kernel: compile-once reference pass + packed frames."""
     if job.initial_state is not None or job.ensembles:
         raise ValueError("the stabilizer backend requires the basis input state")
-    rng = batch_rng(job.seed, batch.index)
-    kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
     noise = job.noise if job.noise is not None and not job.noise.is_noiseless else None
-
     compile_start = time.perf_counter()
     program = get_stabilizer(job.circuit)
-    compile_time = time.perf_counter() - compile_start
+    stats.compile_time += time.perf_counter() - compile_start
 
-    stats = BatchStats(index=batch.index, shots=batch.shots, compile_time=compile_time)
     execute_start = time.perf_counter()
-    result = run_batched_stabilizer(program, batch.shots, kernel_rng, noise=noise)
-    _accumulate_matrix(stats, result.clbits, job)
-    stats.execute_time = time.perf_counter() - execute_start
-    return stats
+    for batch in batches:
+        rng = batch_rng(job.seed, batch.index)
+        kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
+        result = run_batched_stabilizer(program, batch.shots, kernel_rng, noise=noise)
+        _accumulate_matrix(stats, result.clbits, job)
+    stats.execute_time += time.perf_counter() - execute_start
 
 
-def _tableau_batch(job: Job, batch: Batch) -> BatchStats:
-    rng = batch_rng(job.seed, batch.index)
-    stats = BatchStats(index=batch.index, shots=batch.shots)
+def _tableau_batches(job: Job, batches, stats: BatchStats) -> None:
     execute_start = time.perf_counter()
-    for _ in range(batch.shots):
-        simulator = TableauSimulator(job.circuit.num_qubits, seed=rng)
-        clbits = simulator.run(job.circuit)
-        _accumulate(stats, clbits, job)
-    stats.execute_time = time.perf_counter() - execute_start
-    return stats
+    for batch in batches:
+        rng = batch_rng(job.seed, batch.index)
+        for _ in range(batch.shots):
+            simulator = TableauSimulator(job.circuit.num_qubits, seed=rng)
+            _accumulate(stats, simulator.run(job.circuit), job)
+    stats.execute_time += time.perf_counter() - execute_start
 
 
-def _pauliframe_batch(
-    job: Job, batch: Batch, program: FrameProgram | None = None
-) -> BatchStats:
-    """Frames mode: sample the job's compiled fault-effect table.
-
-    ``program`` is the already-resolved :class:`FrameProgram` when the
-    job (inline or thread-pool) or a batch group looked it up once for
-    all its batches.
-    """
-    rng = batch_rng(job.seed, batch.index)
-    kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
+def _pauliframe_batches(job: Job, batches, stats: BatchStats) -> None:
+    """Frames mode: sample the job's compiled fault-effect table, looked
+    up once (one circuit digest) for the whole group."""
     compile_start = time.perf_counter()
-    if program is None:
-        program = get_frame_program(job.circuit, job.noise, job.frame_qubits)
-    compile_time = time.perf_counter() - compile_start
+    program = get_frame_program(job.circuit, job.noise, job.frame_qubits)
+    stats.compile_time += time.perf_counter() - compile_start
     execute_start = time.perf_counter()
-    counts = sample_error_counts(program, batch.shots, kernel_rng)
-    return BatchStats(
-        index=batch.index,
-        shots=batch.shots,
-        counts=counts,
-        compile_time=compile_time,
-        execute_time=time.perf_counter() - execute_start,
-    )
+    for batch in batches:
+        rng = batch_rng(job.seed, batch.index)
+        kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
+        stats.counts.update(sample_error_counts(program, batch.shots, kernel_rng))
+    stats.execute_time += time.perf_counter() - execute_start
 
 
-def _density_batch(job: Job, batch: Batch) -> BatchStats:
+def _density_batches(job: Job, batches, stats: BatchStats) -> None:
+    """Exact mode: the full branch distribution of the job's one batch."""
     if job.ensembles:
         raise ValueError("exact mode takes a fixed initial state, not ensembles")
+    if len(batches) != 1:
+        raise ValueError("an exact-distribution job runs as exactly one batch")
     simulator = DensitySimulator(noise=job.noise)
     execute_start = time.perf_counter()
-    result = simulator.run(job.circuit, initial_state=job.initial_state)
-    probabilities = {
-        "".join(str(b) for b in bits): p
-        for bits, p in result.branch_probabilities().items()
-    }
-    stats = BatchStats(
-        index=batch.index,
-        shots=batch.shots,
-        probabilities=probabilities,
-        execute_time=time.perf_counter() - execute_start,
-    )
+    branches = simulator.run(
+        job.circuit, initial_state=job.initial_state
+    ).branch_probabilities()
+    stats.probabilities = {"".join(str(b) for b in bits): p for bits, p in branches.items()}
     if job.readout:
         mean = 0.0
-        for bits, p in result.branch_probabilities().items():
+        for bits, p in branches.items():
             mean += p * (1.0 - 2.0 * _parity(list(bits), job.readout))
         stats.parity_total = mean
-    return stats
+    stats.execute_time += time.perf_counter() - execute_start
+
+
+#: Each backend folds a whole group into one BatchStats.
+_GROUP_RUNNERS = {
+    "statevector": _statevector_batches,
+    "statevector-ref": _statevector_ref_batches,
+    "stabilizer": _stabilizer_batches,
+    "tableau": _tableau_batches,
+    "pauliframe": _pauliframe_batches,
+    "density": _density_batches,
+}
 
 
 # ----------------------------------------------------------------------
@@ -599,21 +505,25 @@ def worker_cache_info() -> dict:
 
 def execute_batch_group(
     job: Job | None,
-    job_key: str,
+    job_key: str | None,
     batches: tuple[Batch, ...],
     backend: str,
     trace: dict | None = None,
     program=None,
-) -> GroupStats:
-    """Run several batches of one job in this worker and fold them locally.
+) -> BatchStats:
+    """Run a contiguous group of one job's batches and fold it locally.
 
-    The warm-worker protocol: ``job`` is the full payload on a worker's
-    first sight of ``job_key`` (and is remembered), or ``None`` for a
-    key-only dispatch that reuses the remembered payload — raising
-    :class:`WorkerJobMiss` when this worker never saw it, so the parent
-    can resubmit with the payload attached.  ``program`` optionally ships
-    the parent's already-compiled program to prime this process's compile
-    cache, saving the first compile per worker.
+    The engine's one execution entry: inline, thread-pool and
+    process-pool dispatches all call it.  ``job_key=None`` marks an
+    in-process dispatch (inline or a pool thread): ``job`` is at hand and
+    nothing is remembered.  A process-pool dispatch runs the warm-worker
+    protocol: ``job`` is the full payload on a worker's first sight of
+    ``job_key`` (and is remembered), or ``None`` for a key-only dispatch
+    that reuses the remembered payload — raising :class:`WorkerJobMiss`
+    when this worker never saw it, so the parent can resubmit with the
+    payload attached.  ``program`` optionally ships the parent's
+    already-compiled program to prime this process's compile cache,
+    saving the first compile per worker.
 
     Every batch still consumes exactly its own ``(job.seed, batch.index)``
     substream, and the fold is the order-insensitive Counter/±1-sum
@@ -624,62 +534,47 @@ def execute_batch_group(
     histories are shared across the group's batches; ``row_ops`` and
     ``shot_ops`` on the returned stats show how much.
     """
-    if job is None:
-        job = _recall_job(job_key)
+    runner = _GROUP_RUNNERS.get(backend)
+    if runner is None:
+        raise ValueError(f"unknown backend {backend!r}")
+    shipped = primed = False
+    if job_key is not None:
         if job is None:
-            raise WorkerJobMiss(job_key)
-        shipped = False
-    else:
-        _remember_job(job_key, job)
-        shipped = True
-
-    primed = False
-    if program is not None:
-        if isinstance(program, StabilizerProgram):
-            primed = prime_stabilizer(job.circuit, program)
+            job = _recall_job(job_key)
+            if job is None:
+                raise WorkerJobMiss(job_key)
         else:
-            primed = prime_compiled(job.circuit, program)
+            _remember_job(job_key, job)
+            shipped = True
+        if program is not None:
+            if isinstance(program, StabilizerProgram):
+                primed = prime_stabilizer(job.circuit, program)
+            else:
+                primed = prime_compiled(job.circuit, program)
 
     compile_before = compile_cache_stats()
     start_unix = time.time()
     t0 = time.perf_counter()
-    group = GroupStats(
+    stats = BatchStats(
         indices=tuple(b.index for b in batches),
         shots=sum(b.shots for b in batches),
         job_shipped=shipped,
         program_primed=primed,
     )
-    if backend == "statevector":
-        # The whole group goes through the branching kernel at once.
-        _statevector_batches(job, batches, group)
-    else:
-        frames = None
-        if backend == "pauliframe":
-            # One program lookup (one circuit digest) per group, not per batch.
-            frames = get_frame_program(job.circuit, job.noise, job.frame_qubits)
-            group.compile_time = time.perf_counter() - t0
-        for batch in batches:
-            stats = _dispatch_batch(job, batch, backend, frames)
-            if stats.probabilities is not None:
-                raise ValueError("exact-distribution batches cannot be group-reduced")
-            group.counts.update(stats.counts)
-            group.parity_total += stats.parity_total
-            group.parity_total_sq += stats.parity_total_sq
-            group.compile_time += stats.compile_time
-            group.execute_time += stats.execute_time
+    runner(job, batches, stats)
     total = time.perf_counter() - t0
     compile_after = compile_cache_stats()
-    group.compile_hits = compile_after["hits"] - compile_before["hits"]
-    group.compile_misses = compile_after["compiles"] - compile_before["compiles"]
+    stats.compile_hits = compile_after["hits"] - compile_before["hits"]
+    stats.compile_misses = compile_after["compiles"] - compile_before["compiles"]
     if trace is not None:
-        group.spans = _worker_spans(
-            group.index,
-            group.shots,
+        stats.spans = _worker_spans(
+            stats.index,
+            stats.shots,
             backend,
             trace,
-            group,
+            stats,
             start_unix,
             total,
             batches=len(batches),
         )
-    return group
+    return stats

@@ -2,41 +2,39 @@
 
 The scheduler plans, decides and submits: it splits a job's shot budget
 into fixed-size batches (the size comes from the job spec, not the pool),
-decides per job whether those batches run inline or fan out
-(:meth:`Scheduler.decide`, the one dispatch policy), and submits pooled
-batches as ``concurrent.futures`` futures.  Collecting them — cancel,
-miss-retry, failure drain and the in-order reduce — is the engine's one
-pipeline loop.  Each batch derives its RNG substream from
-``(job.seed, batch.index)`` alone and results are reduced in batch-index
-order, so the outcome is bit-identical whether the batches run serially,
-on 4 threads, or on 16 processes.
+decides per job how many contiguous **batch groups** those batches run
+as and whether the groups run inline or on the pool
+(:meth:`Scheduler.decide`, the one dispatch policy), and runs or submits
+each group as one :func:`~repro.engine.runners.execute_batch_group`
+call.  A group is one shot-branching kernel call, so its batches share
+history rows.  Collecting pooled groups — cancel, miss-retry, failure
+drain and the in-order reduce — is the engine's one pipeline loop.  Each
+batch derives its RNG substream from ``(job.seed, batch.index)`` alone
+and results are reduced in batch-index order, so the outcome is
+bit-identical whether the groups run serially, on 4 threads, or on 16
+processes.
 
-``executor`` picks the pool flavour:
+``executor`` picks where groups run:
 
-* ``"serial"``  — run batches inline on the calling thread (no pool);
+* ``"serial"``  — inline on the calling thread (no pool), with the
+  cancel token checked between groups;
 * ``"thread"``  — :class:`~concurrent.futures.ThreadPoolExecutor` (default;
-  cheap to spin up, shares the circuit objects);
+  cheap to spin up; the job is passed directly and nothing is pickled);
 * ``"process"`` — :class:`~concurrent.futures.ProcessPoolExecutor` (true
   CPU parallelism; jobs and batches are picklable by construction);
 * ``"auto"``    — a process pool whose use is gated per job by the
   :class:`~repro.engine.costmodel.CostModel`: jobs too small to amortize
   one IPC round trip run inline, everything else fans out.
 
-Process pools dispatch **batch groups** (several batches of one job per
-worker call, reduced worker-side — see
-:func:`~repro.engine.runners.execute_batch_group`) under the warm-worker
-protocol: a job's full payload and its parent-compiled program ship with
-the first ``workers`` groups; later groups carry only the job's content
-hash and ride the worker-resident caches.  A worker that never saw the
-payload raises ``WorkerJobMiss`` and the engine resubmits the group with
-the payload attached.  A group also runs as one shot-branching kernel
-call, so its batches share history rows.  Thread pools still keep the
-historical one-future-per-batch shape: nothing is pickled there, but
-grouping them (and inline jobs) would share rows the same way and is not
-done yet.
+Process pools run groups under the warm-worker protocol: a job's full
+payload and its parent-compiled program ship with the first ``workers``
+groups; later groups carry only the job's content hash and ride the
+worker-resident caches.  A worker that never saw the payload raises
+``WorkerJobMiss`` and the engine resubmits the group with the payload
+attached.
 
 :meth:`Scheduler.cancel_and_drain` is where the pool-stays-reusable
-invariant lives: after a failure or a cancel, every not-yet-started batch
+invariant lives: after a failure or a cancel, every not-yet-started group
 is cancelled and the still-running ones are drained before the error
 propagates.
 """
@@ -56,12 +54,7 @@ from concurrent.futures import (
 )
 
 from ..obs.runtime import NOOP
-from ..sim.batched_stabilizer import (
-    FrameProgram,
-    frame_fault_profile,
-    get_frame_program,
-    get_stabilizer,
-)
+from ..sim.batched_stabilizer import frame_fault_profile, get_stabilizer
 from ..sim.compile import get_capabilities, get_compiled
 from .costmodel import CostModel, DispatchPlan
 from .job import Job
@@ -70,7 +63,6 @@ from .runners import (
     BatchStats,
     _init_pool_worker,
     _warm_worker,
-    execute_batch,
     execute_batch_group,
 )
 
@@ -78,7 +70,7 @@ __all__ = ["Scheduler"]
 
 _EXECUTORS = ("serial", "thread", "process", "auto")
 
-#: Executor kinds backed by a ProcessPoolExecutor (group dispatch applies).
+#: Executor kinds backed by a ProcessPoolExecutor (the warm-worker protocol).
 _PROCESS_KINDS = ("process", "auto")
 
 _log = logging.getLogger("repro.engine.scheduler")
@@ -88,13 +80,13 @@ class Scheduler:
     """Plans a job into batches and dispatches them to a worker pool.
 
     ``obs`` is the engine-propagated observability bundle (default: the
-    shared no-op).  With tracing enabled, :meth:`submit` ships a batch
-    context to the worker and :meth:`run_batch` adopts the inline
-    worker-side spans, so per-batch queue wait and compile/execute time
+    shared no-op).  With tracing enabled, :meth:`submit_group` ships a
+    batch context to the worker and :meth:`run_group` adopts the inline
+    worker-side spans, so per-group queue wait and compile/execute time
     land in the parent trace.
 
-    ``cost_model`` owns the dispatch policy (inline vs pooled, batch-group
-    sizing); pass a custom :class:`~repro.engine.costmodel.CostModel` to
+    ``cost_model`` owns the dispatch policy (inline vs pooled, group
+    count); pass a custom :class:`~repro.engine.costmodel.CostModel` to
     re-tune it without touching the deterministic batch partition.
     """
 
@@ -118,7 +110,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     @property
     def pooled(self) -> bool:
-        """Whether this scheduler dispatches batches to a real pool."""
+        """Whether this scheduler dispatches groups to a real pool."""
         return self.workers > 1 and self.executor_kind != "serial"
 
     @property
@@ -167,61 +159,33 @@ class Scheduler:
         )
 
     def decide(self, job: Job, backend: str, num_batches: int) -> DispatchPlan:
-        """How this job's batches should be dispatched.
+        """How many groups this job's batches run as, and where.
 
-        Exact-distribution jobs and serial schedulers always run inline.
-        Thread pools keep the historical one-future-per-batch fan-out,
-        so they forgo the kernel-row sharing a batch group gets.
-        Process pools ship batch groups sized by the cost model; with
-        ``executor="auto"`` the cost model may also veto pooling entirely
-        (a job smaller than its own dispatch overhead stays on the calling
-        thread), while an explicit ``"process"`` executor is honored
-        regardless of the estimate.
+        A one-batch job (every exact-distribution job among them) is one
+        inline group.  Otherwise the cost model sizes the groups:
+        serial schedulers run them inline; ``executor="auto"`` lets the
+        model also veto pooling (a job smaller than its own dispatch
+        overhead stays on the calling thread); an explicit ``"thread"``
+        or ``"process"`` executor is honored regardless of the estimate.
         """
-        if not self.pooled or num_batches <= 1 or backend == "density":
-            return DispatchPlan(pooled=False, reason="inline executor")
-        if self.executor_kind == "thread":
-            return DispatchPlan(
-                pooled=True, per_batch=True, reason="thread pool: per-batch"
-            )
+        if num_batches <= 1:
+            return DispatchPlan(pooled=False, reason="one batch")
         estimate = self.estimate_job_seconds(job, backend)
-        plan = self.cost_model.plan(estimate, num_batches, self.workers)
-        if not plan.pooled and self.executor_kind == "process":
-            return DispatchPlan(
-                pooled=True,
-                num_groups=self.cost_model.group_count(
-                    estimate, num_batches, self.workers
-                ),
-                estimated_seconds=estimate,
-                reason="explicit process executor",
-            )
-        return plan
-
-    # ------------------------------------------------------------------
-    # Submission primitives
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        job: Job,
-        batch: Batch,
-        backend: str,
-        trace: dict | None = None,
-        frames: FrameProgram | None = None,
-    ) -> Future:
-        """Submit one batch to the pool (the cross-job pipeline's primitive).
-
-        ``trace`` is an optional picklable batch context shipped to the
-        worker; when None (tracing disabled) the submission is exactly the
-        historical three-argument call.  ``frames`` is the job's resolved
-        program from :meth:`frames_for`, passed on only when set.
-        """
-        extra = {} if frames is None else {"frames": frames}
-        if trace is None:
-            return self._ensure_pool().submit(execute_batch, job, batch, backend, **extra)
-        return self._ensure_pool().submit(
-            execute_batch, job, batch, backend, trace, **extra
+        workers = self.workers if self.pooled else 1
+        plan = self.cost_model.plan(estimate, num_batches, workers)
+        if plan.pooled or not self.pooled or self.executor_kind == "auto":
+            return plan
+        # An explicit pool runs even a job the model would keep inline.
+        return DispatchPlan(
+            pooled=True,
+            num_groups=self.cost_model.group_count(estimate, num_batches, workers),
+            estimated_seconds=estimate,
+            reason=f"explicit {self.executor_kind} executor",
         )
 
+    # ------------------------------------------------------------------
+    # Execution primitives
+    # ------------------------------------------------------------------
     def submit_group(
         self,
         job: Job,
@@ -232,12 +196,18 @@ class Scheduler:
         program=None,
         ship_job: bool = True,
     ) -> Future:
-        """Submit one batch group under the warm-worker protocol.
+        """Submit one batch group to the pool.
 
-        ``ship_job=False`` sends the content hash only (the payload rode a
-        previous group); the receiving worker raises ``WorkerJobMiss`` if
-        it holds no copy, and the caller resubmits with ``ship_job=True``.
+        A thread pool gets the job itself (``job_key``, ``program`` and
+        ``ship_job`` do not apply).  A process pool runs the warm-worker
+        protocol: ``ship_job=False`` sends the content hash only (the
+        payload rode a previous group); the receiving worker raises
+        ``WorkerJobMiss`` if it holds no copy, and the caller resubmits
+        with ``ship_job=True``.
         """
+        pool = self._ensure_pool()
+        if not self.process_pooled:
+            return pool.submit(execute_batch_group, job, None, group, backend, trace)
         payload = job if ship_job else None
         metrics = self.obs.metrics
         if metrics.enabled:
@@ -253,24 +223,46 @@ class Scheduler:
                 ).inc(size)
             except Exception:  # pragma: no cover - metrics never block dispatch
                 pass
-        return self._ensure_pool().submit(
+        return pool.submit(
             execute_batch_group, payload, job_key, group, backend, trace, program
         )
 
-    def note_group(self, stats) -> None:
-        """Surface one dispatch's warm-cache telemetry.
+    def run_group(
+        self,
+        job: Job,
+        group: tuple[Batch, ...],
+        backend: str,
+        trace_parent: str | None = None,
+    ) -> BatchStats:
+        """Run one batch group inline on the calling thread.
 
-        No-op for plain :class:`~repro.engine.runners.BatchStats`; for
-        group stats it feeds the ``engine.worker_compile`` hit/miss
-        counters and the ``engine.worker_job`` payload counters the tests
-        and the run report read.
+        With tracing on, the group's spans are adopted under
+        ``trace_parent``.  This module's ``execute_batch_group`` global is
+        the one place tests patch group execution.
         """
-        hits = getattr(stats, "compile_hits", None)
-        if hits is None:
+        tracer = self.obs.tracer
+        if not tracer.enabled:
+            return execute_batch_group(job, None, group, backend)
+        ctx = tracer.batch_context(trace_parent)
+        stats = execute_batch_group(job, None, group, backend, ctx)
+        tracer.adopt(stats.spans, parent_id=trace_parent)
+        return stats
+
+    def note_group(self, stats: BatchStats) -> None:
+        """Surface one process-pool dispatch's warm-cache telemetry.
+
+        Feeds the ``engine.worker_compile`` hit/miss counters and the
+        ``engine.worker_job`` payload counters the tests and the run
+        report read; a no-op off process pools, which have no warm
+        workers.
+        """
+        if not self.process_pooled:
             return
         metrics = self.obs.metrics
-        if hits:
-            metrics.counter("engine.worker_compile", outcome="hit").inc(hits)
+        if stats.compile_hits:
+            metrics.counter("engine.worker_compile", outcome="hit").inc(
+                stats.compile_hits
+            )
         if stats.compile_misses:
             metrics.counter("engine.worker_compile", outcome="miss").inc(
                 stats.compile_misses
@@ -302,8 +294,11 @@ class Scheduler:
         :class:`~repro.sim.batched_stabilizer.StabilizerProgram` (which
         embeds the one-time reference tableau pass — the expensive part).
         The parent's caches make repeat calls free, so shipping costs one
-        compile per distinct circuit across the whole run.
+        compile per distinct circuit across the whole run.  Thread pools
+        share the parent's caches, so there is nothing to prime.
         """
+        if not self.process_pooled:
+            return None
         if backend == "stabilizer":
             return get_stabilizer(job.circuit)
         if backend != "statevector":
@@ -316,44 +311,12 @@ class Scheduler:
             link_noise=live and noise.has_link_noise,
         )
 
-    def frames_for(self, job: Job, backend: str) -> FrameProgram | None:
-        """A ``pauliframe`` job's compiled program (else None), resolved
-        once so its inline or thread-pool batches skip the per-batch
-        lookup, which digests the whole circuit."""
-        if backend != "pauliframe":
-            return None
-        return get_frame_program(job.circuit, job.noise, job.frame_qubits)
-
-    def run_batch(
-        self,
-        job: Job,
-        batch: Batch,
-        backend: str,
-        trace_parent: str | None = None,
-        frames: FrameProgram | None = None,
-    ) -> BatchStats:
-        """Run one batch inline on the calling thread (no pool round trip).
-
-        With tracing off and no ``frames`` this is exactly the historical
-        three-argument ``execute_batch`` call, so this module's global is
-        the one place tests patch batch execution; with tracing on, the
-        worker-side spans are adopted under ``trace_parent``.
-        """
-        extra = {} if frames is None else {"frames": frames}
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return execute_batch(job, batch, backend, **extra)
-        ctx = tracer.batch_context(trace_parent)
-        stats = execute_batch(job, batch, backend, trace=ctx, **extra)
-        tracer.adopt(stats.spans, parent_id=trace_parent)
-        return stats
-
     @staticmethod
     def cancel_and_drain(futures) -> None:
         """Cancel what hasn't started and wait out what has.
 
         The one place the pool-stays-reusable invariant lives: after this
-        returns, no batch of the submission is queued or running, so the
+        returns, no group of the submission is queued or running, so the
         pool can take new work and the caller can safely report the first
         failure.
         """

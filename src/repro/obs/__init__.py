@@ -5,8 +5,9 @@ compile → route → schedule → execute pipeline:
 
 * :class:`Tracer` — nested spans (``trace_id`` / ``span_id`` /
   ``parent_id``) with a thread-safe collector, JSONL export, and
-  cross-process stitching (workers return span records inside
-  ``BatchStats``, so one trace covers parent and pool);
+  cross-process stitching (each batch group returns its span records in
+  its :class:`~repro.engine.runners.BatchStats`, so one trace covers
+  parent and pool);
 * :class:`MetricsRegistry` — counters, gauges, and fixed-bucket
   histograms with p50/p95/p99 queries;
 * :class:`Observability` — the bundle the engine and API accept

@@ -15,13 +15,14 @@ Three recording styles cover every call shape in the pipeline:
   generator-driven code (the engine's pipelined ``as_completed``), where
   ``with`` blocks cannot bracket the work;
 * :meth:`Tracer.record` — a span whose start/duration were measured
-  elsewhere (the parent-side view of a pooled batch).
+  elsewhere (the parent-side view of a pooled batch group).
 
 Cross-process stitching: the scheduler ships a tiny picklable *batch
-context* (:meth:`Tracer.batch_context`) to the worker; the worker measures
-its own compile/execute sub-spans as plain dicts (:func:`span_record`,
-no Tracer needed worker-side) and returns them inside ``BatchStats``;
-the parent adopts them (:meth:`Tracer.adopt`) under its own batch span.
+context* (:meth:`Tracer.batch_context`) with each batch group; the group
+measures its own compile/execute sub-spans as plain dicts
+(:func:`span_record`, no Tracer needed worker-side) and returns them in
+its :class:`~repro.engine.runners.BatchStats`; the parent adopts them
+(:meth:`Tracer.adopt`) under its own batch span.
 Because both sides stamp ``time.time()``, queue wait (submit → worker
 start) and the serialization/IPC gap (parent-observed latency minus queue
 wait minus worker-side time) are directly computable.
@@ -238,7 +239,7 @@ class Tracer:
     # Cross-process stitching
     # ------------------------------------------------------------------
     def batch_context(self, parent_id: str | None = None) -> dict:
-        """The picklable context the scheduler ships with a pooled batch."""
+        """The picklable context the scheduler ships with a batch group."""
         return {
             "trace_id": self.trace_id,
             "parent_id": parent_id,

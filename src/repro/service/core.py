@@ -12,7 +12,7 @@
   executing each job on the shared engine via ``asyncio.to_thread`` so
   the event loop keeps serving HTTP while shots run.  Every execution is
   wrapped in ``engine.cancel_scope(record.cancel)``, so a tripped token
-  aborts between batches wherever the engine call is nested;
+  aborts between batch groups wherever the engine call is nested;
 * **sweeps** stream: each grid point is published to the record's event
   log the moment it lands (:meth:`~repro.api.Experiment.sweep_iter`),
   so ``GET /jobs/{id}/events`` sees per-point results live;

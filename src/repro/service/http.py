@@ -10,7 +10,7 @@ exposing the :class:`~repro.service.core.ExperimentService`:
 ``GET /jobs/{id}``    poll: state, timestamps, and the result when done
 ``GET /jobs/{id}/events``  stream the event log as NDJSON (one JSON object
                       per line; sweeps stream per-point results live)
-``DELETE /jobs/{id}`` cooperative cancel; queued batches are dropped
+``DELETE /jobs/{id}`` cooperative cancel; queued batch groups are dropped
 ``GET /metrics``      queue depth, p50/p99 latency, cache hit rate, ...
 ``GET /healthz``      liveness
 ====================  =====================================================

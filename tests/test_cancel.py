@@ -1,9 +1,9 @@
 """Tests for cooperative job cancellation (CancelToken, cancel scopes).
 
 The engine-layer satellite behind ``DELETE /jobs/{id}``: a thread-safe
-latch checked between batches — serial and pooled paths, explicit
+latch checked between batch groups — serial and pooled paths, explicit
 ``cancel=`` arguments and thread-local ``cancel_scope`` blocks — that
-drops queued batches instead of computing a result nobody will read,
+drops queued groups instead of computing a result nobody will read,
 while leaving the pool reusable afterwards.
 """
 
@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.circuits import Circuit
-from repro.engine import CancelToken, Engine, Job, JobCancelled
+from repro.engine import CancelToken, CostModel, Engine, Job, JobCancelled
 
 
 def ghz_sampling_circuit(width: int = 3) -> Circuit:
@@ -33,30 +33,34 @@ def make_job(seed: int = 7, shots: int = 400, **overrides) -> Job:
     return job
 
 
-def trip_in_first_batch(monkeypatch, token: CancelToken) -> dict:
-    """Patch batch execution to trip ``token`` inside the first batch.
+def one_batch_groups(batches: int) -> CostModel:
+    """A cost model that runs a job of ``batches`` batches on two workers
+    (or inline) as one group per batch: many cancel points."""
+    return CostModel(target_group_seconds=1e-9, max_groups_per_worker=batches)
 
-    Every batch also sleeps briefly, standing in for real kernel work so
+
+def trip_in_first_group(monkeypatch, token: CancelToken) -> dict:
+    """Patch group execution to trip ``token`` inside the first group.
+
+    Every group also sleeps briefly, standing in for real kernel work so
     that the pool cannot race through the whole job before the engine
-    sees the tripped token.  Returns the live batch-call counter.
+    sees the tripped token.  Returns the live group-call counter.
     """
     import repro.engine.scheduler as sched_mod
 
-    real = sched_mod.execute_batch
+    real = sched_mod.execute_batch_group
     calls = {"n": 0}
     lock = threading.Lock()
 
-    def tripping(job_, batch, backend, trace=None, **kwargs):
+    def tripping(job_, job_key, group, backend, trace=None, program=None):
         with lock:
             calls["n"] += 1
             if calls["n"] == 1:
                 token.cancel()
         time.sleep(0.01)
-        if trace is None:
-            return real(job_, batch, backend, **kwargs)
-        return real(job_, batch, backend, trace, **kwargs)
+        return real(job_, job_key, group, backend, trace, program)
 
-    monkeypatch.setattr(sched_mod, "execute_batch", tripping)
+    monkeypatch.setattr(sched_mod, "execute_batch_group", tripping)
     return calls
 
 
@@ -103,33 +107,18 @@ class TestEngineCancellation:
             guarded = engine.run(make_job(), cancel=token)
         assert plain.counts == guarded.counts
 
-    def test_serial_multi_batch_cancel_between_batches(self):
-        # Cancel after the first batch lands: the serial path checks the
-        # token before each inline batch.
+    def test_serial_multi_group_cancel_between_groups(self, monkeypatch):
+        # Cancel inside the first group: the serial path checks the token
+        # before each inline group.
         token = CancelToken()
         job = make_job(shots=300, batch_size=100)
-        with Engine() as engine:
+        with Engine(cost_model=one_batch_groups(3)) as engine:
             original = engine.scheduler.obs
-            calls = {"n": 0}
-            import repro.engine.scheduler as sched_mod
-
-            real = sched_mod.execute_batch
-
-            def tripping(job_, batch, backend, trace=None):
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    token.cancel()
-                if trace is None:
-                    return real(job_, batch, backend)
-                return real(job_, batch, backend, trace)
-
-            sched_mod.execute_batch = tripping
-            try:
-                with pytest.raises(JobCancelled):
-                    engine.run(job, cancel=token)
-            finally:
-                sched_mod.execute_batch = real
-            assert calls["n"] == 1  # batches 2 and 3 were never computed
+            assert engine.scheduler.decide(job, "stabilizer", 3).num_groups == 3
+            calls = trip_in_first_group(monkeypatch, token)
+            with pytest.raises(JobCancelled):
+                engine.run(job, cancel=token)
+            assert calls["n"] == 1  # groups 2 and 3 were never computed
             assert original is engine.scheduler.obs
 
     def test_pooled_sweep_cancelled_mid_flight_keeps_pool_reusable(self):
@@ -149,13 +138,16 @@ class TestEngineCancellation:
 
     def test_pooled_run_cancelled_mid_flight(self, monkeypatch):
         # A single job on a pool honours the token on every completed
-        # batch, exactly like run_many: it stops early, stores nothing,
+        # group, exactly like run_many: it stops early, stores nothing,
         # and the drained pool still runs a fresh job.
         token = CancelToken()
         job = make_job(shots=2000, batch_size=100)
-        with Engine(workers=2, executor="thread", cache=True) as engine:
+        with Engine(
+            workers=2, executor="thread", cache=True, cost_model=one_batch_groups(20)
+        ) as engine:
             assert len(engine.scheduler.plan(job)) == 20
-            calls = trip_in_first_batch(monkeypatch, token)
+            assert engine.scheduler.decide(job, "stabilizer", 20).num_groups == 20
+            calls = trip_in_first_group(monkeypatch, token)
             with pytest.raises(JobCancelled):
                 engine.run(job, cancel=token)
             assert calls["n"] < 20
@@ -171,12 +163,15 @@ class TestEngineCancellation:
 
         token = CancelToken()
         experiment = Experiment.ghz_fidelity(8, 0.01, shots=20000, seed=3)
-        with Engine(workers=2, executor="thread") as engine:
-            calls = trip_in_first_batch(monkeypatch, token)
+        with Engine(
+            workers=2, executor="thread", cost_model=one_batch_groups(79)
+        ) as engine:
+            calls = trip_in_first_group(monkeypatch, token)
             with engine.cancel_scope(token):
                 with pytest.raises(JobCancelled):
                     experiment.run(engine=engine)
-            assert calls["n"] < 79  # 20000 shots in 256-shot batches
+            # 20000 shots in 256-shot batches, one group each.
+            assert calls["n"] < 79
             monkeypatch.undo()
             assert engine.run(make_job(seed=99)).shots == 400
 

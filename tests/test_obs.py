@@ -282,22 +282,22 @@ class TestEngineTracing:
         )
         obs = Observability()
 
-        def exploding(job, batch, backend, trace=None):
+        def exploding(job, job_key, group, backend, trace=None, program=None):
             raise RuntimeError("kaboom")
 
         import repro.engine.runners as runners_module
 
-        original = runners_module.execute_batch
+        original = runners_module.execute_batch_group
         # Patch at the scheduler's call site (thread pool shares the process).
         import repro.engine.scheduler as scheduler_module
 
-        scheduler_module.execute_batch = exploding
+        scheduler_module.execute_batch_group = exploding
         try:
             with Engine(workers=2, executor="thread", obs=obs) as engine:
                 with pytest.raises(Exception):
                     engine.run_many([bad])
         finally:
-            scheduler_module.execute_batch = original
+            scheduler_module.execute_batch_group = original
         names = [s["name"] for s in obs.tracer.span_dicts()]
         assert "engine.cancel_and_drain" in names
         errored = [s for s in obs.tracer.span_dicts() if s["status"] == "error"]

@@ -360,6 +360,52 @@ class TestFamilyAnalysis:
         tiny = NetworkSpec(link_depolarizing=1e-3)
         assert protocol_fidelity_bound(member, tiny) < protocol_fidelity_bound(naive, tiny)
 
+    def test_crossover_keeps_the_callers_swap_penalty(self):
+        # With a 5% swap penalty, naive's multi-hop pairs are already
+        # degraded at p_link = 0 while 1-hop pairs are not, so a member
+        # ranked above naive at the reference network cannot be "always"
+        # below it: ranking and crossover use the same network.
+        network = NetworkSpec(link_depolarizing=0.02, swap_penalty=0.05)
+        rows = crossover_link_rate(1, 4, topologies=("line",), network=network)["line"]
+        naive_rank = next(row["rank"] for row in rows if row["scheme"] == "naive")
+        naive_events = _family_events("naive", 1, 4, None)
+
+        def gap(scheme, p_link):
+            probe = NetworkSpec(link_depolarizing=p_link, swap_penalty=0.05)
+            return protocol_fidelity_bound(
+                _family_events(scheme, 1, 4, None), probe
+            ) - protocol_fidelity_bound(naive_events, probe)
+
+        ahead = [row for row in rows if row["rank"] < naive_rank]
+        assert {row["scheme"] for row in ahead} == {"nparty", "compas-teledata"}
+        for row in rows:
+            crossover = row["crossover_vs_naive"]
+            if row["scheme"] == "naive":
+                assert crossover == "never"
+            elif crossover == "always":
+                assert gap(row["scheme"], 1e-4) < 0.0
+            else:
+                assert gap(row["scheme"], crossover) < 0.0 <= gap(
+                    row["scheme"], crossover - 1e-6
+                )
+                assert gap(row["scheme"], 0.0) > 0.0
+        for row in ahead:
+            assert row["crossover_vs_naive"] > 0.02
+
+    @pytest.mark.parametrize("swap_penalty", [0.0, 0.05, 0.2])
+    def test_initial_slope_with_swap_penalty_is_the_log_derivative(self, swap_penalty):
+        p_link = 1e-7
+        for scheme in FAMILY:
+            events = _family_events(scheme, 4, 8, None)
+            at = [
+                protocol_fidelity_bound(
+                    events, NetworkSpec(link_depolarizing=p, swap_penalty=swap_penalty)
+                )
+                for p in (0.0, p_link)
+            ]
+            slope = (np.log(at[0]) - np.log(at[1])) / p_link
+            assert slope == pytest.approx(_initial_slope(events, swap_penalty), rel=1e-4)
+
     def test_crossover_rejects_unknown_topology(self):
         with pytest.raises(ValueError, match="topology"):
             crossover_link_rate(1, 3, schemes=("nstate",), topologies=("moebius",))

@@ -19,7 +19,7 @@ from repro.api import Experiment, NetworkSpec
 from repro.circuits import Circuit, Condition
 from repro.core import build_monolithic_swap_test, build_nparty_hadamard, protocol_job
 from repro.engine import Batch, Engine, Job, Scheduler, batch_rng
-from repro.engine.runners import _init_pool_worker, execute_batch, execute_batch_group
+from repro.engine.runners import _init_pool_worker, execute_batch_group
 from repro.obs import Observability, build_run_report
 from repro.sim import NoiseModel, get_compiled
 from repro.sim.batched import run_batched
@@ -218,7 +218,7 @@ class TestGoldenBits:
         _init_pool_worker()
         group = execute_batch_group(job, job.content_hash(), batches, "statevector")
         assert counts_digest(group.counts) == PACKED_DIGEST
-        single = [execute_batch(job, b, "statevector") for b in batches]
+        single = [execute_batch_group(job, None, (b,), "statevector") for b in batches]
         assert group.parity_total == sum(s.parity_total for s in single)
 
 
@@ -291,7 +291,7 @@ class TestRowCensus:
         group = execute_batch_group(job, job.content_hash(), batches, "statevector")
         assert group.shot_ops == 5_000 * len(get_compiled(job.circuit).ops)
         assert group.row_ops / group.shot_ops < 0.1
-        single = execute_batch(job, batches[0], "statevector")
+        single = execute_batch_group(job, None, batches[:1], "statevector")
         assert group.row_ops < 20 * single.row_ops
 
     def test_run_report_sums_the_census(self):

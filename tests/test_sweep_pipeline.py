@@ -21,7 +21,14 @@ import pytest
 from repro.api import Experiment
 from repro.circuits import Circuit
 from repro.core import build_monolithic_swap_test, swap_test_job
-from repro.engine import BatchExecutionError, Engine, Job, ResultCache, grid_points
+from repro.engine import (
+    BatchExecutionError,
+    CostModel,
+    Engine,
+    Job,
+    ResultCache,
+    grid_points,
+)
 from repro.utils import random_density_matrix, random_pure_state
 
 
@@ -142,23 +149,27 @@ class TestPipelinedExecution:
 
 
 class TestFailurePaths:
+    #: One group per batch of ``small_sv_job`` (4 batches), so a failure
+    #: names the exact batch and the other groups are independent.
+    ONE_BATCH_GROUPS = CostModel(target_group_seconds=1e-9, max_groups_per_worker=4)
+
     @staticmethod
     def failing(monkeypatch, fail_batch_index):
         from repro.engine import runners
 
-        original = runners.execute_batch
+        original = runners.execute_batch_group
 
-        def flaky(job, batch, backend):
-            if batch.index == fail_batch_index:
+        def flaky(job, job_key, group, backend, trace=None, program=None):
+            if any(batch.index == fail_batch_index for batch in group):
                 raise RuntimeError("injected batch failure")
-            return original(job, batch, backend)
+            return original(job, job_key, group, backend, trace, program)
 
-        monkeypatch.setattr("repro.engine.scheduler.execute_batch", flaky)
+        monkeypatch.setattr("repro.engine.scheduler.execute_batch_group", flaky)
         return flaky
 
     def test_scheduler_tags_batch_and_stays_usable(self, monkeypatch):
         self.failing(monkeypatch, fail_batch_index=2)
-        with Engine(workers=3) as engine:
+        with Engine(workers=3, cost_model=self.ONE_BATCH_GROUPS) as engine:
             with pytest.raises(BatchExecutionError) as info:
                 engine.run(small_sv_job(seed=1))
             assert info.value.batch_index == 2
@@ -170,7 +181,7 @@ class TestFailurePaths:
 
     def test_pipeline_tags_job_and_batch(self, monkeypatch):
         self.failing(monkeypatch, fail_batch_index=1)
-        with Engine(workers=3) as engine:
+        with Engine(workers=3, cost_model=self.ONE_BATCH_GROUPS) as engine:
             with pytest.raises(BatchExecutionError) as info:
                 engine.run_many([small_sv_job(seed=1), small_sv_job(seed=2)])
             assert info.value.batch_index == 1

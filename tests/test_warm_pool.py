@@ -16,16 +16,16 @@ from repro.engine import (
     Batch,
     BatchExecutionError,
     CostModel,
+    BatchStats,
     Engine,
-    GroupStats,
     Job,
     WorkerJobMiss,
 )
 from repro.engine.runners import (
     _accumulate_matrix,
     _init_pool_worker,
-    execute_batch,
     execute_batch_group,
+    worker_cache_info,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Observability
@@ -173,7 +173,9 @@ class TestWarmWorkerProtocol:
         combined.update(second.counts)
         folded = Counter()
         for i in range(2):
-            folded.update(execute_batch(job, Batch(i, 64), "statevector").counts)
+            folded.update(
+                execute_batch_group(job, None, (Batch(i, 64),), "statevector").counts
+            )
         assert combined == folded
 
     def test_ipc_bytes_counter_populated(self):
@@ -199,16 +201,26 @@ class TestWarmWorkerProtocol:
         batches = (Batch(0, 64), Batch(1, 64), Batch(2, 64), Batch(3, 8))
         _init_pool_worker()
         group = execute_batch_group(job, job.content_hash(), batches, "statevector")
-        assert isinstance(group, GroupStats)
-        assert group.num_batches == 4
+        assert isinstance(group, BatchStats)
+        assert group.indices == (0, 1, 2, 3)
         assert group.index == 0
-        per_batch = [execute_batch(job, b, "statevector") for b in batches]
+        singles = [execute_batch_group(job, None, (b,), "statevector") for b in batches]
         folded = Counter()
-        for stats in per_batch:
+        for stats in singles:
             folded.update(stats.counts)
         assert group.counts == folded
-        assert group.parity_total == sum(s.parity_total for s in per_batch)
+        assert group.parity_total == sum(s.parity_total for s in singles)
         assert group.shots == 200
+
+    def test_in_process_groups_leave_the_job_memo_empty(self):
+        # The job memo is process-worker state: inline and thread-pool
+        # groups hand the job over directly and never fill it.
+        _init_pool_worker()
+        jobs = [sv_job(seed=s) for s in range(3)]
+        for kwargs in ({"workers": 1}, {"workers": 2, "executor": "thread"}):
+            with Engine(cache=False, **kwargs) as engine:
+                engine.run_many(jobs)
+            assert worker_cache_info()["jobs"] == 0
 
 
 class TestCancelAndDrain:
@@ -282,9 +294,7 @@ class TestVectorizedAccumulate:
         rng = np.random.default_rng(5)
         clbits = rng.integers(0, 2, size=(500, 6)).astype(np.uint8)
         job = Job(circuit=Circuit(6, 6), shots=500, seed=0, readout=(1, 4))
-        from repro.engine.runners import BatchStats
-
-        stats = BatchStats(index=0, shots=500)
+        stats = BatchStats(indices=(0,), shots=500)
         _accumulate_matrix(stats, clbits, job)
         expected = Counter("".join(str(int(b)) for b in row) for row in clbits)
         assert stats.counts == expected
@@ -292,9 +302,7 @@ class TestVectorizedAccumulate:
         assert stats.parity_total == float((1.0 - 2.0 * parity).sum())
 
     def test_zero_clbits(self):
-        from repro.engine.runners import BatchStats
-
         job = Job(circuit=Circuit(1, 0), shots=8, seed=0)
-        stats = BatchStats(index=0, shots=8)
+        stats = BatchStats(indices=(0,), shots=8)
         _accumulate_matrix(stats, np.zeros((8, 0), dtype=np.uint8), job)
         assert stats.counts == Counter({"": 8})
