@@ -98,7 +98,7 @@ def run_uninstrumented(job: Job) -> None:
     backend = BackendRouter().select(job).name
     batches = scheduler.plan(job)
     for group in scheduler.decide(job, backend, len(batches)).split(batches):
-        execute_batch_group(job, None, group, backend)
+        execute_batch_group(job, group, backend)
 
 
 def run_engine(job: Job, obs: Observability | None) -> None:

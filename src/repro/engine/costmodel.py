@@ -14,7 +14,8 @@ group); the model decides
 * **group count** — few big groups minimise dispatch overhead and let
   more histories share kernel rows; more smaller groups improve load
   balance and cancellation granularity (the cancel token is checked
-  between groups).
+  between groups, so no group is estimated to run longer than
+  :data:`MAX_GROUP_SECONDS`).
 
 Cost estimates come from ``(shots, n_qubits, stochastic sites, op
 count)`` with per-backend constants calibrated against
@@ -47,6 +48,15 @@ _VECTORIZED_BACKENDS = ("statevector",)
 #: shots, p = 1e-4 .. 0.05) on 2 vCPUs.
 _FRAME_GROUP_SECONDS = 8e-5
 _FRAME_FAULT_SECONDS = 2e-7
+
+#: The longest one group may run, by the estimate.  The cancel token is
+#: checked between groups and a failed group fails whole, so however long
+#: a job is and however few workers run it, a cancel or a failure waits
+#: out about this long per running group.  It is a time and not a batch
+#: count because a dense group's cost is mostly its history rows, which
+#: do not grow with its shots: splitting a short dense job further only
+#: recomputes rows.
+MAX_GROUP_SECONDS = 0.25
 
 
 @dataclass(frozen=True)
@@ -94,8 +104,9 @@ class CostModel:
     (fanning out for a projected 5% win is all risk, no reward).
     ``target_group_seconds`` sizes groups for long jobs: below it a
     worker gets one group (minimum IPC), above it up to
-    ``max_groups_per_worker`` groups so stragglers and cancellation stay
-    bounded.
+    ``max_groups_per_worker`` groups so stragglers stay bounded; past
+    that, :data:`MAX_GROUP_SECONDS` adds groups so cancellation stays
+    bounded too.
     """
 
     amp_op_seconds: float = 2e-9
@@ -193,4 +204,6 @@ class CostModel:
         per_worker_seconds = estimated_seconds / max(workers, 1)
         per_worker = int(round(per_worker_seconds / self.target_group_seconds))
         per_worker = max(1, min(self.max_groups_per_worker, per_worker))
+        # No group is estimated to run longer than MAX_GROUP_SECONDS.
+        per_worker = max(per_worker, math.ceil(per_worker_seconds / MAX_GROUP_SECONDS))
         return max(1, min(num_batches, workers * per_worker))

@@ -123,7 +123,6 @@ class _PendingJob:
     started: float
     stats: list[BatchStats] = field(default_factory=list)
     span: object = None  # the job's open trace span (noop when disabled)
-    program: object = None  # parent-compiled program (WorkerJobMiss retries)
 
 
 class Engine:
@@ -436,7 +435,7 @@ class Engine:
         for index, job, key in owned:
             choice = self.router.select(job)
             batches = self.scheduler.plan(job)
-            plan = self.scheduler.decide(job, choice.name, len(batches))
+            plan = self.scheduler.decide(job, choice.name, len(batches), jobs=len(owned))
             entry = (index, job, key, choice, plan.split(batches))
             (pooled if plan.pooled else inline).append(entry)
 
@@ -450,23 +449,11 @@ class Engine:
                 if cancel is not None:
                     cancel.raise_if_cancelled()
                 state = states[index] = self._start(job, key, choice, groups, parent_id)
-                # Process pools: the payload and compiled program ride the
-                # first `workers` groups, later groups go key-only
-                # (WorkerJobMiss retries re-ship the payload).
-                state.program = self.scheduler.compiled_for(job, choice.name)
-                warm = min(len(groups), self.scheduler.workers)
-                for position, group in enumerate(groups):
-                    ctx = tracer.batch_context(state.span.span_id) if tracer.enabled else None
-                    future = self.scheduler.submit_group(
-                        job,
-                        key,
-                        group,
-                        choice.name,
-                        trace=ctx,
-                        program=state.program if position < warm else None,
-                        ship_job=position < warm,
-                    )
-                    future_map[future] = (index, group, ctx, time.perf_counter())
+                submitted = time.perf_counter()
+                for future, group, ctx in self.scheduler.submit_groups(
+                    job, key, groups, choice.name, state.span.span_id
+                ):
+                    future_map[future] = (index, group, ctx, submitted)
             # Inline jobs run here while the pool chews on the submitted
             # groups.
             for index, job, key, choice, groups in inline:
@@ -498,17 +485,17 @@ class Engine:
                     exc = future.exception()
                     if exc is not None:
                         if isinstance(exc, WorkerJobMiss):
-                            retry = self.scheduler.submit_group(
+                            # A one-group resubmission ships the payload.
+                            submitted = time.perf_counter()
+                            for retry, _, retry_ctx in self.scheduler.submit_groups(
                                 state.job,
                                 state.key,
-                                group,
+                                [group],
                                 state.choice.name,
-                                trace=ctx,
-                                program=state.program,
-                                ship_job=True,
-                            )
-                            future_map[retry] = (index, group, ctx, time.perf_counter())
-                            pending_futures.add(retry)
+                                state.span.span_id,
+                            ):
+                                future_map[retry] = (index, group, retry_ctx, submitted)
+                                pending_futures.add(retry)
                             continue
                         if len(group) == 1:
                             desc = f"batch {group[0].index} ({group[0].shots} shots)"

@@ -39,6 +39,7 @@ from threading import Lock
 
 import numpy as np
 
+from ..circuits import Circuit
 from ..obs.trace import span_record
 from ..sim.batched import Segment, run_segments
 from ..sim.batched_stabilizer import (
@@ -486,7 +487,18 @@ def _init_pool_worker() -> None:
 
 
 def _warm_worker() -> int:
-    """No-op pool task used to prewarm workers; returns the worker's PID."""
+    """Pool task that prewarms a worker; returns the worker's PID.
+
+    It runs one tiny group through the statevector kernel, so the worker
+    pays its first-call costs (the copy-on-write faults of a forked
+    worker's first touch of the kernel's code and data, first
+    allocations) here rather than in the first real group.  It leaves
+    the job memo empty.
+    """
+    circuit = Circuit(1, 1)
+    circuit.h(0)
+    circuit.measure(0, 0)
+    execute_batch_group(Job(circuit=circuit, shots=8, seed=0), (Batch(0, 8),), "statevector")
     return os.getpid()
 
 
@@ -504,62 +516,35 @@ def worker_cache_info() -> dict:
 
 
 def execute_batch_group(
-    job: Job | None,
-    job_key: str | None,
+    job: Job,
     batches: tuple[Batch, ...],
     backend: str,
     trace: dict | None = None,
-    program=None,
 ) -> BatchStats:
     """Run a contiguous group of one job's batches and fold it locally.
 
     The engine's one execution entry: inline, thread-pool and
-    process-pool dispatches all call it.  ``job_key=None`` marks an
-    in-process dispatch (inline or a pool thread): ``job`` is at hand and
-    nothing is remembered.  A process-pool dispatch runs the warm-worker
-    protocol: ``job`` is the full payload on a worker's first sight of
-    ``job_key`` (and is remembered), or ``None`` for a key-only dispatch
-    that reuses the remembered payload — raising :class:`WorkerJobMiss`
-    when this worker never saw it, so the parent can resubmit with the
-    payload attached.  ``program`` optionally ships the parent's
-    already-compiled program to prime this process's compile cache,
-    saving the first compile per worker.
-
-    Every batch still consumes exactly its own ``(job.seed, batch.index)``
-    substream, and the fold is the order-insensitive Counter/±1-sum
-    reduction, so grouping cannot change result bits.  A ``statevector``
-    group runs all its batches through the shot-branching kernel at once
-    (each batch a segment with its own generators, packed into as few
-    calls as :data:`~repro.sim.batched.MAX_CHUNK_AMPLITUDES` allows), so
-    histories are shared across the group's batches; ``row_ops`` and
-    ``shot_ops`` on the returned stats show how much.
+    process-pool groups all run here (a process worker through
+    :func:`_warm_group`, which first resolves the job from the warm
+    cache).  Every batch still consumes exactly its own
+    ``(job.seed, batch.index)`` substream, and the fold is the
+    order-insensitive Counter/±1-sum reduction, so grouping cannot change
+    result bits.  A ``statevector`` group runs all its batches through the
+    shot-branching kernel at once (each batch a segment with its own
+    generators, packed into as few calls as
+    :data:`~repro.sim.batched.MAX_CHUNK_AMPLITUDES` allows), so histories
+    are shared across the group's batches; ``row_ops`` and ``shot_ops``
+    on the returned stats show how much.
     """
     runner = _GROUP_RUNNERS.get(backend)
     if runner is None:
         raise ValueError(f"unknown backend {backend!r}")
-    shipped = primed = False
-    if job_key is not None:
-        if job is None:
-            job = _recall_job(job_key)
-            if job is None:
-                raise WorkerJobMiss(job_key)
-        else:
-            _remember_job(job_key, job)
-            shipped = True
-        if program is not None:
-            if isinstance(program, StabilizerProgram):
-                primed = prime_stabilizer(job.circuit, program)
-            else:
-                primed = prime_compiled(job.circuit, program)
-
     compile_before = compile_cache_stats()
     start_unix = time.time()
     t0 = time.perf_counter()
     stats = BatchStats(
         indices=tuple(b.index for b in batches),
         shots=sum(b.shots for b in batches),
-        job_shipped=shipped,
-        program_primed=primed,
     )
     runner(job, batches, stats)
     total = time.perf_counter() - t0
@@ -577,4 +562,42 @@ def execute_batch_group(
             total,
             batches=len(batches),
         )
+    return stats
+
+
+def _warm_group(
+    job: Job | None,
+    job_key: str,
+    batches: tuple[Batch, ...],
+    backend: str,
+    trace: dict | None = None,
+    program=None,
+) -> BatchStats:
+    """A process-pool worker's group: the warm-worker protocol around
+    :func:`execute_batch_group`.
+
+    ``job`` is the full payload on this worker's first sight of
+    ``job_key`` (and is remembered), or ``None`` for a key-only dispatch
+    that reuses the remembered payload — raising :class:`WorkerJobMiss`
+    when this worker never saw it, so the parent can resubmit with the
+    payload attached.  ``program`` optionally ships the parent's
+    already-compiled program to prime this process's compile cache,
+    saving the first compile per worker.
+    """
+    shipped = job is not None
+    if shipped:
+        _remember_job(job_key, job)
+    else:
+        job = _recall_job(job_key)
+        if job is None:
+            raise WorkerJobMiss(job_key)
+    primed = False
+    if program is not None:
+        if isinstance(program, StabilizerProgram):
+            primed = prime_stabilizer(job.circuit, program)
+        else:
+            primed = prime_compiled(job.circuit, program)
+    stats = execute_batch_group(job, batches, backend, trace)
+    stats.job_shipped = shipped
+    stats.program_primed = primed
     return stats

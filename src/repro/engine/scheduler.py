@@ -45,6 +45,7 @@ import logging
 import math
 import pickle
 import threading
+from collections.abc import Iterator
 from concurrent.futures import (
     Executor,
     Future,
@@ -62,6 +63,7 @@ from .runners import (
     Batch,
     BatchStats,
     _init_pool_worker,
+    _warm_group,
     _warm_worker,
     execute_batch_group,
 )
@@ -80,7 +82,7 @@ class Scheduler:
     """Plans a job into batches and dispatches them to a worker pool.
 
     ``obs`` is the engine-propagated observability bundle (default: the
-    shared no-op).  With tracing enabled, :meth:`submit_group` ships a
+    shared no-op).  With tracing enabled, :meth:`submit_groups` ships a
     batch context to the worker and :meth:`run_group` adopts the inline
     worker-side spans, so per-group queue wait and compile/execute time
     land in the parent trace.
@@ -158,7 +160,9 @@ class Scheduler:
             faults_per_shot=faults,
         )
 
-    def decide(self, job: Job, backend: str, num_batches: int) -> DispatchPlan:
+    def decide(
+        self, job: Job, backend: str, num_batches: int, jobs: int = 1
+    ) -> DispatchPlan:
         """How many groups this job's batches run as, and where.
 
         A one-batch job (every exact-distribution job among them) is one
@@ -167,65 +171,82 @@ class Scheduler:
         model also veto pooling (a job smaller than its own dispatch
         overhead stays on the calling thread); an explicit ``"thread"``
         or ``"process"`` executor is honored regardless of the estimate.
+
+        ``jobs`` is how many jobs the same submission puts on the pool.
+        Those jobs already run side by side, so a pooled job's groups
+        only need to cover its share of the workers: a lone job splits
+        across all of them, while in a sweep of at least ``workers`` jobs
+        each job is sized as if it had one worker, keeping its batches
+        in few groups that share kernel rows.
         """
         if num_batches <= 1:
             return DispatchPlan(pooled=False, reason="one batch")
         estimate = self.estimate_job_seconds(job, backend)
         workers = self.workers if self.pooled else 1
         plan = self.cost_model.plan(estimate, num_batches, workers)
-        if plan.pooled or not self.pooled or self.executor_kind == "auto":
+        if not plan.pooled and (not self.pooled or self.executor_kind == "auto"):
             return plan
-        # An explicit pool runs even a job the model would keep inline.
+        # Pooled by the model, or by an explicit pool, which runs even a
+        # job the model would keep inline.
+        share = -(-workers // max(jobs, 1))
         return DispatchPlan(
             pooled=True,
-            num_groups=self.cost_model.group_count(estimate, num_batches, workers),
+            num_groups=self.cost_model.group_count(estimate, num_batches, share),
             estimated_seconds=estimate,
-            reason=f"explicit {self.executor_kind} executor",
+            reason=plan.reason if plan.pooled else f"explicit {self.executor_kind} executor",
         )
 
     # ------------------------------------------------------------------
     # Execution primitives
     # ------------------------------------------------------------------
-    def submit_group(
+    def submit_groups(
         self,
         job: Job,
         job_key: str,
-        group: tuple[Batch, ...],
+        groups: list[tuple[Batch, ...]],
         backend: str,
-        trace: dict | None = None,
-        program=None,
-        ship_job: bool = True,
-    ) -> Future:
-        """Submit one batch group to the pool.
+        trace_parent: str | None = None,
+    ) -> Iterator[tuple[Future, tuple[Batch, ...], dict | None]]:
+        """Submit a job's batch groups to the pool, yielding each as it goes.
 
-        A thread pool gets the job itself (``job_key``, ``program`` and
-        ``ship_job`` do not apply).  A process pool runs the warm-worker
-        protocol: ``ship_job=False`` sends the content hash only (the
-        payload rode a previous group); the receiving worker raises
-        ``WorkerJobMiss`` if it holds no copy, and the caller resubmits
-        with ``ship_job=True``.
+        Yields ``(future, group, trace context)`` right after each submit
+        (the context is None with tracing off), so a caller that fails
+        mid-submission still holds every future that went in.  A thread
+        pool gets the job itself.  A process pool runs the warm-worker
+        protocol: the payload and the parent-compiled program ride the
+        first ``workers`` groups, later groups send the content hash only.
+        A worker that holds no copy raises ``WorkerJobMiss``, and the
+        caller resubmits that group alone, which ships the payload again.
         """
         pool = self._ensure_pool()
+        tracer = self.obs.tracer
         if not self.process_pooled:
-            return pool.submit(execute_batch_group, job, None, group, backend, trace)
-        payload = job if ship_job else None
+            for group in groups:
+                ctx = tracer.batch_context(trace_parent)
+                yield pool.submit(execute_batch_group, job, group, backend, ctx), group, ctx
+            return
+        program = self._compiled_for(job, backend)
         metrics = self.obs.metrics
-        if metrics.enabled:
-            try:
-                size = len(
-                    pickle.dumps(
-                        (payload, job_key, group, backend, trace, program),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                )
-                metrics.counter(
-                    "engine.ipc_bytes", payload="full" if ship_job else "key"
-                ).inc(size)
-            except Exception:  # pragma: no cover - metrics never block dispatch
-                pass
-        return pool.submit(
-            execute_batch_group, payload, job_key, group, backend, trace, program
-        )
+        for position, group in enumerate(groups):
+            ship = position < self.workers
+            ctx = tracer.batch_context(trace_parent)
+            args = (
+                job if ship else None,
+                job_key,
+                group,
+                backend,
+                ctx,
+                program if ship else None,
+            )
+            if metrics.enabled:
+                try:
+                    size = len(pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL))
+                    metrics.counter(
+                        "engine.ipc_bytes", payload="full" if ship else "key"
+                    ).inc(size)
+                except Exception:  # pragma: no cover - metrics never block dispatch
+                    pass
+            yield pool.submit(_warm_group, *args), group, ctx
 
     def run_group(
         self,
@@ -242,9 +263,9 @@ class Scheduler:
         """
         tracer = self.obs.tracer
         if not tracer.enabled:
-            return execute_batch_group(job, None, group, backend)
+            return execute_batch_group(job, group, backend)
         ctx = tracer.batch_context(trace_parent)
-        stats = execute_batch_group(job, None, group, backend, ctx)
+        stats = execute_batch_group(job, group, backend, ctx)
         tracer.adopt(stats.spans, parent_id=trace_parent)
         return stats
 
@@ -274,7 +295,9 @@ class Scheduler:
     def prewarm(self) -> list[int]:
         """Spin up every pool worker ahead of the first real submission.
 
-        Returns the distinct worker PIDs that answered (empty for serial
+        Each warm-up task also runs one tiny kernel group, so a worker's
+        first-call costs stay out of the first real group.  Returns the
+        distinct worker PIDs that answered (empty for serial
         and thread executors, where there is nothing to warm).  Calling
         this outside a timed region keeps process-start cost out of
         throughput measurements; it is never required for correctness.
@@ -285,7 +308,7 @@ class Scheduler:
         futures = [pool.submit(_warm_worker) for _ in range(self.workers)]
         return sorted({future.result() for future in futures})
 
-    def compiled_for(self, job: Job, backend: str):
+    def _compiled_for(self, job: Job, backend: str):
         """The parent-side compiled program to prime workers with (or None).
 
         The vectorized statevector backend ships its
@@ -294,11 +317,8 @@ class Scheduler:
         :class:`~repro.sim.batched_stabilizer.StabilizerProgram` (which
         embeds the one-time reference tableau pass — the expensive part).
         The parent's caches make repeat calls free, so shipping costs one
-        compile per distinct circuit across the whole run.  Thread pools
-        share the parent's caches, so there is nothing to prime.
+        compile per distinct circuit across the whole run.
         """
-        if not self.process_pooled:
-            return None
         if backend == "stabilizer":
             return get_stabilizer(job.circuit)
         if backend != "statevector":

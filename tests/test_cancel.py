@@ -39,26 +39,28 @@ def one_batch_groups(batches: int) -> CostModel:
     return CostModel(target_group_seconds=1e-9, max_groups_per_worker=batches)
 
 
-def trip_in_first_group(monkeypatch, token: CancelToken) -> dict:
+def trip_in_first_group(monkeypatch, token: CancelToken, pause: float = 0.01) -> dict:
     """Patch group execution to trip ``token`` inside the first group.
 
-    Every group also sleeps briefly, standing in for real kernel work so
+    Every group also sleeps ``pause`` seconds, standing in for real kernel work so
     that the pool cannot race through the whole job before the engine
-    sees the tripped token.  Returns the live group-call counter.
+    sees the tripped token.  Returns the live counters: group calls
+    (``n``) and the batches they hold (``batches``).
     """
     import repro.engine.scheduler as sched_mod
 
     real = sched_mod.execute_batch_group
-    calls = {"n": 0}
+    calls = {"n": 0, "batches": 0}
     lock = threading.Lock()
 
-    def tripping(job_, job_key, group, backend, trace=None, program=None):
+    def tripping(job_, group, backend, trace=None):
         with lock:
             calls["n"] += 1
+            calls["batches"] += len(group)
             if calls["n"] == 1:
                 token.cancel()
-        time.sleep(0.01)
-        return real(job_, job_key, group, backend, trace, program)
+        time.sleep(pause)
+        return real(job_, group, backend, trace)
 
     monkeypatch.setattr(sched_mod, "execute_batch_group", tripping)
     return calls
@@ -174,6 +176,48 @@ class TestEngineCancellation:
             assert calls["n"] < 79
             monkeypatch.undo()
             assert engine.run(make_job(seed=99)).shots == 400
+
+    @pytest.mark.parametrize(
+        "workers, executor, share", [(1, "serial", 0.1), (2, "thread", 0.3)]
+    )
+    def test_default_model_cancel_stops_within_a_bounded_share(
+        self, monkeypatch, workers, executor, share
+    ):
+        # Under the default cost model a long job runs as groups of at
+        # most MAX_GROUP_SECONDS (estimated), so a cancel waits out only
+        # the groups already running: the current one inline, and on a
+        # pool each worker's current group plus the one it picks up
+        # before the engine drains the queue.  Groups are counted, not
+        # computed: the job is estimated at seconds of per-shot work.
+        import repro.engine.scheduler as sched_mod
+        from repro.engine import BatchStats
+
+        token = CancelToken()
+        job = make_job(shots=100_000, backend="statevector-ref")
+        seen = {"n": 0, "batches": 0}
+        lock = threading.Lock()
+
+        def counting(job_, group, backend, trace=None):
+            with lock:
+                seen["n"] += 1
+                seen["batches"] += len(group)
+                if seen["n"] == 1:
+                    token.cancel()
+            time.sleep(0.05)
+            return BatchStats(
+                indices=tuple(b.index for b in group), shots=sum(b.shots for b in group)
+            )
+
+        monkeypatch.setattr(sched_mod, "execute_batch_group", counting)
+        with Engine(workers=workers, executor=executor) as engine:
+            total = len(engine.scheduler.plan(job))
+            plan = engine.scheduler.decide(job, "statevector-ref", total)
+            with pytest.raises(JobCancelled):
+                engine.run(job, cancel=token)
+        running = 1 if workers == 1 else 2 * workers
+        assert seen["n"] <= running
+        assert seen["batches"] <= running * -(-total // plan.num_groups)
+        assert seen["batches"] <= share * total
 
     def test_cancelled_jobs_not_cached(self):
         token = CancelToken()

@@ -141,6 +141,35 @@ class TestDispatchPlan:
         )
         assert not plan.pooled and plan.num_groups == 1
 
+    def test_pooled_job_sizes_groups_for_its_share_of_the_workers(self):
+        # A lone job splits across all eight workers; in a sweep of eight
+        # or more jobs each job is grouped as on one worker, like serial.
+        job = Job(circuit=sv_circuit(), shots=1024, seed=3, batch_size=256)
+        pool = Scheduler(workers=8, executor="process")
+        serial = Scheduler(workers=1)
+        assert pool.decide(job, "statevector", 4).num_groups == 4
+        assert pool.decide(job, "statevector", 4, jobs=2).num_groups == 4
+        for jobs in (8, 24):
+            plan = pool.decide(job, "statevector", 4, jobs=jobs)
+            assert plan.pooled
+            assert plan.num_groups == serial.decide(job, "statevector", 4).num_groups == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_long_job_groups_stay_under_the_time_cap(self, workers):
+        # However long the job, a cancel or a failure waits out about
+        # MAX_GROUP_SECONDS (by the estimate) per running group.
+        from repro.engine.costmodel import MAX_GROUP_SECONDS
+
+        job = Job(
+            circuit=sv_circuit(), shots=400 * 256, seed=3, backend="statevector-ref"
+        )
+        scheduler = Scheduler(workers=workers, executor="thread")
+        batches = scheduler.plan(job)
+        plan = scheduler.decide(job, "statevector-ref", len(batches))
+        assert plan.estimated_seconds > 4 * workers * MAX_GROUP_SECONDS
+        assert plan.estimated_seconds / plan.num_groups <= MAX_GROUP_SECONDS
+        assert plan.num_groups % workers == 0
+
 
 def cold_family_ops() -> dict[str, Experiment]:
     """The dense ops of the repository benchmark's ``cold_family`` (seed 1)."""

@@ -24,7 +24,7 @@ from repro.api import Experiment
 from repro.circuits import Circuit, Condition
 from repro.core.ghz import distributed_ghz
 from repro.engine import Batch, CostModel, Engine, Job
-from repro.engine.runners import _init_pool_worker, execute_batch_group, worker_cache_info
+from repro.engine.runners import execute_batch_group, worker_cache_info
 from repro.network.program import DistributedProgram
 from repro.network.topology import line_topology
 from repro.sim import NoiseModel, Pauli, PauliFrameSimulator
@@ -217,11 +217,10 @@ class TestCompileOnce:
 
     def test_group_looks_up_its_program_once(self):
         clear_stabilizer_cache()
-        _init_pool_worker()
         job = ghz_job(5, 0.01, shots=10 * 32, seed=8, batch_size=32)
         batches = tuple(Batch(i, 32) for i in range(10))
-        execute_batch_group(job, job.content_hash(), batches, "pauliframe")
-        execute_batch_group(job, job.content_hash(), batches, "pauliframe")
+        execute_batch_group(job, batches, "pauliframe")
+        execute_batch_group(job, batches, "pauliframe")
         stats = frame_cache_stats()
         assert (stats["compiles"], stats["hits"]) == (1, 1)
 

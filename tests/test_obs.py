@@ -282,7 +282,7 @@ class TestEngineTracing:
         )
         obs = Observability()
 
-        def exploding(job, job_key, group, backend, trace=None, program=None):
+        def exploding(job, group, backend, trace=None):
             raise RuntimeError("kaboom")
 
         import repro.engine.runners as runners_module
@@ -372,7 +372,11 @@ class TestRunReport:
         assert report["workers"] == 4
         assert report["worker_utilization"] is not None
         assert report["errors"] == 0
-        assert report["by_name"]["worker.batch"]["count"] == 16
+        # Four jobs fill the four workers, so each runs as one group of
+        # its four batches: one worker.batch span per group, 16 batches.
+        assert report["by_name"]["worker.batch"]["count"] == 4
+        groups = [s for s in obs.tracer.span_dicts() if s["name"] == "worker.batch"]
+        assert sum(s["attrs"]["batches"] for s in groups) == 16
 
     def test_report_rebuilds_from_exported_jsonl(self, tmp_path):
         obs = Observability()

@@ -19,7 +19,7 @@ from repro.api import Experiment, NetworkSpec
 from repro.circuits import Circuit, Condition
 from repro.core import build_monolithic_swap_test, build_nparty_hadamard, protocol_job
 from repro.engine import Batch, Engine, Job, Scheduler, batch_rng
-from repro.engine.runners import _init_pool_worker, execute_batch_group
+from repro.engine.runners import execute_batch_group
 from repro.obs import Observability, build_run_report
 from repro.sim import NoiseModel, get_compiled
 from repro.sim.batched import run_batched
@@ -215,10 +215,9 @@ class TestGoldenBits:
         )
         assert job.circuit.num_qubits == 10
         batches = tuple(Batch(i, 250) for i in range(12))
-        _init_pool_worker()
-        group = execute_batch_group(job, job.content_hash(), batches, "statevector")
+        group = execute_batch_group(job, batches, "statevector")
         assert counts_digest(group.counts) == PACKED_DIGEST
-        single = [execute_batch_group(job, None, (b,), "statevector") for b in batches]
+        single = [execute_batch_group(job, (b,), "statevector") for b in batches]
         assert group.parity_total == sum(s.parity_total for s in single)
 
 
@@ -287,11 +286,10 @@ class TestRowCensus:
             build_monolithic_swap_test(2, 2, basis="x"), pure_states(2, 2, 1), 5_000, 3
         )
         batches = tuple(Batch(i, 250) for i in range(20))
-        _init_pool_worker()
-        group = execute_batch_group(job, job.content_hash(), batches, "statevector")
+        group = execute_batch_group(job, batches, "statevector")
         assert group.shot_ops == 5_000 * len(get_compiled(job.circuit).ops)
         assert group.row_ops / group.shot_ops < 0.1
-        single = execute_batch_group(job, None, batches[:1], "statevector")
+        single = execute_batch_group(job, batches[:1], "statevector")
         assert group.row_ops < 20 * single.row_ops
 
     def test_run_report_sums_the_census(self):

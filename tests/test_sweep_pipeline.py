@@ -159,10 +159,10 @@ class TestFailurePaths:
 
         original = runners.execute_batch_group
 
-        def flaky(job, job_key, group, backend, trace=None, program=None):
+        def flaky(job, group, backend, trace=None):
             if any(batch.index == fail_batch_index for batch in group):
                 raise RuntimeError("injected batch failure")
-            return original(job, job_key, group, backend, trace, program)
+            return original(job, group, backend, trace)
 
         monkeypatch.setattr("repro.engine.scheduler.execute_batch_group", flaky)
         return flaky

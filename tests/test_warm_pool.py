@@ -24,6 +24,7 @@ from repro.engine import (
 from repro.engine.runners import (
     _accumulate_matrix,
     _init_pool_worker,
+    _warm_group,
     execute_batch_group,
     worker_cache_info,
 )
@@ -127,6 +128,9 @@ class TestWarmWorkerProtocol:
         with Engine(workers=2, executor="process") as engine:
             pids = engine.prewarm()
             assert pids and all(isinstance(pid, int) for pid in pids)
+            # The warm-up's kernel group leaves the job memo empty.
+            pool = engine.scheduler._ensure_pool()
+            assert pool.submit(worker_cache_info).result()["jobs"] == 0
         with Engine(workers=2, executor="thread") as engine:
             assert engine.prewarm() == []
 
@@ -165,16 +169,16 @@ class TestWarmWorkerProtocol:
         job = sv_job(shots=128)
         key = job.content_hash()
         _init_pool_worker()  # cold cache: nothing remembered yet
-        first = execute_batch_group(job, key, (Batch(0, 64),), "statevector")
+        first = _warm_group(job, key, (Batch(0, 64),), "statevector")
         assert first.job_shipped
-        second = execute_batch_group(None, key, (Batch(1, 64),), "statevector")
+        second = _warm_group(None, key, (Batch(1, 64),), "statevector")
         assert not second.job_shipped
         combined = Counter(first.counts)
         combined.update(second.counts)
         folded = Counter()
         for i in range(2):
             folded.update(
-                execute_batch_group(job, None, (Batch(i, 64),), "statevector").counts
+                execute_batch_group(job, (Batch(i, 64),), "statevector").counts
             )
         assert combined == folded
 
@@ -191,7 +195,7 @@ class TestWarmWorkerProtocol:
 
         _init_pool_worker()  # clear this process's warm job cache
         with pytest.raises(WorkerJobMiss) as info:
-            execute_batch_group(None, "f" * 64, (Batch(0, 10),), "statevector")
+            _warm_group(None, "f" * 64, (Batch(0, 10),), "statevector")
         err = pickle.loads(pickle.dumps(info.value))
         assert isinstance(err, WorkerJobMiss)
         assert err.job_key == "f" * 64
@@ -199,12 +203,11 @@ class TestWarmWorkerProtocol:
     def test_group_fold_matches_per_batch(self):
         job = sv_job(shots=200)
         batches = (Batch(0, 64), Batch(1, 64), Batch(2, 64), Batch(3, 8))
-        _init_pool_worker()
-        group = execute_batch_group(job, job.content_hash(), batches, "statevector")
+        group = execute_batch_group(job, batches, "statevector")
         assert isinstance(group, BatchStats)
         assert group.indices == (0, 1, 2, 3)
         assert group.index == 0
-        singles = [execute_batch_group(job, None, (b,), "statevector") for b in batches]
+        singles = [execute_batch_group(job, (b,), "statevector") for b in batches]
         folded = Counter()
         for stats in singles:
             folded.update(stats.counts)
