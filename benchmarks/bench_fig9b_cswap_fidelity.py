@@ -8,7 +8,7 @@ telegate on average.
 """
 
 import numpy as np
-from conftest import FULL_SCALE, emit
+from conftest import FULL_SCALE, emit, make_engine, stopwatch
 
 from repro.analysis import PrimitiveErrorModel, cswap_classical_fidelity
 from repro.reporting import Figure
@@ -25,11 +25,12 @@ def test_fig9b_cswap_fidelity(once):
         "state width n",
         "classical fidelity",
     )
+    engine = make_engine()
 
     def run():
         out = {}
         for p in (0.001, 0.003, 0.005):
-            model = PrimitiveErrorModel(p, shots=PRIMITIVE_SHOTS, seed=17)
+            model = PrimitiveErrorModel(p, shots=PRIMITIVE_SHOTS, seed=17, engine=engine)
             for design in ("teledata", "telegate"):
                 for n in NS:
                     result = cswap_classical_fidelity(
@@ -44,13 +45,15 @@ def test_fig9b_cswap_fidelity(once):
                     out[(design, p, n)] = result.fidelity
         return out
 
-    results = once(run)
+    with stopwatch() as elapsed:
+        results = once(run)
     for design in ("teledata", "telegate"):
         for p in (0.001, 0.003, 0.005):
             series = figure.new_series(f"{design} p2q={p}")
             for n in NS:
                 series.add(n, results[(design, p, n)])
-    emit("fig9b_cswap_fidelity", figure)
+    emit("fig9b_cswap_fidelity", figure, wall_time=elapsed(), engine=engine)
+    engine.close()
 
     # Shape: decreasing in n at the highest noise level for both designs.
     for design in ("teledata", "telegate"):

@@ -47,7 +47,7 @@ def main() -> None:
                 design, n, 8, P, ghz_shots=8000, seed=4,
                 cswap_error=cswap_error[(design, n)],
             ).run()
-            print(f"   {design:>8} n={n}: {point.estimate:.4f}")
+            print(f"   {design:>8} n={n}: {point.estimate:.4f} ± {point.stderr:.4f}")
 
 
 if __name__ == "__main__":

@@ -14,13 +14,14 @@ from .fanout_errors import (
     fanout_error_distribution,
     sample_fanout_error_counts,
 )
+from .frames import sample_frame_counts
 from .ghz_fidelity import (
     GhzSweepResult,
-    ghz_error_commutes,
     ghz_fidelity_density,
     ghz_fidelity_density_model,
     ghz_fidelity_frames,
     ghz_fidelity_sweep,
+    ghz_label_commutes,
     sample_ghz_fidelity_frames,
 )
 from .link_noise import (
@@ -47,7 +48,6 @@ from .overall import (
     OverallFidelityPoint,
     compose_overall_fidelity,
     overall_fidelity_curve,
-    overall_fidelity_estimate,
 )
 
 __all__ = [
@@ -62,12 +62,13 @@ __all__ = [
     "build_fanout_circuit",
     "fanout_error_distribution",
     "sample_fanout_error_counts",
+    "sample_frame_counts",
     "GhzSweepResult",
-    "ghz_error_commutes",
     "ghz_fidelity_density",
     "ghz_fidelity_density_model",
     "ghz_fidelity_frames",
     "ghz_fidelity_sweep",
+    "ghz_label_commutes",
     "sample_ghz_fidelity_frames",
     "crossover_link_rate",
     "event_fidelity_floor",
@@ -88,5 +89,4 @@ __all__ = [
     "OverallFidelityPoint",
     "compose_overall_fidelity",
     "overall_fidelity_curve",
-    "overall_fidelity_estimate",
 ]

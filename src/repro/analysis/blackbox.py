@@ -4,8 +4,8 @@ Simulating the full two-party CSWAP with every teleportation and Fanout
 ancilla is intractable, so — exactly as the paper does — higher-level
 primitives are *blackboxed*: the reduced circuit applies each primitive's
 ideal effect on the data qubits and then injects a Pauli error drawn from a
-distribution obtained by simulating that primitive alone with the
-Pauli-frame (Stim-substitute) simulator.
+distribution obtained by simulating that primitive alone as an engine
+frames job (the Stim substitute).
 
 :class:`PrimitiveErrorModel` caches per-primitive distributions at one base
 noise level; :class:`BlackboxCircuit` is the reduced-circuit interpreter.
@@ -18,15 +18,16 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..engine import Engine
 from ..network.program import DistributedProgram
 from ..network.topology import line_topology
 from ..sim.noisemodel import PAULI_MATRICES, NoiseModel
-from ..sim.pauliframe import PauliFrameSimulator
 from ..sim.statevector import apply_gate
 from ..circuits.gates import gate_matrix
 from ..teleport.teledata import teleport_qubit
 from ..teleport.telegate import remote_cnot
 from .fanout_errors import build_fanout_circuit
+from .frames import sample_frame_counts
 
 __all__ = ["ErrorSampler", "PrimitiveErrorModel", "BlackboxCircuit"]
 
@@ -56,20 +57,38 @@ class ErrorSampler:
 
 
 class PrimitiveErrorModel:
-    """Per-primitive Pauli error distributions at one base noise level."""
+    """Per-primitive Pauli error distributions at one base noise level.
 
-    def __init__(self, p: float, shots: int = 20_000, seed: int | None = None):
+    Each distribution is one frames job on ``engine`` (a private serial
+    engine when ``None``), drawn on first use and kept for the model's
+    lifetime.
+    """
+
+    def __init__(
+        self,
+        p: float,
+        shots: int = 20_000,
+        seed: int | None = None,
+        engine: Engine | None = None,
+    ):
         self.p = p
         self.shots = shots
         self.seed = seed
+        self.engine = engine
         self.noise = NoiseModel.from_base(p)
         self._cache: dict = {}
 
     # ------------------------------------------------------------------
     def _frame_distribution(self, circuit, data_qubits, key) -> ErrorSampler:
         if key not in self._cache:
-            simulator = PauliFrameSimulator(circuit, self.noise, seed=self.seed)
-            counts = simulator.sample_error_distribution(data_qubits, self.shots)
+            counts = sample_frame_counts(
+                circuit,
+                data_qubits,
+                self.noise,
+                shots=self.shots,
+                seed=self.seed,
+                engine=self.engine,
+            )
             self._cache[key] = ErrorSampler.from_counts(counts, len(data_qubits))
         return self._cache[key]
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine import Engine
 from ..utils.bits import int_to_bits
+from ..utils.fitting import binomial_stderr
 from .blackbox import BlackboxCircuit, PrimitiveErrorModel
 
 __all__ = [
@@ -160,6 +162,12 @@ class CswapFidelityResult:
     inputs_used: int
     shots_per_input: int
 
+    @property
+    def stderr(self) -> float:
+        """Binomial standard error of ``fidelity`` over all its shots."""
+        trials = self.inputs_used * self.shots_per_input
+        return binomial_stderr(round(self.fidelity * trials), trials)
+
 
 def cswap_classical_fidelity(
     design: str,
@@ -169,10 +177,15 @@ def cswap_classical_fidelity(
     max_inputs: int = 300,
     seed: int | None = None,
     model: PrimitiveErrorModel | None = None,
+    engine: Engine | None = None,
 ) -> CswapFidelityResult:
-    """Classical fidelity of one (design, n, p) setting (paper Sec 5.2)."""
+    """Classical fidelity of one (design, n, p) setting (paper Sec 5.2).
+
+    Without a ``model``, the primitive error distributions are drawn as
+    frames jobs on ``engine``.
+    """
     rng = np.random.default_rng(seed)
-    model = model or PrimitiveErrorModel(p, seed=seed)
+    model = model or PrimitiveErrorModel(p, seed=seed, engine=engine)
     bb = build_blackbox_cswap(design, n, model)
     width = 2 * n + 1
     dim = 2**width

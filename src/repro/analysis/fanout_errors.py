@@ -2,7 +2,7 @@
 
 Models the noisy constant-depth Fanout as an ideal Fanout followed by a
 Pauli error ``E_i = U_noisy . U_ideal^-1`` and samples the distribution of
-``E_i`` with the Pauli-frame simulator (our Stim substitute).  The paper
+``E_i`` as an engine frames job (our Stim substitute).  The paper
 applies depolarizing noise p/10 to 1q gates, p to 2q gates, and flips
 measurements with probability p, then reports the top-4 errors over
 (control + targets) for 100k shots.
@@ -18,13 +18,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..engine import Engine, Job
+from ..engine import Engine
 from ..fanout.fanout import append_fanout, fanout_ancillas_required
 from ..network.program import DistributedProgram
 from ..sim.noisemodel import NoiseModel
-from ..sim.pauliframe import PauliFrameSimulator
+from .frames import sample_frame_counts
 
 __all__ = [
     "FanoutErrorReport",
@@ -80,28 +78,21 @@ def sample_fanout_error_counts(
     *,
     shots: int,
     seed: int | None,
-    engine: Engine,
+    engine: Engine | None = None,
     batch_size: int | None = None,
 ) -> Counter:
-    """Engine-path error tally behind ``Experiment.fanout_errors``.
-
-    The sampling runs as one frames-mode job, batched across the engine's
-    workers and served from its cache on repeats.  A noiseless model
-    short-circuits: every shot carries the identity error.
-    """
-    if noise is None or noise.is_noiseless:
-        return Counter({"I" * (num_targets + 1): shots})
+    """Error tally behind ``Experiment.fanout_errors``: one frames-mode
+    job (:func:`~repro.analysis.frames.sample_frame_counts`)."""
     circuit, data = build_fanout_circuit(num_targets)
-    job = Job(
-        circuit=circuit,
+    return sample_frame_counts(
+        circuit,
+        data,
+        noise,
         shots=shots,
-        seed=int(np.random.default_rng(seed).integers(2**63)),
-        noise=noise,
-        frame_qubits=tuple(data),
-        mode="frames",
+        seed=seed,
+        engine=engine,
         batch_size=batch_size,
     )
-    return Counter(engine.run(job).counts)
 
 
 def fanout_error_distribution(
@@ -112,21 +103,10 @@ def fanout_error_distribution(
     seed: int | None = None,
     engine: Engine | None = None,
 ) -> FanoutErrorReport:
-    """Sample the effective Pauli error distribution of the noisy Fanout.
-
-    With an ``engine`` the sampling runs as a frames-mode job (the path
-    ``Experiment.fanout_errors`` takes); without one it falls back to the
-    direct Pauli-frame loop.
-    """
-    noise = NoiseModel.from_base(p)
-    if engine is not None:
-        counts = sample_fanout_error_counts(
-            num_targets, noise, shots=shots, seed=seed, engine=engine
-        )
-    else:
-        circuit, data = build_fanout_circuit(num_targets)
-        simulator = PauliFrameSimulator(circuit, noise, seed=seed)
-        counts = simulator.sample_error_distribution(data, shots)
+    """Sample the effective Pauli error distribution of the noisy Fanout."""
+    counts = sample_fanout_error_counts(
+        num_targets, NoiseModel.from_base(p), shots=shots, seed=seed, engine=engine
+    )
     return FanoutErrorReport(
         p=p, num_targets=num_targets, shots=shots, counts=counts, seed=seed
     )

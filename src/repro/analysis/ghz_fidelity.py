@@ -22,20 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.ghz import distributed_ghz
-from ..engine import Engine, Job
+from ..engine import Engine
 from ..network.program import DistributedProgram
 from ..network.topology import line_topology
 from ..sim.density import DensitySimulator
 from ..sim.noisemodel import NoiseModel
-from ..sim.pauli import Pauli
-from ..sim.pauliframe import PauliFrameSimulator
 from ..utils.fitting import LinearFit, linear_fit
 from ..utils.linalg import partial_trace
 from ..utils.states import ghz_state
+from .frames import sample_frame_counts
 
 __all__ = [
     "build_distributed_ghz_circuit",
-    "ghz_error_commutes",
     "ghz_label_commutes",
     "sample_ghz_fidelity_frames",
     "ghz_fidelity_frames",
@@ -54,24 +52,12 @@ def build_distributed_ghz_circuit(num_parties: int):
     return program.build(name=f"ghz_{num_parties}"), list(plan.members)
 
 
-def ghz_error_commutes(error: Pauli) -> bool:
-    """Whether a Pauli error leaves |GHZ_r> invariant up to sign.
-
-    E commutes with all Z_i Z_{i+1} iff its X-pattern is uniform, and with
-    X^r iff its Z-weight is even.
-    """
-    x = error.x
-    z = error.z
-    uniform_x = bool(x.all() or (~x).all())
-    even_z = int(np.count_nonzero(z)) % 2 == 0
-    return uniform_x and even_z
-
-
 def ghz_label_commutes(label: str) -> bool:
-    """:func:`ghz_error_commutes` evaluated on a bare Pauli label.
+    """Whether the Pauli error ``label`` leaves |GHZ_r> invariant up to sign.
 
-    The X-pattern is uniform when every letter is in {X, Y} or every
-    letter is in {I, Z}; the Z-weight counts the letters in {Z, Y}.
+    E commutes with all Z_i Z_{i+1} iff its X-pattern is uniform (every
+    letter in {X, Y} or every letter in {I, Z}), and with X^r iff its
+    Z-weight (the letters in {Z, Y}) is even.
     """
     x_weight = label.count("X") + label.count("Y")
     uniform_x = x_weight in (0, len(label))
@@ -84,29 +70,26 @@ def sample_ghz_fidelity_frames(
     *,
     shots: int,
     seed: int | None,
-    engine: Engine,
+    engine: Engine | None = None,
     batch_size: int | None = None,
 ) -> tuple[float, int]:
-    """Engine-path frame sampling: ``(fidelity, good_shot_count)``.
+    """Frame-sampled ``(fidelity, good_shot_count)`` of the noisy prep.
 
     This is the implementation behind ``Experiment.ghz_fidelity``: the
-    error distribution runs as one batched frames-mode job and the
-    commutation predicate is applied to the tally.  A noiseless model
-    short-circuits (the Clifford prep is then exact, fidelity 1).
+    error distribution runs as one frames-mode job
+    (:func:`~repro.analysis.frames.sample_frame_counts`) and the
+    commutation predicate is applied to the tally.
     """
-    if noise is None or noise.is_noiseless:
-        return 1.0, shots
     circuit, members = build_distributed_ghz_circuit(num_parties)
-    job = Job(
-        circuit=circuit,
+    counts = sample_frame_counts(
+        circuit,
+        members,
+        noise,
         shots=shots,
-        seed=int(np.random.default_rng(seed).integers(2**63)),
-        noise=noise,
-        frame_qubits=tuple(members),
-        mode="frames",
+        seed=seed,
+        engine=engine,
         batch_size=batch_size,
     )
-    counts = engine.run(job).counts
     good = sum(count for label, count in counts.items() if ghz_label_commutes(label))
     return good / shots, good
 
@@ -119,25 +102,11 @@ def ghz_fidelity_frames(
     seed: int | None = None,
     engine: Engine | None = None,
 ) -> float:
-    """<GHZ|rho|GHZ> of the noisy prep, by Pauli-frame sampling.
-
-    With an ``engine``, the error distribution is sampled as a batched
-    frames-mode job and the commutation predicate is applied to the tally.
-    """
-    noise = NoiseModel.from_base(p)
-    if engine is not None:
-        fidelity, _ = sample_ghz_fidelity_frames(
-            num_parties, noise, shots=shots, seed=seed, engine=engine
-        )
-        return fidelity
-    circuit, members = build_distributed_ghz_circuit(num_parties)
-    simulator = PauliFrameSimulator(circuit, noise, seed=seed)
-    good = 0
-    for _ in range(shots):
-        sample = simulator.sample()
-        if ghz_error_commutes(sample.error_on(members)):
-            good += 1
-    return good / shots
+    """<GHZ|rho|GHZ> of the noisy prep at base rate ``p``, by frame sampling."""
+    fidelity, _ = sample_ghz_fidelity_frames(
+        num_parties, NoiseModel.from_base(p), shots=shots, seed=seed, engine=engine
+    )
+    return fidelity
 
 
 def ghz_fidelity_density_model(num_parties: int, noise: NoiseModel | None) -> float:

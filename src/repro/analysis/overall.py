@@ -13,23 +13,27 @@ k, and p2q; teledata slightly ahead of telegate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from ..engine import Engine
+from ..sim.noisemodel import NoiseModel
+from ..utils.fitting import binomial_stderr
 from .blackbox import PrimitiveErrorModel
 from .cswap_fidelity import cswap_classical_fidelity
-from .ghz_fidelity import ghz_fidelity_frames
+from .ghz_fidelity import sample_ghz_fidelity_frames
 
 __all__ = [
     "OverallFidelityPoint",
     "compose_overall_fidelity",
-    "overall_fidelity_estimate",
     "overall_fidelity_curve",
 ]
 
 
 @dataclass
 class OverallFidelityPoint:
-    """One Fig 9c point."""
+    """One Fig 9c point.  ``stderr`` is the delta-method propagation of
+    the terms' binomial errors; a caller-supplied ``cswap_error`` is exact."""
 
     design: str
     n: int
@@ -38,6 +42,9 @@ class OverallFidelityPoint:
     ghz_error: float
     cswap_error: float
     fidelity: float
+    ghz_stderr: float = 0.0
+    cswap_stderr: float = 0.0
+    stderr: float = 0.0
 
 
 def compose_overall_fidelity(
@@ -52,13 +59,23 @@ def compose_overall_fidelity(
     seed: int | None = None,
     model: PrimitiveErrorModel | None = None,
     cswap_error: float | None = None,
+    engine: Engine | None = None,
 ) -> OverallFidelityPoint:
-    """The composition itself — the implementation behind
-    ``Experiment.overall_fidelity`` and :func:`overall_fidelity_estimate`.
+    """Compose the Sec 5.4 lower bound for one (design, n, k, p) setting.
+
+    The implementation behind ``Experiment.overall_fidelity``.  The GHZ
+    term is the Fig 9a frames job on ``engine`` (a private serial engine
+    when ``None``), and so are the CSWAP term's primitive distributions.
+    ``cswap_error`` may be supplied to reuse a previously measured value
+    across different k (the bound depends on n and p only through it).
+    A custom primitive-error ``model`` is only available here, since the
+    spec layer cannot hash it.
     """
-    ghz_parties = (k + 1) // 2
-    ghz_fidelity = ghz_fidelity_frames(ghz_parties, p, shots=ghz_shots, seed=seed)
-    ghz_error = 1.0 - ghz_fidelity
+    ghz_fidelity, good = sample_ghz_fidelity_frames(
+        (k + 1) // 2, NoiseModel.from_base(p), shots=ghz_shots, seed=seed, engine=engine
+    )
+    ghz_stderr = binomial_stderr(good, ghz_shots)
+    cswap_stderr = 0.0
     if cswap_error is None:
         result = cswap_classical_fidelity(
             design,
@@ -68,52 +85,28 @@ def compose_overall_fidelity(
             max_inputs=cswap_max_inputs,
             seed=seed,
             model=model,
+            engine=engine,
         )
         cswap_error = 1.0 - result.fidelity
-    fidelity = (1.0 - ghz_error) * (1.0 - cswap_error) ** (k - 1)
+        cswap_stderr = result.stderr
+    cswap_fidelity = 1.0 - cswap_error
+    fidelity = ghz_fidelity * cswap_fidelity ** (k - 1)
+    # Delta method: dF/dG = C^(k-1) and dF/dC = (k-1) G C^(k-2).
+    stderr = math.hypot(
+        cswap_fidelity ** (k - 1) * ghz_stderr,
+        (k - 1) * ghz_fidelity * cswap_fidelity ** (k - 2) * cswap_stderr,
+    )
     return OverallFidelityPoint(
         design=design,
         n=n,
         k=k,
         p=p,
-        ghz_error=ghz_error,
+        ghz_error=1.0 - ghz_fidelity,
         cswap_error=cswap_error,
         fidelity=max(fidelity, 0.0),
-    )
-
-
-def overall_fidelity_estimate(
-    design: str,
-    n: int,
-    k: int,
-    p: float,
-    *,
-    ghz_shots: int = 10_000,
-    cswap_shots_per_input: int = 20,
-    cswap_max_inputs: int = 60,
-    seed: int | None = None,
-    model: PrimitiveErrorModel | None = None,
-    cswap_error: float | None = None,
-) -> OverallFidelityPoint:
-    """Compose the Sec 5.4 lower bound for one (design, n, k, p) setting.
-
-    ``cswap_error`` may be supplied to reuse a previously measured value
-    across different k (the bound depends on n and p only through it).
-    ``Experiment.overall_fidelity`` runs the same composition from a
-    declarative spec; a custom primitive-error ``model`` is only available
-    here, since the spec layer cannot hash it.
-    """
-    return compose_overall_fidelity(
-        design,
-        n,
-        k,
-        p,
-        ghz_shots=ghz_shots,
-        cswap_shots_per_input=cswap_shots_per_input,
-        cswap_max_inputs=cswap_max_inputs,
-        seed=seed,
-        model=model,
-        cswap_error=cswap_error,
+        ghz_stderr=ghz_stderr,
+        cswap_stderr=cswap_stderr,
+        stderr=stderr,
     )
 
 
@@ -125,4 +118,4 @@ def overall_fidelity_curve(
     **kwargs,
 ) -> list[OverallFidelityPoint]:
     """Fig 9c: sweep the state width n at fixed k and p."""
-    return [overall_fidelity_estimate(design, n, k, p, **kwargs) for n in ns]
+    return [compose_overall_fidelity(design, n, k, p, **kwargs) for n in ns]

@@ -509,6 +509,7 @@ def _run_overall_fidelity(experiment, options, engine):
         cswap_max_inputs=payload["cswap_max_inputs"],
         seed=options.seed,
         cswap_error=payload["cswap_error"],
+        engine=engine,
     )
     extra = {
         "n": point.n,
@@ -517,8 +518,10 @@ def _run_overall_fidelity(experiment, options, engine):
         "design": point.design,
         "ghz_error": point.ghz_error,
         "cswap_error": point.cswap_error,
+        "ghz_stderr": point.ghz_stderr,
+        "cswap_stderr": point.cswap_stderr,
     }
-    return point.fidelity, 0.0, extra
+    return point.fidelity, point.stderr, extra
 
 
 _RUNNERS = {

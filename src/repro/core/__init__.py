@@ -15,7 +15,6 @@ from .cyclic_shift import (
 from .estimator import (
     assemble_initial_state,
     exact_swap_test_expectation,
-    sample_pure_inputs,
     swap_test_job,
 )
 from .ghz import GhzPlan, distributed_ghz, local_ghz_constant_depth, local_ghz_linear
@@ -44,7 +43,6 @@ __all__ = [
     "trace_order",
     "assemble_initial_state",
     "exact_swap_test_expectation",
-    "sample_pure_inputs",
     "swap_test_job",
     "GhzPlan",
     "distributed_ghz",

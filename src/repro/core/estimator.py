@@ -6,9 +6,10 @@ The readout statistics of the GHZ register determine the multivariate trace
 * the X^(x)m parity equals  Re tr(W rho),
 * replacing the first X by Y equals  Im tr(W rho).
 
-This module holds the pieces the estimators share: eigenvector sampling
-of mixed inputs, :func:`swap_test_job` (a built circuit packaged as a
-content-hashed :class:`~repro.engine.Job`), and the shot-free reference
+This module holds the pieces the estimators share:
+:func:`swap_test_job` (a built circuit packaged as a content-hashed
+:class:`~repro.engine.Job`, whose mixed inputs the engine unravels into
+per-shot eigenvector draws), and the shot-free reference
 :func:`exact_swap_test_expectation`, which evaluates the same circuits as
 unitaries and sums over the input states' eigen-decompositions.
 
@@ -35,33 +36,9 @@ from .swap_test import SwapTestBuild, build_monolithic_swap_test
 
 __all__ = [
     "assemble_initial_state",
-    "sample_pure_inputs",
     "swap_test_job",
     "exact_swap_test_expectation",
 ]
-
-
-def sample_pure_inputs(
-    states: Sequence[np.ndarray], rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Draw one pure state per input from each state's eigen-decomposition.
-
-    Density matrices are convex mixtures of their eigenvectors, so sampling
-    eigenvectors with eigenvalue weights gives an unbiased trajectory
-    unravelling of the mixed-state protocol.
-    """
-    out = []
-    for rho in states:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.ndim == 1:
-            out.append(rho)
-            continue
-        weights, vectors = np.linalg.eigh(rho)
-        weights = np.clip(np.real(weights), 0.0, None)
-        weights = weights / weights.sum()
-        choice = rng.choice(len(weights), p=weights)
-        out.append(vectors[:, choice])
-    return out
 
 
 def swap_test_job(

@@ -22,12 +22,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..engine import Engine
 from ..network.topology import Topology, line_topology
 from ..network.program import DistributedProgram
 from ..teleport.teledata import teleport_qubit
 from .cyclic_shift import interleaved_arrangement, round_position_pairs, slot_assignment
 from .ghz import local_ghz_linear
-from .protocol import ProtocolBuild
+from .protocol import ProtocolBuild, protocol_job
 
 __all__ = ["NaiveBuild", "build_naive_distribution", "naive_slice_estimate"]
 
@@ -156,47 +157,36 @@ def naive_slice_estimate(
     states: Sequence[np.ndarray],
     shots: int = 8000,
     seed: int | None = None,
+    engine: Engine | None = None,
 ) -> complex:
     """Estimate tr(prod rho_i) for slice-factorising inputs.
 
-    Runs X- and Y-basis copies of the naive protocol; each slice's complex
-    trace is estimated from its own GHZ parity, and the slice estimates are
-    multiplied.  Exact in expectation when the inputs factorise across
-    slices.
+    Runs X- and Y-basis copies of the naive protocol as two engine jobs
+    (``shots // 2`` each, on a private serial engine when ``engine`` is
+    None); each slice's complex trace is estimated from its own GHZ
+    parity in the job's counts, and the slice estimates are multiplied.
+    Exact in expectation when the inputs factorise across slices.
     """
-    from ..sim.statevector import StatevectorSimulator
-    from .estimator import assemble_initial_state, sample_pure_inputs
-
     states = [np.asarray(s, dtype=complex) for s in states]
     k = len(states)
     n = int(math.log2(states[0].shape[0]))
     rng = np.random.default_rng(seed)
-    builds = {
-        "x": build_naive_distribution(k, n, basis="x"),
-        "y": build_naive_distribution(k, n, basis="y"),
-    }
-    per_slice: dict[int, dict[str, float]] = {j: {} for j in range(n)}
-    for basis, build in builds.items():
-        circuit = build.circuit()
-        home = [build.program.machine.qpus[f"qpu{i}"].registers["state"] for i in range(k)]
-        simulator = StatevectorSimulator(seed=int(rng.integers(2**63)))
+    count = shots // 2
+    builds = [build_naive_distribution(k, n, basis=basis) for basis in ("x", "y")]
+    jobs = [
+        protocol_job(build, states, count, int(rng.integers(2**63))) for build in builds
+    ]
+    with Engine.or_serial(engine) as runner:
+        results = runner.run_many(jobs)
+    per_basis = []
+    for build, result in zip(builds, results):
         sums = [0.0] * n
-        count = shots // 2
-        for _ in range(count):
-            pure = sample_pure_inputs(states, rng)
-            placements = {
-                tuple(home[p]): pure[build.user_of_position[p]] for p in range(k)
-            }
-            init = assemble_initial_state(circuit.num_qubits, placements)
-            result = simulator.run(circuit, initial_state=init)
-            for j in range(n):
-                parity = 0
-                for clbit in build.slice_readout[j]:
-                    parity ^= result.clbits[clbit]
-                sums[j] += 1.0 - 2.0 * parity
-        for j in range(n):
-            per_slice[j][basis] = sums[j] / count
+        for key, hits in result.counts.items():
+            for j, clbits in enumerate(build.slice_readout):
+                parity = sum(key[c] == "1" for c in clbits) % 2
+                sums[j] += hits * (1.0 - 2.0 * parity)
+        per_basis.append([total / count for total in sums])
     product = 1.0 + 0.0j
-    for j in range(n):
-        product *= complex(per_slice[j]["x"], per_slice[j]["y"])
+    for x, y in zip(*per_basis):
+        product *= complex(x, y)
     return product

@@ -11,7 +11,7 @@ from .cancel import CancelToken, JobCancelled
 from .costmodel import CostModel, DispatchPlan
 from .engine import Engine, EngineStats, grid_points
 from .job import DEFAULT_BATCH_SIZE, JOB_BACKENDS, Ensemble, Job, JobResult
-from .router import BACKENDS, BackendChoice, BackendRouter
+from .router import BackendChoice, BackendRouter
 from .runners import (
     Batch,
     BatchExecutionError,
@@ -33,7 +33,6 @@ __all__ = [
     "EngineStats",
     "DEFAULT_BATCH_SIZE",
     "JOB_BACKENDS",
-    "BACKENDS",
     "Ensemble",
     "Job",
     "JobResult",

@@ -708,6 +708,20 @@ class Engine:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    @classmethod
+    @contextmanager
+    def or_serial(cls, engine: "Engine | None") -> Iterator["Engine"]:
+        """``engine`` itself, or a private serial engine closed on exit.
+
+        The fallback of every entry point whose ``engine`` is optional:
+        without one, its shots still run as engine jobs.
+        """
+        if engine is not None:
+            yield engine
+            return
+        with cls(workers=1, executor="serial") as private:
+            yield private
+
 
 def _combine(
     job: Job,

@@ -10,8 +10,8 @@ across processes.
 
 Stochastic inputs are described by :class:`Ensemble` entries: each names a
 register and a convex mixture of pure states to load there, sampled freshly
-per shot (the same trajectory unravelling of a mixed input that
-``sample_pure_inputs`` performs one draw at a time).
+per shot (the trajectory unravelling of a mixed input into eigenvectors
+drawn with eigenvalue weights).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = ["DEFAULT_BATCH_SIZE", "Ensemble", "Job", "JobResult", "JOB_BACKENDS",
 
 #: Versions the sampling semantics behind every job hash: bumped whenever
 #: equal jobs may produce different bits (see :meth:`Job.content_hash`).
-JOB_HASH_TAG = "repro-job-v6"
+JOB_HASH_TAG = "repro-job-v7"
 
 #: Shots per scheduler batch when the job does not override it.  The batch
 #: partition (not the worker count) defines the RNG substreams, so this value
@@ -48,7 +48,6 @@ MODES = ("sample", "exact", "frames")
 #: ``stabilizer`` is the compile-once/sample-many batched frame kernel for
 #: Clifford circuits under Pauli/link noise.
 JOB_BACKENDS = (
-    "tableau",
     "stabilizer",
     "pauliframe",
     "statevector",
@@ -162,11 +161,12 @@ class Job:
     def content_hash(self) -> str:
         """Stable hex digest of everything that determines the result.
 
-        The tag, :data:`JOB_HASH_TAG` = ``repro-job-v6``, marks the
-        geometric-gap frames sampler: ``mode="frames"`` jobs draw the gaps
-        between fired faults per rate group instead of one uniform per
-        site per shot, so their bits moved.  Cached bits of the ``v5``
-        protocol-family era (or the earlier ``v4``/``v3``/``v2``/``v1``
+        The tag, :data:`JOB_HASH_TAG` = ``repro-job-v7``, marks the
+        removal of the per-shot tableau route: noiseless Clifford jobs
+        on a basis input that the frame kernel cannot serve (conditioned
+        collapse, non-Pauli feedback) now run on the dense statevector
+        kernel, so their bits moved.  Cached bits of the ``v6``
+        geometric-gap era (or the earlier ``v5``/``v4``/``v3``/``v2``/``v1``
         eras) must never be served.
         """
         h = hashlib.sha256()

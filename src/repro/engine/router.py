@@ -12,8 +12,9 @@ Routing rules, in order:
    interpreter for cross-validating the vectorized kernel.
 1. ``mode="exact"``   → :class:`DensitySimulator` — exact mixed-state
    evolution over the full branch ensemble was explicitly requested.
-2. ``mode="frames"``  → :class:`PauliFrameSimulator` — effective-Pauli-error
-   sampling; requires a Clifford circuit (Pauli-only feedback) and a
+2. ``mode="frames"``  → ``pauliframe``, the compiled Pauli-frame sampler
+   (:func:`~repro.sim.pauliframe.sample_error_counts`) — effective-Pauli-
+   error sampling; requires a Clifford circuit (Pauli-only feedback) and a
    non-trivial Pauli noise model.
 3. ``mode="sample"``:
    a. the batched **stabilizer** kernel when the circuit is Clifford with
@@ -22,35 +23,21 @@ Routing rules, in order:
       :class:`NoiseModel` expresses (gate depolarizing, readout flips,
       hop-weighted link faults) is a Pauli channel the frame formalism
       absorbs.  Compile-once O(gates * n^2), then O(shots * n) per gate.
-   b. the per-shot :class:`TableauSimulator` for the residual Clifford
-      cases the frame kernel cannot serve (conditioned collapse, non-Pauli
-      feedback) when the job is noiseless on a basis input.
-   c. the vectorized batched statevector kernel otherwise — it handles
+   b. the vectorized batched statevector kernel otherwise — it handles
       non-Clifford gates, arbitrary input states, stochastic input
-      ensembles, and circuit-level depolarizing noise.
+      ensembles, circuit-level depolarizing noise, and the Clifford
+      circuits the frame kernel cannot serve (conditioned collapse,
+      non-Pauli feedback).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuits.circuit import Circuit
 from ..sim.compile import get_capabilities
-from .job import JOB_BACKENDS, Job
+from .job import Job
 
-__all__ = ["BackendChoice", "BackendRouter", "BACKENDS"]
-
-BACKENDS = JOB_BACKENDS
-
-
-def circuit_is_clifford(circuit: Circuit) -> bool:
-    """Whether every gate in the circuit is Clifford (cached capability)."""
-    return get_capabilities(circuit).is_clifford
-
-
-def circuit_is_frame_compatible(circuit: Circuit) -> bool:
-    """Clifford-only with Pauli-only classical feedback (frame-sim contract)."""
-    return get_capabilities(circuit).is_frame_compatible
+__all__ = ["BackendChoice", "BackendRouter"]
 
 
 @dataclass(frozen=True)
@@ -99,12 +86,6 @@ class BackendRouter:
                 else "Clifford circuit + Pauli/link noise: batched stabilizer kernel"
             )
             return BackendChoice("stabilizer", reason)
-        if basis_input and noiseless and capabilities.is_clifford:
-            return BackendChoice(
-                "tableau",
-                "Clifford-only, noiseless, basis input (frame-incompatible "
-                "feedback/collapse): per-shot stabilizer tableau",
-            )
         return BackendChoice(
             "statevector", "general circuit/input/noise: vectorized batch kernel"
         )
@@ -130,17 +111,6 @@ class BackendRouter:
             return
         if job.mode == "frames":
             raise ValueError("mode='frames' can only run on the pauliframe backend")
-        if backend == "tableau":
-            noiseless = job.noise is None or job.noise.is_noiseless
-            basis_input = job.initial_state is None and not job.ensembles
-            if not (
-                noiseless and basis_input and get_capabilities(job.circuit).is_clifford
-            ):
-                raise ValueError(
-                    "the tableau backend needs a noiseless Clifford circuit "
-                    "on a basis input"
-                )
-            return
         if backend == "stabilizer":
             basis_input = job.initial_state is None and not job.ensembles
             capabilities = get_capabilities(job.circuit)

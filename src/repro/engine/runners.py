@@ -55,7 +55,6 @@ from ..sim.compile import compile_cache_stats, get_compiled, prime_compiled
 from ..sim.density import DensitySimulator
 from ..sim.pauliframe import sample_error_counts
 from ..sim.statevector import StatevectorSimulator
-from ..sim.tableau import TableauSimulator
 from ..utils.states import assemble_initial_state
 from .job import Job
 
@@ -391,16 +390,6 @@ def _stabilizer_batches(job: Job, batches, stats: BatchStats) -> None:
     stats.execute_time += time.perf_counter() - execute_start
 
 
-def _tableau_batches(job: Job, batches, stats: BatchStats) -> None:
-    execute_start = time.perf_counter()
-    for batch in batches:
-        rng = batch_rng(job.seed, batch.index)
-        for _ in range(batch.shots):
-            simulator = TableauSimulator(job.circuit.num_qubits, seed=rng)
-            _accumulate(stats, simulator.run(job.circuit), job)
-    stats.execute_time += time.perf_counter() - execute_start
-
-
 def _pauliframe_batches(job: Job, batches, stats: BatchStats) -> None:
     """Frames mode: sample the job's compiled fault-effect table, looked
     up once (one circuit digest) for the whole group."""
@@ -440,7 +429,6 @@ _GROUP_RUNNERS = {
     "statevector": _statevector_batches,
     "statevector-ref": _statevector_ref_batches,
     "stabilizer": _stabilizer_batches,
-    "tableau": _tableau_batches,
     "pauliframe": _pauliframe_batches,
     "density": _density_batches,
 }

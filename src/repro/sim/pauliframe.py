@@ -16,6 +16,10 @@ effective error E with ``E . U_ideal = U_noisy`` (paper Sec 5.1).
 
 Only Clifford gates and Pauli feedback are supported — which covers GHZ
 preparation, Fanout, and all teleportation corrections.
+
+:class:`PauliFrameSimulator` is the per-shot cross-validation oracle;
+engine frames jobs run :func:`sample_error_counts` over the compiled
+:class:`~repro.sim.batched_stabilizer.FrameProgram`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from .batched_stabilizer import FrameProgram, get_frame_program
+from .batched_stabilizer import FrameProgram
 from .noisemodel import NoiseModel
 from .pauli import Pauli
 
@@ -164,29 +168,10 @@ class PauliFrameSimulator:
                 fz[qubit] ^= True
 
     # ------------------------------------------------------------------
-    def sample_error_distribution(
-        self, data_qubits: Sequence[int], shots: int
-    ) -> Counter:
-        """Tally effective Pauli errors on ``data_qubits`` over many shots.
-
-        Returns a Counter keyed by bare Pauli labels (e.g. ``"ZIIIX"``),
-        including the identity (no-error) entry.
-
-        The circuit compiles once per process into a
-        :class:`~repro.sim.batched_stabilizer.FrameProgram` whose outputs
-        are the data qubits' final frame; every call then only draws the
-        faults that fire — the same fault model as :meth:`sample`, drawn
-        as geometric gaps per rate group — and XORs their precomputed
-        effects.
-        The per-shot :meth:`sample` remains the cross-check reference.
-        """
-        program = get_frame_program(self.circuit, self.noise, tuple(data_qubits))
-        return sample_error_counts(program, shots, self.rng)
-
     def sample_error_distribution_reference(
         self, data_qubits: Sequence[int], shots: int
     ) -> Counter:
-        """Per-shot tally loop kept as the vectorization cross-check."""
+        """Per-shot tally loop: the cross-check of :func:`sample_error_counts`."""
         counts: Counter = Counter()
         for _ in range(shots):
             sample = self.sample()

@@ -8,11 +8,8 @@ register that conditions later gates.
 :meth:`StatevectorSimulator.run` is the repository's **per-shot reference
 interpreter**: it walks the IR instruction by instruction and is the ground
 truth the vectorized batch kernel (:mod:`repro.sim.batched`) is
-cross-validated against.  Multi-shot sampling
-(:meth:`StatevectorSimulator.sample_counts`) is a thin wrapper over that
-kernel — circuits are compiled once (:mod:`repro.sim.compile`) and whole
-batches evolve as one ``(shots, 2**n)`` array.  The engine exposes the
-per-shot path as ``backend="statevector-ref"``.
+cross-validated against.  Multi-shot sampling is an engine job; the engine
+exposes this per-shot path as ``backend="statevector-ref"``.
 
 Qubit 0 is the most significant bit of basis-state indices (big-endian),
 matching :mod:`repro.utils.bits`.
@@ -20,7 +17,6 @@ matching :mod:`repro.utils.bits`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -28,8 +24,6 @@ import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..circuits.gates import cached_gate_matrix, gate_matrix
-from .batched import run_batched
-from .compile import get_compiled
 from .noisemodel import PAULI_MATRICES, NoiseModel
 
 __all__ = ["TrajectoryResult", "StatevectorSimulator", "apply_gate", "simulate_statevector"]
@@ -196,27 +190,6 @@ class StatevectorSimulator:
                             state, PAULI_MATRICES[pauli], [fault_qubit], num_qubits
                         )
         return TrajectoryResult(state, clbits, measurements)
-
-    # ------------------------------------------------------------------
-    def sample_counts(
-        self,
-        circuit: Circuit,
-        shots: int,
-        initial_state: np.ndarray | None = None,
-    ) -> Counter:
-        """Histogram of classical-register strings over ``shots`` trajectories.
-
-        Thin wrapper over the vectorized batch kernel: the circuit is
-        compiled once (cached per process) and all shots evolve together as
-        a ``(shots, 2**n)`` array.
-        """
-        gate_noise = self.noise is not None and self.noise.has_gate_noise
-        link_noise = self.noise is not None and self.noise.has_link_noise
-        program = get_compiled(circuit, gate_noise=gate_noise, link_noise=link_noise)
-        result = run_batched(
-            program, shots, self.rng, noise=self.noise, initial_state=initial_state
-        )
-        return Counter(result.clbit_strings())
 
     # ------------------------------------------------------------------
     def expectation(

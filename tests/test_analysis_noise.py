@@ -4,16 +4,16 @@ import pytest
 
 from repro.analysis import (
     PrimitiveErrorModel,
+    compose_overall_fidelity,
     cswap_classical_fidelity,
     fanout_error_distribution,
     ghz_fidelity_density,
     ghz_fidelity_frames,
     ghz_fidelity_sweep,
+    ghz_label_commutes,
     ideal_cswap_output,
-    overall_fidelity_estimate,
 )
-from repro.analysis.ghz_fidelity import ghz_error_commutes
-from repro.sim import Pauli
+from repro.api import Experiment
 
 
 class TestFanoutErrors:
@@ -74,11 +74,11 @@ class TestGhzFidelity:
         assert sweep.fit.slope < 0
 
     def test_commutation_predicate(self):
-        assert ghz_error_commutes(Pauli.from_label("XXX"))
-        assert ghz_error_commutes(Pauli.from_label("ZZI"))
-        assert ghz_error_commutes(Pauli.from_label("III"))
-        assert not ghz_error_commutes(Pauli.from_label("ZII"))
-        assert not ghz_error_commutes(Pauli.from_label("XII"))
+        assert ghz_label_commutes("XXX")
+        assert ghz_label_commutes("ZZI")
+        assert ghz_label_commutes("III")
+        assert not ghz_label_commutes("ZII")
+        assert not ghz_label_commutes("XII")
 
 
 class TestCswapFidelity:
@@ -128,23 +128,65 @@ class TestCswapFidelity:
 
 class TestOverall:
     def test_composition_formula(self):
-        point = overall_fidelity_estimate(
+        point = compose_overall_fidelity(
             "teledata", 1, 4, 0.001, ghz_shots=2000, seed=1, cswap_error=0.05
         )
         expect = (1 - point.ghz_error) * (1 - 0.05) ** 3
         assert point.fidelity == pytest.approx(expect)
 
     def test_fidelity_decreases_with_k(self):
-        small = overall_fidelity_estimate(
+        small = compose_overall_fidelity(
             "teledata", 1, 4, 0.003, ghz_shots=3000, seed=2, cswap_error=0.05
         )
-        large = overall_fidelity_estimate(
+        large = compose_overall_fidelity(
             "teledata", 1, 12, 0.003, ghz_shots=3000, seed=2, cswap_error=0.05
         )
         assert large.fidelity < small.fidelity
 
     def test_fidelity_nonnegative(self):
-        point = overall_fidelity_estimate(
+        point = compose_overall_fidelity(
             "teledata", 1, 50, 0.005, ghz_shots=500, seed=3, cswap_error=0.5
         )
         assert point.fidelity >= 0.0
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_ghz_term_within_five_sigma_of_density(self, k):
+        p = 0.01
+        point = compose_overall_fidelity(
+            "teledata", 1, k, p, ghz_shots=20000, seed=k, cswap_error=0.05
+        )
+        exact = ghz_fidelity_density((k + 1) // 2, p)
+        assert point.ghz_stderr > 0.0
+        assert abs((1.0 - point.ghz_error) - exact) < 5.0 * point.ghz_stderr
+
+    def test_supplied_cswap_error_counts_as_exact(self):
+        point = compose_overall_fidelity(
+            "teledata", 1, 4, 0.005, ghz_shots=2000, seed=1, cswap_error=0.05
+        )
+        assert point.cswap_stderr == 0.0
+        assert point.stderr == pytest.approx(0.95**3 * point.ghz_stderr)
+
+    def test_sampled_cswap_term_adds_variance(self):
+        point = compose_overall_fidelity(
+            "teledata",
+            1,
+            4,
+            0.005,
+            ghz_shots=2000,
+            cswap_shots_per_input=4,
+            cswap_max_inputs=8,
+            seed=1,
+        )
+        assert point.cswap_stderr > 0.0
+        ghz_only = (1.0 - point.cswap_error) ** 3 * point.ghz_stderr
+        assert point.stderr > ghz_only
+
+    def test_experiment_reports_the_propagated_stderr(self):
+        result = Experiment.overall_fidelity(
+            "teledata", 1, 4, 0.005, ghz_shots=2000, seed=1, cswap_error=0.05
+        ).run()
+        point = compose_overall_fidelity(
+            "teledata", 1, 4, 0.005, ghz_shots=2000, seed=1, cswap_error=0.05
+        )
+        assert result.estimate == point.fidelity
+        assert result.stderr == point.stderr > 0.0

@@ -369,7 +369,7 @@ class TestEngineIntegration:
         with pytest.raises(ValueError):
             Job(circuit=clifford, shots=10, seed=1, backend="bogus")
         with pytest.raises(ValueError):
-            router.select(Job(circuit=clifford, shots=10, seed=1, backend="tableau"))
+            Job(circuit=clifford, shots=10, seed=1, backend="tableau")
         with pytest.raises(ValueError):
             router.select(Job(circuit=clifford, shots=10, seed=1, backend="density"))
 

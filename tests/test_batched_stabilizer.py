@@ -8,7 +8,7 @@ The correctness argument for the compile-once/sample-many stabilizer path:
   teleportation circuits, noiseless and under Pauli/link noise;
 * the **router matrix**: one regression test pinning the selected backend
   per (circuit class, noise class) cell, so routing changes are deliberate;
-* the vectorized ``sample_error_distribution`` against the retained per-shot
+* the compiled ``sample_error_counts`` against the retained per-shot
   reference loop (same fault model, different RNG consumption order);
 * engine results on the stabilizer backend across worker counts and
   executors (bit identity — the engine's determinism contract);
@@ -38,10 +38,11 @@ from repro.sim import (
 from repro.sim.batched import Segment, run_segments
 from repro.sim.batched_stabilizer import (
     clear_stabilizer_cache,
+    get_frame_program,
     prime_stabilizer,
     stabilizer_cache_stats,
 )
-from repro.sim.pauliframe import _tally_labels
+from repro.sim.pauliframe import _tally_labels, sample_error_counts
 from repro.utils import random_pure_state
 
 RNG = np.random.default_rng(2026)
@@ -308,7 +309,7 @@ class TestRouterMatrix:
             ("clifford+noiseless", lambda n: Job(circuit=ghz_circuit(), shots=10, seed=1), "stabilizer"),
             ("clifford+pauli-noise", lambda n: Job(circuit=ghz_circuit(), shots=10, seed=1, noise=n), "stabilizer"),
             ("pauli-feedback+noise", lambda n: Job(circuit=teleport_circuit(), shots=10, seed=1, noise=n), "stabilizer"),
-            ("cond-collapse+noiseless", lambda n: Job(circuit=conditioned_collapse_circuit(), shots=10, seed=1), "tableau"),
+            ("cond-collapse+noiseless", lambda n: Job(circuit=conditioned_collapse_circuit(), shots=10, seed=1), "statevector"),
             ("cond-collapse+noise", lambda n: Job(circuit=conditioned_collapse_circuit(), shots=10, seed=1, noise=n), "statevector"),
             ("magic+noiseless", lambda n: Job(circuit=magic_circuit(), shots=10, seed=1), "statevector"),
             ("magic+noise", lambda n: Job(circuit=magic_circuit(), shots=10, seed=1, noise=n), "statevector"),
@@ -322,11 +323,11 @@ class TestRouterMatrix:
         choice = BackendRouter().select(make_job(self.NOISE))
         assert choice.name == expected, label
 
-    def test_non_pauli_feedback_falls_back_to_tableau(self):
+    def test_non_pauli_feedback_falls_back_to_statevector(self):
         circuit = Circuit(2, 2).h(0).measure(0, 0)
         circuit.h(1, condition=Condition((0,), 1))
         circuit.measure(1, 1)
-        assert BackendRouter().select(Job(circuit=circuit, shots=10, seed=1)).name == "tableau"
+        assert BackendRouter().select(Job(circuit=circuit, shots=10, seed=1)).name == "statevector"
 
     def test_stabilizer_pin_validation(self):
         with pytest.raises(ValueError, match="stabilizer backend"):
@@ -338,16 +339,8 @@ class TestRouterMatrix:
                     backend="stabilizer",
                 )
             )
-        with pytest.raises(ValueError, match="tableau backend"):
-            BackendRouter().select(
-                Job(
-                    circuit=ghz_circuit(),
-                    shots=10,
-                    seed=1,
-                    noise=self.NOISE,
-                    backend="tableau",
-                )
-            )
+        with pytest.raises(ValueError, match="backend must be one of"):
+            Job(circuit=ghz_circuit(), shots=10, seed=1, backend="tableau")
 
 
 # ----------------------------------------------------------------------
@@ -366,9 +359,9 @@ class TestFramesVectorization:
         circuit, data = build_fanout_circuit(3)
         noise = NoiseModel.from_base(0.05)
         shots = 6000
-        fast = PauliFrameSimulator(circuit, noise, seed=77)
+        program = get_frame_program(circuit, noise, tuple(data))
+        vec = sample_error_counts(program, shots, np.random.default_rng(77))
         slow = PauliFrameSimulator(circuit, noise, seed=78)
-        vec = fast.sample_error_distribution(data, shots)
         ref = slow.sample_error_distribution_reference(data, shots)
         assert sum(vec.values()) == sum(ref.values()) == shots
         assert tvd(counts_to_probs(vec, shots), counts_to_probs(ref, shots)) < 0.05

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.circuits import Circuit
-from repro.engine import CancelToken, CostModel, Engine, Job, JobCancelled
+from repro.engine import CancelToken, CostModel, Engine, Job, JobCancelled, Scheduler
 
 
 def ghz_sampling_circuit(width: int = 3) -> Circuit:
@@ -293,3 +293,26 @@ class TestCancelScope:
             with engine.cancel_scope(token):
                 with pytest.raises(JobCancelled):
                     experiment.run(engine=engine)
+
+
+class TestReferenceBackendGroups:
+    """The cancel bound holds only if the cost model prices the per-shot
+    ``statevector-ref`` loop at what it costs: a 4,096-shot GHZ-3 job ran
+    0.5-0.7 s on 2 vCPUs, so it must not be planned as one group."""
+
+    def reference_plan(self, cost_model: CostModel | None = None):
+        job = make_job(shots=4096, backend="statevector-ref")
+        scheduler = Scheduler(workers=1, executor="serial", cost_model=cost_model)
+        return scheduler.decide(job, "statevector-ref", len(scheduler.plan(job)))
+
+    def test_default_plan_has_several_groups(self):
+        assert self.reference_plan().num_groups >= 2
+
+    def test_max_group_seconds_alone_splits_the_job(self):
+        from repro.engine.costmodel import MAX_GROUP_SECONDS
+
+        # With no target-size splitting left, only the per-group time
+        # bound can split the job.
+        plan = self.reference_plan(CostModel(target_group_seconds=10.0))
+        assert plan.estimated_seconds > MAX_GROUP_SECONDS
+        assert plan.num_groups >= 2

@@ -5,7 +5,11 @@ import pytest
 
 from repro.api import Experiment, ExperimentResult
 from repro.core.cyclic_shift import multivariate_trace
-from repro.core.estimator import assemble_initial_state, sample_pure_inputs
+from repro.circuits import Circuit
+from repro.core.estimator import assemble_initial_state
+from repro.core.protocol import _eigen_ensembles
+from repro.engine import Ensemble, Job
+from repro.engine.runners import _ensemble_groups
 from repro.utils import random_density_matrix, random_pure_state
 
 RNG = np.random.default_rng(23)
@@ -55,27 +59,31 @@ class TestAssembleInitialState:
             assemble_initial_state(2, {(0,): np.ones(4) / 2})
 
 
-class TestSamplePureInputs:
+class TestEnsembleDraws:
+    """The engine's per-shot input draw: one eigenvector per shot, drawn
+    with eigenvalue weights (the unravelling of a mixed input)."""
+
+    @staticmethod
+    def draws(rho, shots):
+        register = Ensemble.from_states((0,), _eigen_ensembles([rho])[0])
+        job = Job(circuit=Circuit(1, 1).measure(0, 0), shots=shots, seed=0, ensembles=(register,))
+        return _ensemble_groups(job, shots, RNG)
+
     def test_pure_state_passthrough(self):
         psi = random_pure_state(1, RNG)
-        out = sample_pure_inputs([psi], RNG)
-        assert np.allclose(out[0], psi)
+        ((out, count),) = self.draws(psi, 10)
+        assert count == 10
+        assert np.allclose(out, psi)
 
     def test_mixed_state_samples_eigenvectors(self):
         rho = np.diag([0.7, 0.3]).astype(complex)
-        seen = set()
-        for _ in range(60):
-            (v,) = sample_pure_inputs([rho], RNG)
-            seen.add(int(np.argmax(np.abs(v))))
+        seen = {int(np.argmax(np.abs(v))) for v, _ in self.draws(rho, 60)}
         assert seen == {0, 1}
 
     def test_sampling_unbiased_mean(self):
         rho = np.diag([0.8, 0.2]).astype(complex)
-        total = np.zeros((2, 2), dtype=complex)
         trials = 800
-        for _ in range(trials):
-            (v,) = sample_pure_inputs([rho], RNG)
-            total += np.outer(v, v.conj())
+        total = sum(count * np.outer(v, v.conj()) for v, count in self.draws(rho, trials))
         assert np.allclose(total / trials, rho, atol=0.06)
 
 

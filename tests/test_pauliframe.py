@@ -5,6 +5,8 @@ import pytest
 
 from repro.circuits import Circuit, Condition
 from repro.sim import NoiseModel, PauliFrameSimulator
+from repro.sim.batched_stabilizer import get_frame_program
+from repro.sim.pauliframe import sample_error_counts
 from repro.analysis.ghz_fidelity import (
     build_distributed_ghz_circuit,
     ghz_fidelity_density,
@@ -117,14 +119,14 @@ class TestMeasurementFlips:
 class TestErrorDistribution:
     def test_distribution_sums_to_shots(self):
         c = Circuit(2, 0).h(0).cx(0, 1)
-        sim = PauliFrameSimulator(c, NoiseModel.from_base(0.05), seed=5)
-        counts = sim.sample_error_distribution([0, 1], shots=500)
+        program = get_frame_program(c, NoiseModel.from_base(0.05), (0, 1))
+        counts = sample_error_counts(program, 500, np.random.default_rng(5))
         assert sum(counts.values()) == 500
 
     def test_noiseless_distribution_is_identity(self):
         c = Circuit(2, 0).h(0).cx(0, 1)
-        sim = PauliFrameSimulator(c, NoiseModel.noiseless(), seed=6)
-        counts = sim.sample_error_distribution([0, 1], shots=100)
+        program = get_frame_program(c, NoiseModel.noiseless(), (0, 1))
+        counts = sample_error_counts(program, 100, np.random.default_rng(6))
         assert counts == {"II": 100}
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, Condition
+from repro.engine import Engine, Job
 from repro.sim import NoiseModel, StatevectorSimulator
 from repro.sim.statevector import apply_gate, simulate_statevector
 from repro.utils import ghz_state, random_pure_state
@@ -72,7 +73,9 @@ class TestMeasurement:
 
     def test_statistics_of_plus_state(self):
         c = Circuit(1, 1).h(0).measure(0, 0)
-        counts = StatevectorSimulator(seed=3).sample_counts(c, shots=600)
+        job = Job(circuit=c, shots=600, seed=3, backend="statevector")
+        with Engine(workers=1, executor="serial") as engine:
+            counts = engine.run(job).counts
         assert 200 < counts["0"] < 400
 
     def test_forced_outcomes(self):
