@@ -14,15 +14,25 @@ Two headline rows, both acceptance-gated:
 * **64-qubit GHZ** — far beyond any dense simulator's reach (2**64
   amplitudes); the job must complete through *automatic routing* (no
   backend pin) with perfect GHZ parity.
+
+A third row is the dense kernel's row census on the monolithic SWAP
+test (k=2, n=2): history rows held (``row_ops``) against shots times ops
+(``shot_ops``).  Its teledata corrections and ancilla resets send
+histories back onto the same amplitudes, and the kernel folds those rows
+together; folded ``row_ops`` must be at most **1/5** of a run with the
+fold patched out, with the same estimate.
 """
 
 import numpy as np
 from conftest import cpu_count, emit, scaled, stopwatch
 
+from repro.api import Experiment
 from repro.circuits import Circuit
 from repro.engine import Engine, Job
 from repro.reporting import Table
 from repro.sim import NoiseModel
+from repro.sim.batched import _Rows
+from repro.utils.states import random_pure_state
 
 #: Stabilizer shot budget — cheap enough to hold at full scale everywhere.
 SHOTS = scaled(full=4096, quick=4096, smoke=1024)
@@ -40,6 +50,13 @@ NOISE = NoiseModel.from_base(0.01)
 #: throughput on the 16-qubit noisy GHZ job (measured: ~7800x).
 SPEEDUP_FLOOR = 20.0
 
+#: Monolithic SWAP test shot budget for the row-census row.
+FOLD_SHOTS = scaled(full=10_000, quick=10_000, smoke=2_000)
+
+#: Acceptance bar: folded ``row_ops`` over no-fold ``row_ops`` on the same
+#: job (measured: ~1/30).
+FOLD_ROW_SHARE = 1 / 5
+
 
 def ghz_circuit(width: int) -> Circuit:
     circuit = Circuit(width, width)
@@ -51,7 +68,13 @@ def ghz_circuit(width: int) -> Circuit:
     return circuit
 
 
-def test_kernel_matrix(once):
+def monolithic_swap_test() -> Experiment:
+    rng = np.random.default_rng(1)
+    states = [random_pure_state(2, rng) for _ in range(2)]
+    return Experiment.swap_test(states, shots=FOLD_SHOTS, seed=17)
+
+
+def test_kernel_matrix(once, monkeypatch):
     table = Table(
         f"Clifford sampling kernels — noisy GHZ-{WIDTH} + GHZ-{BIG_WIDTH}",
         ["kernel", "width", "shots", "wall_time_s", "shots_per_s", "note"],
@@ -86,6 +109,12 @@ def test_kernel_matrix(once):
                     )
                 )
             rows["big_time"] = big_time()
+            with stopwatch() as fold_time:
+                rows["fold"] = monolithic_swap_test().run(engine=engine)
+            rows["fold_time"] = fold_time()
+            with monkeypatch.context() as patch:
+                patch.setattr(_Rows, "fold", lambda self: None)
+                rows["plain"] = monolithic_swap_test().run(engine=engine)
         return rows
 
     rows = once(run)
@@ -118,16 +147,32 @@ def test_kernel_matrix(once):
         note=f"noiseless GHZ, parity {rows['big'].parity_mean:.3f}; "
         "unreachable for any dense kernel",
     )
+    folded = rows["fold"].extra["resources"]["engine"]
+    plain = rows["plain"].extra["resources"]["engine"]
+    table.add_row(
+        kernel="statevector (auto-routed)",
+        width=rows["fold"].extra["resources"]["compiled"]["live_width"],
+        shots=FOLD_SHOTS,
+        wall_time_s=rows["fold_time"],
+        shots_per_s=f"{FOLD_SHOTS / max(rows['fold_time'], 1e-9):,.0f}",
+        note=f"monolithic SWAP test k=2 n=2, row_ops/shot_ops "
+        f"{folded['row_ops'] / folded['shot_ops']:.4f} "
+        f"({plain['row_ops'] / plain['shot_ops']:.4f} without the fold)",
+    )
     emit(
         "kernel_matrix",
         table,
-        wall_time=rows["stab_time"] + rows["dense_time"] + rows["big_time"],
+        wall_time=rows["stab_time"] + rows["dense_time"] + rows["big_time"]
+        + rows["fold_time"],
         meta={
             "cpus_visible": cpu_count(),
             "stabilizer_shots": SHOTS,
             "dense_shots": DENSE_SHOTS,
             "speedup_per_shot": speedup,
             "speedup_gate": f">= {SPEEDUP_FLOOR}x dense per-shot throughput",
+            "fold_row_ops": folded["row_ops"],
+            "no_fold_row_ops": plain["row_ops"],
+            "fold_gate": f"<= {FOLD_ROW_SHARE:.2f} of no-fold row_ops",
         },
     )
 
@@ -148,4 +193,12 @@ def test_kernel_matrix(once):
     assert speedup >= SPEEDUP_FLOOR, (
         f"stabilizer per-shot speedup x{speedup:.1f} below the "
         f"{SPEEDUP_FLOOR}x acceptance bar"
+    )
+    # Row fold: reconverged histories share rows and no bit moves.
+    assert folded["backend"] == "statevector"
+    assert repr(rows["fold"].estimate) == repr(rows["plain"].estimate)
+    assert folded["shot_ops"] == plain["shot_ops"]
+    assert folded["row_ops"] <= FOLD_ROW_SHARE * plain["row_ops"], (
+        f"folded row_ops {folded['row_ops']} above {FOLD_ROW_SHARE:.2f} of "
+        f"the no-fold {plain['row_ops']}"
     )

@@ -25,7 +25,15 @@ their parent row.
   Pauli word is applied to its rows;
 * **conditional feedback** — parity conditions are evaluated per shot on
   the classical bits; satisfying shots are split off their rows and the
-  gate is applied to those rows.
+  gate is applied to those rows;
+* **fold** — corrections and resets send different histories back onto
+  byte-identical amplitudes.  After each op the compiler marks as a fold
+  point (a collapse, reset or conditioned unitary that some op other than
+  a terminal measurement follows) the call's rows are merged by their
+  bytes and rows no shot holds are dropped, so reconverged histories
+  share one row and rows never outnumber the distinct states held.
+  Byte-identical rows give identical results under every later op, so
+  the fold moves no bit.
 
 A kernel *call* may hold several **segments**, each with its own
 generator: the engine packs the batches of one group into as few calls as
@@ -305,6 +313,26 @@ class _Rows:
             self.row_of[shots] = dest[inverse]
         return dest, kinds
 
+    def fold(self) -> None:
+        """Merge byte-identical rows that shots hold; drop rows none holds.
+
+        Two byte-identical rows give identical results under every later
+        op, so their shots can share one row without moving a bit.
+        """
+        held = np.flatnonzero(np.bincount(self.row_of, minlength=self.count))
+        live = self.buf[held]
+        keys = live.view(np.dtype((np.void, live.shape[1] * live.itemsize))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if first.size == self.count:
+            return
+        # Survivors keep their order in the buffer.
+        keep = np.sort(first)
+        new_row = np.empty(self.count, dtype=np.intp)
+        new_row[held] = np.searchsorted(keep, first)[inverse]
+        self.buf[: keep.size] = live[keep]
+        self.count = keep.size
+        self.row_of = new_row[self.row_of]
+
     def apply(self, matrix: np.ndarray, qubits: Sequence[int], n: int, rows=None) -> None:
         """Apply a unitary to every live row, or to the selected rows."""
         if rows is None or rows.size == self.count:
@@ -353,6 +381,8 @@ def _run_call(
                     clbits[:, op.clbit] = outcomes
                 else:
                     clbits[active, op.clbit] = outcomes
+            if op.fold and rows.count > 1:
+                rows.fold()
             continue
         # Unitary (possibly conditioned, possibly a gate- or link-fault site).
         if active is None:
@@ -360,6 +390,8 @@ def _run_call(
         else:
             targets, _ = rows.branch(active, np.zeros(active.size, dtype=np.intp), 1)
             rows.apply(op.matrix, op.qubits, n, targets)
+            if op.fold and rows.count > 1:
+                rows.fold()
         if noise is not None:
             # The gate-fault draw precedes the link-fault draw at sites
             # carrying both (a Bell-generation CX under gate noise).

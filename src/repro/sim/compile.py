@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from threading import Lock
 
 import numpy as np
@@ -98,6 +98,11 @@ class CompiledOp:
     draws one extra hop-weighted depolarizing fault over ``qubits`` there
     (compiled only when link noise is active, so ideal-link programs carry
     no link sites and execute bit-identically to the pre-network pipeline).
+
+    ``fold=True`` marks a **fold point**: after this op the dense kernel
+    merges byte-identical history rows.  Only a collapse, a reset or a
+    conditioned unitary can send two histories onto the same state, and
+    only a later op other than a terminal measurement can reuse the merge.
     """
 
     kind: str
@@ -108,6 +113,7 @@ class CompiledOp:
     sample_fault: bool = False
     qpu: str | None = None
     link_hops: int = 0
+    fold: bool = False
 
     @property
     def is_stochastic(self) -> bool:
@@ -294,6 +300,7 @@ def compile_circuit(
         pending.append((matrix, inst.qubits))
         pending_support.update(union)
     flush()
+    _mark_fold_points(ops)
 
     prefix_len = 0
     for op in ops:
@@ -311,6 +318,19 @@ def compile_circuit(
         source_ops=source_ops,
         link_noise=link_noise,
     )
+
+
+def _mark_fold_points(ops: list[CompiledOp]) -> None:
+    """Set ``fold`` on every collapse, reset or conditioned unitary that
+    some op other than a plain measure follows."""
+    last = max(
+        (i for i, op in enumerate(ops) if op.kind != "measure" or op.condition is not None),
+        default=-1,
+    )
+    for i in range(last):
+        op = ops[i]
+        if op.kind != "unitary" or op.condition is not None:
+            ops[i] = replace(op, fold=True)
 
 
 # ----------------------------------------------------------------------
