@@ -42,6 +42,7 @@ from ..core.multistate_swap import build_multistate_swap
 from ..core.nparty_hadamard import build_nparty_hadamard
 from ..core.nstate_swap import build_nstate_swap
 from ..core.protocol import protocol_job
+from ..core.shape_memo import memoized_shape
 from ..core.swap_test import build_monolithic_swap_test
 from ..core.trace_sum import exact_trace_sum
 from ..engine import Engine
@@ -59,20 +60,25 @@ __all__ = ["execute", "execute_exact"]
 # The one trace runner: an X/Y job pair for any two-basis trace kind
 # ----------------------------------------------------------------------
 def _physical(experiment, k):
-    """Network, topology and composed noise model of one run.
+    """Network and composed noise model of one run.
 
     The monolithic builder has no links, so it runs on the bare noise
     model (validation rejects a non-ideal network there).  Every other
-    backend is physical: the spec's topology is built over
-    ``qpu0 .. qpu{k-1}`` and its hop-weighted link noise and per-QPU
-    overrides compose into the job noise model.
+    backend is physical: the spec's hop-weighted link noise and per-QPU
+    overrides (checked against ``qpu0 .. qpu{k-1}`` here, memo hit or
+    not) compose into the job noise model, and its topology is built
+    over those QPUs when a shape is first built.
     """
     noise = experiment.noise.to_model()
     if experiment.protocol.backend == "monolithic":
-        return None, None, noise
+        return None, noise
     network = experiment.network
-    topology = network.build([f"qpu{p}" for p in range(k)])
-    return network, topology, network.noise_model(noise)
+    network.check_overrides(_qpu_names(k))
+    return network, network.noise_model(noise)
+
+
+def _qpu_names(k):
+    return [f"qpu{p}" for p in range(k)]
 
 
 def _resources(backend, build, network, jobs, results, seed, **campaign) -> dict:
@@ -95,28 +101,50 @@ def _resources(backend, build, network, jobs, results, seed, **campaign) -> dict
         "execute_time": sum(r.execute_time for r in results),
         "row_ops": sum(r.row_ops for r in results),
         "shot_ops": sum(r.shot_ops for r in results),
+        "predicted_s": sum(r.predicted_s for r in results),
+        "route_reason": results[0].route_reason,
     }
     resources["compiled"] = jobs[0].metadata.get("compiled")
     return resources
 
 
-def _trace_builds(experiment, k, n, topology, observable):
+def _memoized_build(key, make):
+    """The shape memo's build for ``key``; a miss calls ``make()`` and
+    narrows and freezes the build's live circuit under the memo's single
+    flight, so concurrent runs of one new shape build it once."""
+
+    def build():
+        built = make()
+        built.live()
+        return built
+
+    return memoized_shape(key, build)
+
+
+def _trace_builds(experiment, k, n, network, observable):
     """The X- and Y-basis builds of one trace run, and their label.
 
-    The builder follows the kind and ``protocol.backend``.  Builders are
-    read as module globals at call time, so a wrapper installed on this
-    module sees every build.
+    The builder follows the kind and ``protocol.backend``.  Builds come
+    from the shape memo, keyed by (builder, backend, variant, design,
+    GHZ mode, basis, observable, k, n, topology) with the fields a
+    builder ignores left ``None``.  Builders are read as module globals
+    at call time, so a wrapper installed on this module sees every build
+    the memo makes.
     """
     protocol = experiment.protocol
     if protocol.backend == "monolithic":
         builds = [
-            build_monolithic_swap_test(
-                k,
-                n,
-                variant=protocol.variant,
-                basis=basis,
-                ghz_mode=protocol.ghz_mode,
-                observable=observable,
+            _memoized_build(
+                ("build_monolithic_swap_test", "monolithic", protocol.variant, None,
+                 protocol.ghz_mode, basis, observable, k, n, None),
+                lambda basis=basis: build_monolithic_swap_test(
+                    k,
+                    n,
+                    variant=protocol.variant,
+                    basis=basis,
+                    ghz_mode=protocol.ghz_mode,
+                    observable=observable,
+                ),
             )
             for basis in ("x", "y")
         ]
@@ -128,7 +156,17 @@ def _trace_builds(experiment, k, n, topology, observable):
     else:
         builder, label = build_nparty_hadamard, "nparty"
     builds = [
-        builder(k, n, design=protocol.design, basis=basis, topology=topology)
+        _memoized_build(
+            (builder.__name__, protocol.backend, None, protocol.design, None, basis,
+             None, k, n, network.topology),
+            lambda basis=basis: builder(
+                k,
+                n,
+                design=protocol.design,
+                basis=basis,
+                topology=network.build(_qpu_names(k)),
+            ),
+        )
         for basis in ("x", "y")
     ]
     return builds, label
@@ -148,8 +186,8 @@ def _run_trace(experiment, states, *, shots, seed, engine, observable=None):
     n = int(math.log2(states[0].shape[0]))
     if observable is None:
         observable = experiment.protocol.observable
-    network, topology, noise = _physical(experiment, k)
-    builds, label = _trace_builds(experiment, k, n, topology, observable)
+    network, noise = _physical(experiment, k)
+    builds, label = _trace_builds(experiment, k, n, network, observable)
     rng = np.random.default_rng(seed)
     shots_re = shots // 2
     shots_im = shots - shots_re
@@ -213,12 +251,18 @@ def _run_multistate_swap(experiment, options, engine):
     states = [np.asarray(s, dtype=complex) for s in experiment.payload["states"]]
     k = len(states)
     n = int(math.log2(states[0].shape[0]))
-    network, topology, noise = _physical(experiment, k)
+    network, noise = _physical(experiment, k)
     rng = np.random.default_rng(options.seed)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     per_pair = max(options.shots // len(pairs), 1)
     builds = [
-        build_multistate_swap(k, n, pair=pair, basis="x", topology=topology)
+        _memoized_build(
+            ("build_multistate_swap", experiment.protocol.backend, pair, None, None, "x",
+             None, k, n, network.topology),
+            lambda pair=pair: build_multistate_swap(
+                k, n, pair=pair, basis="x", topology=network.build(_qpu_names(k))
+            ),
+        )
         for pair in pairs
     ]
     jobs = [

@@ -8,6 +8,12 @@ takes).
 
 A :class:`Circuit` is an ordered list of :class:`Instruction`.  Depth is
 computed by ASAP layering (see :mod:`repro.circuits.moments`).
+
+:meth:`Circuit.freeze` seals a circuit: its instructions become a tuple,
+every mutation raises :class:`FrozenCircuitError`, and the content digest
+and capability scan are computed once and kept on the object (pickling
+carries them too).  Engine jobs hold frozen circuits, so the job hash,
+the compile caches and the router never re-walk the instructions.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 from ..utils.linalg import embed_operator
 from .gates import GATES, gate_matrix, inverse_gate
 
-__all__ = ["Condition", "Instruction", "Circuit", "circuit_digest"]
+__all__ = ["Condition", "Instruction", "Circuit", "FrozenCircuitError", "circuit_digest"]
 
 #: Instruction names that are not unitary gates.
 NON_GATE_OPS = ("measure", "reset", "barrier")
@@ -81,6 +87,10 @@ class Instruction:
         return self.hops > 0
 
 
+class FrozenCircuitError(TypeError):
+    """A frozen circuit was asked to change."""
+
+
 class Circuit:
     """A quantum circuit over ``num_qubits`` qubits and ``num_clbits`` classical bits."""
 
@@ -90,7 +100,53 @@ class Circuit:
         self.num_qubits = num_qubits
         self.num_clbits = num_clbits
         self.name = name
-        self.instructions: list[Instruction] = []
+        self.instructions: list[Instruction] | tuple[Instruction, ...] = []
+
+    # ------------------------------------------------------------------
+    # Freezing
+    # ------------------------------------------------------------------
+    @property
+    def is_frozen(self) -> bool:
+        """Whether :meth:`freeze` sealed this circuit."""
+        return "_digest" in self.__dict__
+
+    def freeze(self) -> "Circuit":
+        """Seal this circuit in place and return it.
+
+        The instructions become a tuple, every later mutation raises
+        :class:`FrozenCircuitError`, and the content digest is computed
+        here, once.  Freezing a frozen circuit is a no-op.
+        """
+        if not self.is_frozen:
+            state = self.__dict__
+            state["instructions"] = tuple(self.instructions)
+            state["_digest"] = circuit_digest(self)
+        return self
+
+    def frozen(self) -> "Circuit":
+        """This circuit if it is frozen, else a frozen copy (``self`` stays open)."""
+        return self if self.is_frozen else self.copy().freeze()
+
+    @property
+    def capabilities(self):
+        """The :class:`~repro.sim.compile.CircuitCapabilities` scan, kept on
+        a frozen circuit after the first call."""
+        caps = self.__dict__.get("_capabilities")
+        if caps is None:
+            from ..sim.compile import analyze_circuit
+
+            caps = analyze_circuit(self)
+            if self.is_frozen:
+                self.__dict__["_capabilities"] = caps
+        return caps
+
+    def __setattr__(self, name: str, value) -> None:
+        self._check_open()
+        super().__setattr__(name, value)
+
+    def _check_open(self) -> None:
+        if self.is_frozen:
+            raise FrozenCircuitError(f"circuit {self.name!r} is frozen")
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -106,6 +162,7 @@ class Circuit:
         hops: int = 0,
     ) -> "Circuit":
         """Append one instruction, validating indices and arity."""
+        self._check_open()
         qubits = tuple(qubits)
         clbits = tuple(clbits)
         params = tuple(params)
@@ -221,6 +278,7 @@ class Circuit:
 
     def barrier(self, qubits: Sequence[int] | None = None) -> "Circuit":
         """Scheduling barrier across the given qubits (all if omitted)."""
+        self._check_open()
         qs = tuple(range(self.num_qubits)) if qubits is None else tuple(qubits)
         self.instructions.append(Instruction("barrier", qs))
         return self
@@ -247,6 +305,7 @@ class Circuit:
                 return dict(m)
             return {i: v for i, v in enumerate(m)}
 
+        self._check_open()
         qmap = as_map(qubit_map, other.num_qubits)
         cmap = as_map(clbit_map, other.num_clbits)
         for inst in other.instructions:
@@ -279,7 +338,7 @@ class Circuit:
         return inv
 
     def copy(self) -> "Circuit":
-        """Shallow copy (instructions are immutable)."""
+        """Shallow, open copy (instructions are immutable)."""
         dup = Circuit(self.num_qubits, self.num_clbits, name=self.name)
         dup.instructions = list(self.instructions)
         return dup
@@ -315,9 +374,11 @@ class Circuit:
         Two circuits digest identically iff they have the same registers and
         the same instruction sequence (names, qubits, clbits, parameters,
         conditions).  This is the key of the per-process compile cache and a
-        component of the engine's job content hash.
+        component of the engine's job content hash.  A frozen circuit
+        returns the digest it computed when it was frozen.
         """
-        return circuit_digest(self)
+        digest = self.__dict__.get("_digest")
+        return digest if digest is not None else circuit_digest(self)
 
     def two_qubit_gate_count(self) -> int:
         """Number of gates acting on two or more qubits."""

@@ -16,8 +16,11 @@ permutation structure, and read a parity off a control register:
 :class:`ProtocolBuild` is the shared contract: a built
 :class:`~repro.network.program.DistributedProgram` plus the metadata the
 estimation pipeline needs (which user state loads where, which clbits
-carry the parity, what the circuit consumed).  :func:`protocol_job`
-packages any build as a content-hashed :class:`~repro.engine.Job`, so
+carry the parity, what the circuit consumed).  A build narrows, freezes
+and lowers its circuit once (:meth:`ProtocolBuild.live`,
+:meth:`ProtocolBuild.lowered`) however many jobs it packages.
+:func:`protocol_job` packages any build as a content-hashed
+:class:`~repro.engine.Job`, so
 every family member runs through the unmodified Engine/Scheduler path —
 cached, deterministic, and bit-identical at any worker count.
 
@@ -33,14 +36,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..circuits.circuit import Circuit
 from ..circuits.recycle import recycle_qubits
 from ..engine import Ensemble, Job
 from ..network.lowering import LoweredProgram, lower_program
 from ..network.program import DistributedProgram, LocalityReport
-from ..sim.compile import get_capabilities
 from ..sim.noisemodel import NoiseModel
 
-__all__ = ["ProtocolBuild", "protocol_job", "FAMILY", "family_builds"]
+__all__ = ["LiveCircuit", "ProtocolBuild", "protocol_job", "FAMILY", "family_builds"]
 
 #: Family members the analysis layer ranks (see :func:`family_builds`).
 FAMILY = (
@@ -51,6 +54,20 @@ FAMILY = (
     "nstate",
     "nparty",
 )
+
+
+@dataclass(frozen=True)
+class LiveCircuit:
+    """A build's circuit narrowed onto its live width and frozen.
+
+    ``registers`` are the position registers' slots on the narrow
+    circuit, and ``compiled`` is the shape summary every job of the build
+    records under ``metadata["compiled"]``.
+    """
+
+    circuit: Circuit
+    registers: tuple[tuple[int, ...], ...]
+    compiled: dict
 
 
 @dataclass
@@ -74,6 +91,8 @@ class ProtocolBuild:
     basis: str | None = None
     readout_clbits: tuple[int, ...] = ()
     stage_depths: dict[str, int] = field(default_factory=dict)
+    _live: LiveCircuit | None = field(default=None, init=False, repr=False, compare=False)
+    _lowered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def circuit_name(self) -> str:
         """Name of the flat circuit (subclasses keep their legacy names)."""
@@ -97,9 +116,43 @@ class ProtocolBuild:
         """Audit that only Bell generation spans QPUs."""
         return self.program.audit_locality()
 
+    def live(self) -> LiveCircuit:
+        """The circuit on its live width, frozen; built on the first call.
+
+        :func:`~repro.circuits.recycle_qubits` narrows the built circuit:
+        reset ancillas hand their slots to later qubits, so every backend
+        simulates fewer qubits with the same ops in the same order.  The
+        capability flags come from the frozen circuit's one scan; full
+        compilation is left to the executing worker, so the engine's
+        compile-time accounting stays honest.
+        """
+        if self._live is None:
+            allocated = self.circuit()
+            circuit, registers = recycle_qubits(allocated, self.position_registers)
+            capabilities = circuit.freeze().capabilities
+            self._live = LiveCircuit(
+                circuit=circuit,
+                registers=registers,
+                compiled={
+                    "allocated_width": allocated.num_qubits,
+                    "live_width": circuit.num_qubits,
+                    "instructions": len(circuit.instructions),
+                    "num_measurements": capabilities.num_measurements,
+                    "is_clifford": capabilities.is_clifford,
+                    "is_frame_compatible": capabilities.is_frame_compatible,
+                },
+            )
+        return self._live
+
     def lowered(self, bell_latency: float = 1.0) -> LoweredProgram:
-        """The scheduled, QPU-attributed lowering (measured accounting)."""
-        return lower_program(self.program, bell_latency=bell_latency)
+        """The scheduled, QPU-attributed lowering (measured accounting),
+        computed once per ``bell_latency``."""
+        lowered = self._lowered.get(bell_latency)
+        if lowered is None:
+            lowered = self._lowered[bell_latency] = lower_program(
+                self.program, bell_latency=bell_latency
+            )
+        return lowered
 
     def resources(self) -> dict:
         """Resource summary: Bell pairs, qubits, depth per stage."""
@@ -145,31 +198,25 @@ def protocol_job(
 ) -> Job:
     """Package a built (readout-carrying) protocol circuit as an engine job.
 
-    The built circuit is first narrowed onto its live width
-    (:func:`~repro.circuits.recycle_qubits`): reset ancillas hand their
-    slots to later qubits, so every backend simulates fewer qubits with
-    the same ops in the same order.  Each loaded position becomes a
+    The job runs the build's frozen live-width circuit
+    (:meth:`ProtocolBuild.live`).  Each loaded position becomes a
     per-shot :class:`~repro.engine.Ensemble` over its user state's
     eigen-decomposition (pure states degenerate to a single component),
     placed on the position's slot.  The allocated and live widths and the
-    circuit's capability flags (a cached scan — full compilation is left
-    to the executing worker so the engine's compile-time accounting stays
-    honest) are recorded in the job metadata.  ``backend`` optionally pins
-    a simulator (e.g. ``"statevector-ref"`` for the per-shot reference
-    path).
+    circuit's capability flags are recorded in the job metadata.
+    ``backend`` optionally pins a simulator (e.g. ``"statevector-ref"``
+    for the per-shot reference path).
     """
     if build.basis is None:
         raise ValueError("build must include a readout basis")
-    allocated = build.circuit()
-    circuit, registers = recycle_qubits(allocated, build.position_registers)
+    live = build.live()
     ensembles = []
-    for position, register in enumerate(registers):
+    for position, register in enumerate(live.registers):
         state = states[build.user_of_position[position]]
         pairs = _eigen_ensembles([state])[0]
         ensembles.append(Ensemble.from_states(register, pairs))
-    capabilities = get_capabilities(circuit)
     return Job(
-        circuit=circuit,
+        circuit=live.circuit,
         shots=shots,
         seed=seed,
         noise=noise,
@@ -181,14 +228,7 @@ def protocol_job(
             "variant": build.variant,
             "k": build.k,
             "n": build.n,
-            "compiled": {
-                "allocated_width": allocated.num_qubits,
-                "live_width": circuit.num_qubits,
-                "instructions": len(circuit.instructions),
-                "num_measurements": capabilities.num_measurements,
-                "is_clifford": capabilities.is_clifford,
-                "is_frame_compatible": capabilities.is_frame_compatible,
-            },
+            "compiled": dict(live.compiled),
         },
     )
 

@@ -18,13 +18,21 @@ group); the model decides
   :data:`MAX_GROUP_SECONDS`).
 
 Cost estimates come from ``(shots, n_qubits, stochastic sites, op
-count)`` with per-backend constants calibrated against
-``benchmarks/out/engine_scaling.json`` on a commodity x86 core.  They
-are deliberately coarse — every decision is a threshold comparison
-against IPC overheads that are orders of magnitude apart, so a 3x
-estimation error does not flip any decision that matters.  None of this
-affects results: grouping only changes *where* a batch executes and how
-its aggregates travel home, never the substream it consumes.
+count)`` with per-backend constants.  The dense ``statevector`` kernel
+keeps one row per distinct history, so it is priced by **expected
+history rows** (:func:`expected_row_ops`), derived from the compiled
+program's collapse, fault and fold structure, rather than by shots
+times amplitudes.  The dense constants were fitted to the measured
+kernel seconds (median of 5 runs) of 56 serial one-group jobs on 2
+vCPUs: monolithic, noisy monolithic, COMPAS with 1% link noise and
+N-state SWAP tests at k = 2..4, n = 1..2 (k·n ≤ 6), N-party and
+mixed-input ones at k·n ≤ 4, two shot budgets each.  With the expected
+rows, their predicted / actual ratios have a median of 0.97, quartiles
+0.84 and 1.25 and a range of 0.49–2.0.  Every decision is a
+threshold comparison against overheads that are orders of magnitude
+apart, so such errors do not flip a decision that matters.  None of
+this affects results: grouping only changes *where* a batch executes and
+how its aggregates travel home, never the substream it consumes.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 
 from .job import DEFAULT_BATCH_SIZE
 
-__all__ = ["CostModel", "DispatchPlan"]
+__all__ = ["CostModel", "DispatchPlan", "expected_row_ops"]
 
 #: Backends whose per-shot work is vectorized over the whole batch (cost
 #: scales with amplitudes); backends without a branch of their own in
@@ -44,10 +52,26 @@ _VECTORIZED_BACKENDS = ("statevector",)
 #: The frames backend's batch costs: a fixed cost per rate group per
 #: batch (one block of geometric gap draws and its share of the label
 #: tally) and a cost per fired fault (its word draw and effect XOR).
-#: Calibrated on GHZ-8 and GHZ-64 frames batches (3 rate groups, 256
-#: shots, p = 1e-4 .. 0.05) on 2 vCPUs.
-_FRAME_GROUP_SECONDS = 8e-5
+#: The effect table compiles once per process and is not charged.  The
+#: group cost was recalibrated on GHZ-64 (3 rate groups, p = 0.002) on 2
+#: vCPUs: 5k / 20k / 40k serial shots ran 11 / 34 / 76 ms, and the
+#: 2-process ``cold_family`` pool ran 20k shots in 50 ms of worker time.
+_FRAME_GROUP_SECONDS = 1.6e-4
 _FRAME_FAULT_SECONDS = 2e-7
+
+#: The dense kernel's costs (module docstring: how they were fitted):
+#: per amplitude of a held history row per compiled op, per held row per
+#: op on top of its amplitudes (branch copies, fold sorting), per
+#: compiled op and per fold point per kernel call (numpy dispatch, the
+#: row sort), per shot per stochastic op (draws, outcome columns), and
+#: per segment (a batch's share of one input state: the input draw and
+#: assembly, the outcome tally).
+_ROW_AMP_SECONDS = 2.5e-8
+_ROW_SECONDS = 2.2e-6
+_DENSE_OP_SECONDS = 5e-5
+_FOLD_SECONDS = 1.3e-4
+_SITE_SHOT_SECONDS = 1.1e-7
+_SEGMENT_SECONDS = 3.8e-4
 
 #: The longest one group may run, by the estimate.  The cancel token is
 #: checked between groups and a failed group fails whole, so however long
@@ -57,6 +81,49 @@ _FRAME_FAULT_SECONDS = 2e-7
 #: do not grow with its shots: splitting a short dense job further only
 #: recomputes rows.
 MAX_GROUP_SECONDS = 0.25
+
+
+def expected_row_ops(program, shots: float, noise=None) -> float:
+    """Expected dense-kernel history rows held, summed over the ops of one
+    kernel call of ``shots`` shots that start on one input row (compare
+    ``JobResult.row_ops``).
+
+    It walks the compiled program once, counting the qubits that hold a
+    random collapse outcome:
+
+    * a measure or reset of a qubit not already holding one doubles the
+      clean histories (at most one row per shot);
+    * a reset returns its qubit to |0>; at a fold point the two branches
+      it split merge again, so it halves them;
+    * a gate- or link-fault site with rate ``p`` sends about ``shots * p``
+      shots onto rows of their own, which stay apart.
+    """
+    if shots <= 0:
+        return 0.0
+    held: set[int] = set()
+    clean = 1.0
+    faulted = 0.0
+    total = 0.0
+    for op in program.ops:
+        total += min(shots, clean + faulted)
+        if op.kind != "unitary":
+            qubit = op.qubits[0]
+            if qubit not in held:
+                clean = min(shots, 2.0 * clean)
+                held.add(qubit)
+            if op.kind == "reset":
+                held.discard(qubit)
+                if op.fold:
+                    clean = max(1.0, clean / 2.0)
+            continue
+        if noise is not None:
+            rate = 0.0
+            if op.sample_fault:
+                rate += noise.gate_error_rate(len(op.qubits), op.qpu)
+            if op.link_hops:
+                rate += noise.link_error_rate(op.link_hops)
+            faulted = min(shots, faulted + shots * rate)
+    return total
 
 
 @dataclass(frozen=True)
@@ -109,11 +176,8 @@ class CostModel:
     bounded too.
     """
 
-    amp_op_seconds: float = 2e-9
-    """Per amplitude per (compiled) op, vectorized kernel."""
-
     vector_op_overhead_seconds: float = 15e-6
-    """Fixed numpy dispatch cost per compiled op per batch."""
+    """Fixed numpy dispatch cost per op of the stabilizer kernel."""
 
     shot_op_seconds: float = 27e-6
     """Per instruction per shot, the per-shot ``statevector-ref`` loop: the
@@ -145,6 +209,10 @@ class CostModel:
         backend: str,
         site_groups: int = 0,
         faults_per_shot: float = 0.0,
+        row_ops: float | None = None,
+        segments: int = 1,
+        calls: int = 1,
+        fold_points: int = 0,
     ) -> float:
         """Rough serial runtime of one job on ``backend``.
 
@@ -152,6 +220,13 @@ class CostModel:
         backend: its number of distinct ``(rate, words)`` site groups and
         the sum of its site rates (see
         :func:`repro.sim.batched_stabilizer.frame_fault_profile`).
+
+        ``row_ops``, ``segments``, ``calls`` and ``fold_points`` price
+        the dense ``statevector`` kernel, whose ``num_instructions`` and
+        ``stochastic_sites`` count compiled ops: the expected history
+        rows summed over ops (:func:`expected_row_ops`; one row per shot
+        when not given), the kernel segments, the kernel calls and the
+        compiled fold points.
         """
         ops = max(num_instructions, 1)
         if backend == "stabilizer":
@@ -164,17 +239,21 @@ class CostModel:
             )
             return ref + frames + weighted * self.vector_op_overhead_seconds
         if backend == "pauliframe":
-            # One effect-table compile (an op walk of vectorized column
-            # ops, cached across batches) + per-batch gap draws per rate
-            # group + the expected fired faults.
+            # Per-batch gap draws per rate group + the expected fired
+            # faults (the effect table is compiled once per process).
             batches = math.ceil(shots / DEFAULT_BATCH_SIZE)
             groups = batches * max(site_groups, 0) * _FRAME_GROUP_SECONDS
             faults = float(shots) * max(faults_per_shot, 0.0) * _FRAME_FAULT_SECONDS
-            return ops * self.vector_op_overhead_seconds + groups + faults
+            return groups + faults
         if backend in _VECTORIZED_BACKENDS:
-            weighted = ops + self.stochastic_site_factor * max(stochastic_sites, 0)
-            amps = float(shots) * float(2**min(num_qubits, 30))
-            return weighted * (amps * self.amp_op_seconds + self.vector_op_overhead_seconds)
+            rows = float(shots) * ops if row_ops is None else row_ops
+            dim = float(2 ** min(num_qubits, 30))
+            return (
+                calls * (ops * _DENSE_OP_SECONDS + fold_points * _FOLD_SECONDS)
+                + float(shots) * max(stochastic_sites, 0) * _SITE_SHOT_SECONDS
+                + segments * _SEGMENT_SECONDS
+                + rows * (_ROW_SECONDS + dim * _ROW_AMP_SECONDS)
+            )
         return float(shots) * ops * self.shot_op_seconds
 
     def plan(self, estimated_seconds: float, num_batches: int, workers: int) -> DispatchPlan:

@@ -46,7 +46,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from ..obs.runtime import NOOP, Observability
 from .cache import ResultCache
 from .cancel import CancelToken, JobCancelled
-from .costmodel import CostModel
+from .costmodel import CostModel, DispatchPlan
 from .job import Job, JobResult
 from .router import BackendChoice, BackendRouter
 from .runners import BatchExecutionError, BatchStats, WorkerJobMiss
@@ -55,6 +55,10 @@ from .scheduler import Scheduler
 __all__ = ["Engine", "EngineStats", "grid_points"]
 
 _log = logging.getLogger("repro.engine")
+
+#: Buckets of the ``engine.cost_ratio`` histogram: predicted over actual
+#: kernel seconds per computed job (above 1 the model overprices).
+_COST_RATIO_BUCKETS = (0.25, 0.5, 0.67, 0.8, 1.0, 1.25, 1.5, 2.0, 4.0)
 
 
 def grid_points(grid: Mapping[str, Sequence]):
@@ -119,6 +123,7 @@ class _PendingJob:
     job: Job
     key: str
     choice: BackendChoice
+    plan: DispatchPlan
     expected: int
     started: float
     stats: list[BatchStats] = field(default_factory=list)
@@ -436,7 +441,7 @@ class Engine:
             choice = self.router.select(job)
             batches = self.scheduler.plan(job)
             plan = self.scheduler.decide(job, choice.name, len(batches), jobs=len(owned))
-            entry = (index, job, key, choice, plan.split(batches))
+            entry = (index, job, key, choice, plan, plan.split(batches))
             (pooled if plan.pooled else inline).append(entry)
 
         tracer = self.obs.tracer
@@ -445,10 +450,10 @@ class Engine:
         try:
             # Submission happens inside the try so a mid-loop failure
             # (e.g. a broken process pool) still cancels what went in.
-            for index, job, key, choice, groups in pooled:
+            for index, job, key, choice, plan, groups in pooled:
                 if cancel is not None:
                     cancel.raise_if_cancelled()
-                state = states[index] = self._start(job, key, choice, groups, parent_id)
+                state = states[index] = self._start(job, key, choice, plan, groups, parent_id)
                 submitted = time.perf_counter()
                 for future, group, ctx in self.scheduler.submit_groups(
                     job, key, groups, choice.name, state.span.span_id
@@ -456,8 +461,8 @@ class Engine:
                     future_map[future] = (index, group, ctx, submitted)
             # Inline jobs run here while the pool chews on the submitted
             # groups.
-            for index, job, key, choice, groups in inline:
-                state = states[index] = self._start(job, key, choice, groups, parent_id)
+            for index, job, key, choice, plan, groups in inline:
+                state = states[index] = self._start(job, key, choice, plan, groups, parent_id)
                 for group in groups:
                     if cancel is not None:
                         cancel.raise_if_cancelled()
@@ -570,7 +575,7 @@ class Engine:
             for key in claimed:
                 self._release(key)
 
-    def _start(self, job, key, choice, groups, parent_id) -> _PendingJob:
+    def _start(self, job, key, choice, plan, groups, parent_id) -> _PendingJob:
         """Open one job's ``engine.job`` span and its bookkeeping."""
         span = self.obs.tracer.begin(
             "engine.job",
@@ -584,6 +589,7 @@ class Engine:
             job=job,
             key=key,
             choice=choice,
+            plan=plan,
             expected=len(groups),
             started=time.perf_counter(),
             span=span,
@@ -601,6 +607,7 @@ class Engine:
             state.job,
             state.key,
             state.choice,
+            state.plan,
             state.stats,
             time.perf_counter() - state.started,
             parent_id=state.span.span_id,
@@ -669,17 +676,23 @@ class Engine:
         job: Job,
         key: str,
         choice: BackendChoice,
+        plan: DispatchPlan,
         group_stats: Sequence[BatchStats],
         elapsed: float,
         parent_id: str | None = None,
     ) -> JobResult:
         tracer = self.obs.tracer
         span = tracer.begin("engine.reduce", parent_id=parent_id, groups=len(group_stats))
-        result = _combine(job, key, choice, group_stats, elapsed)
+        result = _combine(job, key, choice, plan, group_stats, elapsed)
         if self.cache is not None:
             self.cache.put(key, result)
         tracer.end(span)
-        self.obs.metrics.histogram("engine.job_latency").observe(elapsed)
+        metrics = self.obs.metrics
+        metrics.histogram("engine.job_latency").observe(elapsed)
+        if result.predicted_s > 0.0 and result.execute_time > 0.0:
+            metrics.histogram("engine.cost_ratio", buckets=_COST_RATIO_BUCKETS).observe(
+                result.predicted_s / result.execute_time
+            )
         with self._stats_lock:
             self.stats.jobs += 1
             self.stats.shots += job.shots
@@ -727,6 +740,7 @@ def _combine(
     job: Job,
     key: str,
     choice: BackendChoice,
+    plan: DispatchPlan,
     group_stats: Sequence[BatchStats],
     elapsed: float,
 ) -> JobResult:
@@ -778,4 +792,6 @@ def _combine(
         execute_time=execute_time,
         row_ops=row_ops,
         shot_ops=shot_ops,
+        predicted_s=plan.estimated_seconds,
+        route_reason=choice.reason,
     )

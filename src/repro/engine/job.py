@@ -8,6 +8,11 @@ count, the seed, the noise rates, or the input states changes the hash.  The
 hash keys the :mod:`result cache <repro.engine.cache>` and is safe to persist
 across processes.
 
+A job holds a **frozen** circuit (an open circuit is replaced by a frozen
+copy), so the circuit digest and capability scan behind the hash, the
+compile caches and the router are computed once per circuit and travel
+with it to pool workers.
+
 Stochastic inputs are described by :class:`Ensemble` entries: each names a
 register and a convex mixture of pure states to load there, sampled freshly
 per shot (the trajectory unravelling of a mixed input into eigenvectors
@@ -24,7 +29,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ..circuits.circuit import Circuit, circuit_digest
+from ..circuits.circuit import Circuit
 from ..sim.noisemodel import NoiseModel
 
 __all__ = ["DEFAULT_BATCH_SIZE", "Ensemble", "Job", "JobResult", "JOB_BACKENDS", "JOB_HASH_TAG"]
@@ -150,6 +155,7 @@ class Job:
             raise ValueError("give either initial_state or ensembles, not both")
         self.readout = tuple(int(c) for c in self.readout)
         self.frame_qubits = tuple(int(q) for q in self.frame_qubits)
+        self.circuit = self.circuit.frozen()
 
     def resolved_batch_size(self) -> int:
         """The batch size the scheduler (and the hash) actually uses."""
@@ -171,7 +177,7 @@ class Job:
         """
         h = hashlib.sha256()
         h.update(JOB_HASH_TAG.encode())
-        h.update(_circuit_digest(self.circuit))
+        h.update(self.circuit.content_digest())
         if self.backend is not None:
             h.update(b"be" + self.backend.encode())
         h.update(
@@ -213,11 +219,6 @@ class Job:
         return h.hexdigest()
 
 
-#: Canonical circuit structure digest — shared with the compile cache so a
-#: job's hash and its compiled program are keyed by the same bytes.
-_circuit_digest = circuit_digest
-
-
 @dataclass
 class JobResult:
     """Aggregated outcome of one job."""
@@ -240,6 +241,13 @@ class JobResult:
     shot_ops: int = 0
     """Shots times ops of the dense kernel: ``row_ops / shot_ops`` is the
     share of per-shot work the shot-branching kernel actually did."""
+
+    predicted_s: float = 0.0
+    """The cost model's serial-runtime estimate the job was dispatched on
+    (compare ``execute_time``; 0 for exact jobs, which are not priced)."""
+
+    route_reason: str = ""
+    """Why the router picked ``backend``."""
 
     def cached_copy(self) -> "JobResult":
         """The same result, flagged as served from cache."""
@@ -264,6 +272,8 @@ class JobResult:
             "execute_time": self.execute_time,
             "row_ops": self.row_ops,
             "shot_ops": self.shot_ops,
+            "predicted_s": self.predicted_s,
+            "route_reason": self.route_reason,
         }
 
     @classmethod
@@ -285,4 +295,6 @@ class JobResult:
             execute_time=float(payload.get("execute_time", 0.0)),
             row_ops=int(payload.get("row_ops", 0)),
             shot_ops=int(payload.get("shot_ops", 0)),
+            predicted_s=float(payload.get("predicted_s", 0.0)),
+            route_reason=str(payload.get("route_reason", "")),
         )

@@ -291,13 +291,20 @@ def _accumulate_matrix(stats: BatchStats, clbits: np.ndarray, job: Job) -> None:
 
 
 def _ensemble_groups(
-    job: Job, shots: int, rng: np.random.Generator
+    job: Job,
+    shots: int,
+    rng: np.random.Generator,
+    inputs: dict | None = None,
 ) -> list[tuple[np.ndarray, int]]:
     """Sample every shot's input-ensemble components in one vectorized draw.
 
     Returns ``(initial_state, count)`` groups — shots sharing a component
     combination share one assembled input state, so the kernel evolves their
     common deterministic prefix once per group instead of once per shot.
+    ``inputs`` maps component combinations to their assembled states
+    across the batches of one group, so each distinct combination is
+    assembled once; the states are read-only, shared by every segment
+    that loads them.
     """
     draws = []
     for ens in job.ensembles:
@@ -307,15 +314,21 @@ def _ensemble_groups(
             draws.append(rng.choice(len(ens.weights), p=ens.weights, size=shots))
     combos = np.stack(draws, axis=1)
     unique, combo_counts = np.unique(combos, axis=0, return_counts=True)
+    if inputs is None:
+        inputs = {}
     groups = []
     for combo, count in zip(unique, combo_counts):
-        placements = {
-            ens.qubits: ens.vector(int(component))
-            for ens, component in zip(job.ensembles, combo)
-        }
-        groups.append(
-            (assemble_initial_state(job.circuit.num_qubits, placements), int(count))
-        )
+        key = combo.tobytes()
+        state = inputs.get(key)
+        if state is None:
+            placements = {
+                ens.qubits: ens.vector(int(component))
+                for ens, component in zip(job.ensembles, combo)
+            }
+            state = assemble_initial_state(job.circuit.num_qubits, placements)
+            state.flags.writeable = False
+            inputs[key] = state
+        groups.append((state, int(count)))
     return groups
 
 
@@ -337,13 +350,14 @@ def _statevector_batches(job: Job, batches, stats) -> None:
 
     execute_start = time.perf_counter()
     segments = []
+    inputs: dict = {}
     for batch in batches:
         rng = batch_rng(job.seed, batch.index)
         kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
         if job.ensembles:
             segments.extend(
                 Segment(kernel_rng, count, initial_state)
-                for initial_state, count in _ensemble_groups(job, batch.shots, rng)
+                for initial_state, count in _ensemble_groups(job, batch.shots, rng, inputs)
             )
         else:
             segments.append(Segment(kernel_rng, batch.shots, job.initial_state))

@@ -55,9 +55,10 @@ from concurrent.futures import (
 )
 
 from ..obs.runtime import NOOP
+from ..sim.batched import MAX_CHUNK_AMPLITUDES
 from ..sim.batched_stabilizer import frame_fault_profile, get_stabilizer
 from ..sim.compile import get_capabilities, get_compiled
-from .costmodel import CostModel, DispatchPlan
+from .costmodel import CostModel, DispatchPlan, expected_row_ops
 from .job import Job
 from .runners import (
     Batch,
@@ -138,13 +139,20 @@ class Scheduler:
     # Dispatch policy
     # ------------------------------------------------------------------
     def estimate_job_seconds(self, job: Job, backend: str) -> float:
-        """The cost model's serial-runtime estimate for one job."""
+        """The cost model's serial-runtime estimate for one job.
+
+        It reads the frozen circuit's carried capability scan; a dense
+        ``statevector`` job is priced by its compiled program's expected
+        history rows (:meth:`_dense_estimate`).
+        """
+        if backend == "statevector":
+            return self._dense_estimate(job)
         caps = get_capabilities(job.circuit)
         noise = job.noise
         sites = caps.num_measurements
         if noise is not None and not noise.is_noiseless:
             if noise.has_gate_noise:
-                sites += sum(1 for op in job.circuit.instructions if op.is_gate)
+                sites += caps.num_gates
             if noise.has_link_noise:
                 sites += caps.num_link_events
         groups, faults = 0, 0.0
@@ -160,13 +168,43 @@ class Scheduler:
             faults_per_shot=faults,
         )
 
+    def _dense_estimate(self, job: Job) -> float:
+        """Price a dense job by the history rows its kernel calls hold.
+
+        The job is priced as one group.  A batch whose input ensembles
+        draw several component combinations splits into one segment per
+        combination, and segments of one batch run in successive kernel
+        calls; so do the memory chunks of a wide circuit.  Each call
+        holds its share of the shots, starting from one input row.
+        """
+        program = self._dense_program(job)
+        noise = job.noise if job.noise is not None and not job.noise.is_noiseless else None
+        batch = job.resolved_batch_size()
+        batches = max(1, math.ceil(job.shots / batch))
+        combos = min(math.prod(len(ens.weights) for ens in job.ensembles), batch)
+        calls = max(combos, math.ceil(job.shots * program.dim / MAX_CHUNK_AMPLITUDES))
+        rows = calls * expected_row_ops(program, job.shots / calls, noise)
+        return self.cost_model.estimate_job_seconds(
+            shots=job.shots,
+            num_qubits=program.num_qubits,
+            num_instructions=len(program.ops),
+            stochastic_sites=sum(op.is_stochastic for op in program.ops),
+            backend="statevector",
+            row_ops=rows,
+            segments=batches * combos,
+            calls=calls,
+            fold_points=sum(op.fold for op in program.ops),
+        )
+
     def decide(
         self, job: Job, backend: str, num_batches: int, jobs: int = 1
     ) -> DispatchPlan:
         """How many groups this job's batches run as, and where.
 
         A one-batch job (every exact-distribution job among them) is one
-        inline group.  Otherwise the cost model sizes the groups:
+        inline group; its plan still carries the estimate (zero for an
+        exact job, which the model does not price).  Otherwise the cost
+        model sizes the groups:
         serial schedulers run them inline; ``executor="auto"`` lets the
         model also veto pooling (a job smaller than its own dispatch
         overhead stays on the calling thread); an explicit ``"thread"``
@@ -179,9 +217,9 @@ class Scheduler:
         each job is sized as if it had one worker, keeping its batches
         in few groups that share kernel rows.
         """
+        estimate = 0.0 if job.mode == "exact" else self.estimate_job_seconds(job, backend)
         if num_batches <= 1:
-            return DispatchPlan(pooled=False, reason="one batch")
-        estimate = self.estimate_job_seconds(job, backend)
+            return DispatchPlan(pooled=False, estimated_seconds=estimate, reason="one batch")
         workers = self.workers if self.pooled else 1
         plan = self.cost_model.plan(estimate, num_batches, workers)
         if not plan.pooled and (not self.pooled or self.executor_kind == "auto"):
@@ -323,6 +361,11 @@ class Scheduler:
             return get_stabilizer(job.circuit)
         if backend != "statevector":
             return None
+        return self._dense_program(job)
+
+    @staticmethod
+    def _dense_program(job: Job):
+        """The job's compiled dense program (a cache hit after the first)."""
         noise = job.noise
         live = noise is not None and not noise.is_noiseless
         return get_compiled(

@@ -336,6 +336,7 @@ class _ProgramCache:
 
 _stabilizer_cache = _ProgramCache(256)
 _frame_cache = _ProgramCache(64)
+_profile_cache = _ProgramCache(64)
 
 
 def get_stabilizer(circuit: Circuit) -> StabilizerProgram:
@@ -395,6 +396,7 @@ def clear_stabilizer_cache() -> None:
     (tests only)."""
     _stabilizer_cache.clear()
     _frame_cache.clear()
+    _profile_cache.clear()
 
 
 # ----------------------------------------------------------------------
@@ -684,11 +686,16 @@ def run_batched_frames(
 def frame_fault_profile(circuit: Circuit, noise: NoiseModel) -> tuple[int, float]:
     """``(rate groups, expected fired faults per shot)`` of the frames
     program of ``circuit`` under ``noise``, without compiling it — what
-    the cost model prices a ``pauliframe`` job by."""
-    groups = Counter(
-        site for inst in circuit.instructions for site in _fault_sites(inst, noise)
-    )
-    return len(groups), sum(rate * count for (rate, _), count in groups.items())
+    the cost model prices a ``pauliframe`` job by.  Kept per circuit
+    digest and noise model."""
+
+    def profile() -> tuple[int, float]:
+        groups = Counter(
+            site for inst in circuit.instructions for site in _fault_sites(inst, noise)
+        )
+        return len(groups), sum(rate * count for (rate, _), count in groups.items())
+
+    return _profile_cache.get((circuit.content_digest(), noise), profile)
 
 
 def _fault_sites(inst, noise: NoiseModel) -> list[tuple[float, int]]:

@@ -16,7 +16,8 @@ of that exactly once per circuit:
 
 Programs are cached per process, keyed by the circuit's content digest, so
 repeated jobs over the same circuit (the normal engine workload) compile
-exactly once per worker.
+exactly once per worker.  A frozen circuit carries its digest and its
+capability scan, so neither is recomputed per lookup.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ class CircuitCapabilities:
     has_conditional: bool
     num_link_events: int = 0
     """Bell-generation ops tagged with a hop distance (link-noise sites)."""
+
+    num_gates: int = 0
+    """Unitary gate instructions (gate-noise sites)."""
 
     has_conditioned_collapse: bool = False
     """A measure or reset sits under a classical condition — the collapse
@@ -159,6 +163,7 @@ def analyze_circuit(circuit: Circuit) -> CircuitCapabilities:
     has_conditional = False
     has_conditioned_collapse = False
     num_link_events = 0
+    num_gates = 0
     for inst in circuit.instructions:
         if inst.name == "barrier":
             continue
@@ -174,6 +179,7 @@ def analyze_circuit(circuit: Circuit) -> CircuitCapabilities:
                 has_conditional = True
                 has_conditioned_collapse = True
             continue
+        num_gates += 1
         if inst.hops:
             num_link_events += 1
         if inst.condition is not None:
@@ -192,6 +198,7 @@ def analyze_circuit(circuit: Circuit) -> CircuitCapabilities:
         has_reset=has_reset,
         has_conditional=has_conditional,
         num_link_events=num_link_events,
+        num_gates=num_gates,
         has_conditioned_collapse=has_conditioned_collapse,
     )
 
@@ -312,7 +319,7 @@ def compile_circuit(
         num_qubits=circuit.num_qubits,
         num_clbits=circuit.num_clbits,
         ops=tuple(ops),
-        capabilities=analyze_circuit(circuit),
+        capabilities=circuit.capabilities,
         gate_noise=gate_noise,
         prefix_len=prefix_len,
         source_ops=source_ops,
@@ -339,7 +346,6 @@ def _mark_fold_points(ops: list[CompiledOp]) -> None:
 _CACHE_MAX = 256
 
 _program_cache: OrderedDict[tuple[bytes, bool, bool], CompiledProgram] = OrderedDict()
-_caps_cache: OrderedDict[bytes, CircuitCapabilities] = OrderedDict()
 _cache_lock = Lock()
 _stats = {"compiles": 0, "hits": 0, "primed": 0, "compile_time": 0.0}
 
@@ -374,11 +380,8 @@ def get_compiled(
         _stats["compiles"] += 1
         _stats["compile_time"] += elapsed
         _program_cache[key] = program
-        _caps_cache[key[0]] = program.capabilities
         while len(_program_cache) > _CACHE_MAX:
             _program_cache.popitem(last=False)
-        while len(_caps_cache) > _CACHE_MAX:
-            _caps_cache.popitem(last=False)
     metrics = get_observability().metrics
     metrics.counter("compile.cache", outcome="miss").inc()
     metrics.histogram("compile.time").observe(elapsed)
@@ -403,29 +406,19 @@ def prime_compiled(circuit: Circuit, program: CompiledProgram) -> bool:
             return False
         _stats["primed"] += 1
         _program_cache[key] = program
-        _caps_cache[key[0]] = program.capabilities
         while len(_program_cache) > _CACHE_MAX:
             _program_cache.popitem(last=False)
-        while len(_caps_cache) > _CACHE_MAX:
-            _caps_cache.popitem(last=False)
     get_observability().metrics.counter("compile.cache", outcome="primed").inc()
     return True
 
 
 def get_capabilities(circuit: Circuit) -> CircuitCapabilities:
-    """Cached capability flags (scan only; no matrices are resolved)."""
-    key = circuit.content_digest()
-    with _cache_lock:
-        caps = _caps_cache.get(key)
-        if caps is not None:
-            _caps_cache.move_to_end(key)
-            return caps
-    caps = analyze_circuit(circuit)
-    with _cache_lock:
-        _caps_cache[key] = caps
-        while len(_caps_cache) > _CACHE_MAX:
-            _caps_cache.popitem(last=False)
-    return caps
+    """Capability flags (scan only; no matrices are resolved).
+
+    A frozen circuit scans once and keeps the result; an open one is
+    scanned on every call.
+    """
+    return circuit.capabilities
 
 
 def compile_cache_stats() -> dict:
@@ -438,5 +431,4 @@ def clear_compile_cache() -> None:
     """Drop all cached programs and reset counters (tests only)."""
     with _cache_lock:
         _program_cache.clear()
-        _caps_cache.clear()
         _stats.update({"compiles": 0, "hits": 0, "primed": 0, "compile_time": 0.0})

@@ -64,10 +64,12 @@ class TestJobHash:
 
     def test_gate_mutation_changes_hash(self):
         base = Job(circuit=ghz_sampling_circuit(), shots=100, seed=7).content_hash()
-        mutated = ghz_sampling_circuit()
-        mutated.instructions[0] = mutated.instructions[0].__class__(
-            "s", (0,), (), (), None
-        )
+        # The same circuit with its first gate (h on qubit 0) replaced by s.
+        reference = ghz_sampling_circuit()
+        mutated = Circuit(reference.num_qubits, reference.num_clbits)
+        mutated.s(0)
+        for inst in reference.instructions[1:]:
+            mutated.append(inst.name, inst.qubits, inst.clbits, inst.params, inst.condition)
         assert Job(circuit=mutated, shots=100, seed=7).content_hash() != base
 
     def test_qubit_mutation_changes_hash(self):
