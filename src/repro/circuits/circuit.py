@@ -11,9 +11,10 @@ computed by ASAP layering (see :mod:`repro.circuits.moments`).
 
 :meth:`Circuit.freeze` seals a circuit: its instructions become a tuple,
 every mutation raises :class:`FrozenCircuitError`, and the content digest
-and capability scan are computed once and kept on the object (pickling
-carries them too).  Engine jobs hold frozen circuits, so the job hash,
-the compile caches and the router never re-walk the instructions.
+is computed once and kept on the object, as is the capability scan of
+:func:`repro.sim.compile.get_capabilities` (pickling carries both).
+Engine jobs hold frozen circuits, so the job hash, the compile caches
+and the router never re-walk the instructions.
 """
 
 from __future__ import annotations
@@ -126,19 +127,6 @@ class Circuit:
     def frozen(self) -> "Circuit":
         """This circuit if it is frozen, else a frozen copy (``self`` stays open)."""
         return self if self.is_frozen else self.copy().freeze()
-
-    @property
-    def capabilities(self):
-        """The :class:`~repro.sim.compile.CircuitCapabilities` scan, kept on
-        a frozen circuit after the first call."""
-        caps = self.__dict__.get("_capabilities")
-        if caps is None:
-            from ..sim.compile import analyze_circuit
-
-            caps = analyze_circuit(self)
-            if self.is_frozen:
-                self.__dict__["_capabilities"] = caps
-        return caps
 
     def __setattr__(self, name: str, value) -> None:
         self._check_open()

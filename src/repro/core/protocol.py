@@ -41,6 +41,7 @@ from ..circuits.recycle import recycle_qubits
 from ..engine import Ensemble, Job
 from ..network.lowering import LoweredProgram, lower_program
 from ..network.program import DistributedProgram, LocalityReport
+from ..sim.compile import get_capabilities
 from ..sim.noisemodel import NoiseModel
 
 __all__ = ["LiveCircuit", "ProtocolBuild", "protocol_job", "FAMILY", "family_builds"]
@@ -122,14 +123,15 @@ class ProtocolBuild:
         :func:`~repro.circuits.recycle_qubits` narrows the built circuit:
         reset ancillas hand their slots to later qubits, so every backend
         simulates fewer qubits with the same ops in the same order.  The
-        capability flags come from the frozen circuit's one scan; full
-        compilation is left to the executing worker, so the engine's
-        compile-time accounting stays honest.
+        capability flags come from the frozen circuit's one scan; nothing
+        is compiled here, so every compile lands in the engine's
+        compile-time accounting (pricing a dense job compiles it, and
+        that time counts toward the job's ``compile_time``).
         """
         if self._live is None:
             allocated = self.circuit()
             circuit, registers = recycle_qubits(allocated, self.position_registers)
-            capabilities = circuit.freeze().capabilities
+            capabilities = get_capabilities(circuit.freeze())
             self._live = LiveCircuit(
                 circuit=circuit,
                 registers=registers,

@@ -40,14 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..sim.batched import MAX_CHUNK_AMPLITUDES
 from .job import DEFAULT_BATCH_SIZE
 
 __all__ = ["CostModel", "DispatchPlan", "expected_row_ops"]
-
-#: Backends whose per-shot work is vectorized over the whole batch (cost
-#: scales with amplitudes); backends without a branch of their own in
-#: ``estimate_job_seconds`` pay Python-level per-op cost.
-_VECTORIZED_BACKENDS = ("statevector",)
 
 #: The frames backend's batch costs: a fixed cost per rate group per
 #: batch (one block of geometric gap draws and its share of the label
@@ -134,13 +130,16 @@ class DispatchPlan:
     one :func:`~repro.engine.runners.execute_batch_group` call.
     ``pooled`` only says where the groups run: on the worker pool, or
     inline on the calling thread with the cancel token checked between
-    groups.
+    groups.  ``compile_time`` is the compiling that pricing the job took
+    (a dense job is priced from its compiled program); it counts toward
+    the job's compile time.
     """
 
     pooled: bool
     num_groups: int = 1
     estimated_seconds: float = 0.0
     reason: str = ""
+    compile_time: float = 0.0
 
     def split(self, batches: list) -> list[tuple]:
         """Partition ``batches`` into ``num_groups`` contiguous runs.
@@ -209,25 +208,17 @@ class CostModel:
         backend: str,
         site_groups: int = 0,
         faults_per_shot: float = 0.0,
-        row_ops: float | None = None,
-        segments: int = 1,
-        calls: int = 1,
-        fold_points: int = 0,
     ) -> float:
-        """Rough serial runtime of one job on ``backend``.
+        """Rough serial runtime of one job on a backend other than the
+        dense ``statevector`` kernel (see :meth:`dense_seconds`).
 
         ``site_groups`` and ``faults_per_shot`` price the ``pauliframe``
         backend: its number of distinct ``(rate, words)`` site groups and
         the sum of its site rates (see
         :func:`repro.sim.batched_stabilizer.frame_fault_profile`).
-
-        ``row_ops``, ``segments``, ``calls`` and ``fold_points`` price
-        the dense ``statevector`` kernel, whose ``num_instructions`` and
-        ``stochastic_sites`` count compiled ops: the expected history
-        rows summed over ops (:func:`expected_row_ops`; one row per shot
-        when not given), the kernel segments, the kernel calls and the
-        compiled fold points.
         """
+        if backend == "statevector":
+            raise ValueError("dense statevector jobs are priced by dense_seconds")
         ops = max(num_instructions, 1)
         if backend == "stabilizer":
             # Compile-once O(ops * n^2) reference pass (cached across
@@ -245,16 +236,37 @@ class CostModel:
             groups = batches * max(site_groups, 0) * _FRAME_GROUP_SECONDS
             faults = float(shots) * max(faults_per_shot, 0.0) * _FRAME_FAULT_SECONDS
             return groups + faults
-        if backend in _VECTORIZED_BACKENDS:
-            rows = float(shots) * ops if row_ops is None else row_ops
-            dim = float(2 ** min(num_qubits, 30))
-            return (
-                calls * (ops * _DENSE_OP_SECONDS + fold_points * _FOLD_SECONDS)
-                + float(shots) * max(stochastic_sites, 0) * _SITE_SHOT_SECONDS
-                + segments * _SEGMENT_SECONDS
-                + rows * (_ROW_SECONDS + dim * _ROW_AMP_SECONDS)
-            )
         return float(shots) * ops * self.shot_op_seconds
+
+    def dense_seconds(
+        self, program, shots: int, batch_size: int, combos: int = 1, noise=None
+    ) -> float:
+        """Rough serial runtime of one dense ``statevector`` job, run as one
+        group, priced by the history rows its kernel calls hold.
+
+        ``program`` is the job's compiled program, ``combos`` the number
+        of component combinations its input ensembles can draw (1 for a
+        fixed input state) and ``noise`` its live noise model, or None.
+        A batch whose ensembles draw several combinations splits into one
+        segment per combination, and segments of one batch run in
+        successive kernel calls; so do the memory chunks of a wide
+        circuit.  Each call holds its share of the shots, starting from
+        one input row (:func:`expected_row_ops`).
+        """
+        batches = max(1, math.ceil(shots / batch_size))
+        combos = min(combos, batch_size)
+        calls = max(combos, math.ceil(shots * program.dim / MAX_CHUNK_AMPLITUDES))
+        ops = max(len(program.ops), 1)
+        fold_points = sum(op.fold for op in program.ops)
+        sites = sum(op.is_stochastic for op in program.ops)
+        rows = calls * expected_row_ops(program, shots / calls, noise)
+        dim = float(2 ** min(program.num_qubits, 30))
+        return (
+            calls * (ops * _DENSE_OP_SECONDS + fold_points * _FOLD_SECONDS)
+            + float(shots) * sites * _SITE_SHOT_SECONDS
+            + batches * combos * _SEGMENT_SECONDS
+            + rows * (_ROW_SECONDS + dim * _ROW_AMP_SECONDS)
+        )
 
     def plan(self, estimated_seconds: float, num_batches: int, workers: int) -> DispatchPlan:
         """Inline-vs-pool and group-count decision for one job."""

@@ -429,25 +429,28 @@ class Engine:
             else:
                 joined.append((entry, event))
 
-        # Routing and dispatch planning happen up front so a bad job fails
-        # before anything runs.  Scheduler.decide is the one dispatch
-        # policy: it sizes every job's batch groups, and the groups of the
-        # jobs it keeps inline (serial schedulers, single-batch jobs, jobs
-        # smaller than one dispatch round trip) run on the calling thread,
-        # overlapping the pooled futures.
-        pooled: list[tuple] = []
-        inline: list[tuple] = []
-        for index, job, key in owned:
-            choice = self.router.select(job)
-            batches = self.scheduler.plan(job)
-            plan = self.scheduler.decide(job, choice.name, len(batches), jobs=len(owned))
-            entry = (index, job, key, choice, plan, plan.split(batches))
-            (pooled if plan.pooled else inline).append(entry)
-
         tracer = self.obs.tracer
         states: dict[int, _PendingJob] = {}
         future_map: dict = {}
         try:
+            # Routing and dispatch planning happen up front so a bad job
+            # fails before anything runs (and, inside the try, releases
+            # its claims).  Scheduler.decide is the one dispatch policy:
+            # it sizes every job's batch groups, and the groups of the
+            # jobs it keeps inline (serial schedulers, single-batch jobs,
+            # jobs smaller than one dispatch round trip) run on the
+            # calling thread, overlapping the pooled futures.
+            pooled: list[tuple] = []
+            inline: list[tuple] = []
+            for index, job, key in owned:
+                choice = self.router.select(job)
+                batches = self.scheduler.plan(job)
+                plan = self.scheduler.decide(
+                    job, choice.name, len(batches), jobs=len(owned)
+                )
+                entry = (index, job, key, choice, plan, plan.split(batches))
+                (pooled if plan.pooled else inline).append(entry)
+
             # Submission happens inside the try so a mid-loop failure
             # (e.g. a broken process pool) still cancels what went in.
             for index, job, key, choice, plan, groups in pooled:
@@ -753,7 +756,7 @@ def _combine(
     """
     ordered = sorted(group_stats, key=lambda s: s.index)
     counts: Counter = Counter()
-    compile_time = 0.0
+    compile_time = plan.compile_time
     execute_time = 0.0
     row_ops = shot_ops = 0
     for stats in ordered:

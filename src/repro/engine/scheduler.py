@@ -45,6 +45,7 @@ import logging
 import math
 import pickle
 import threading
+import time
 from collections.abc import Iterator
 from concurrent.futures import (
     Executor,
@@ -53,12 +54,12 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from dataclasses import replace
 
 from ..obs.runtime import NOOP
-from ..sim.batched import MAX_CHUNK_AMPLITUDES
 from ..sim.batched_stabilizer import frame_fault_profile, get_stabilizer
 from ..sim.compile import get_capabilities, get_compiled
-from .costmodel import CostModel, DispatchPlan, expected_row_ops
+from .costmodel import CostModel, DispatchPlan
 from .job import Job
 from .runners import (
     Batch,
@@ -143,10 +144,26 @@ class Scheduler:
 
         It reads the frozen circuit's carried capability scan; a dense
         ``statevector`` job is priced by its compiled program's expected
-        history rows (:meth:`_dense_estimate`).
+        history rows (:meth:`CostModel.dense_seconds`).
         """
+        return self._price(job, backend)[0]
+
+    def _price(self, job: Job, backend: str) -> tuple[float, float]:
+        """``(estimate, compile seconds)``: pricing a dense job compiles it
+        (a cache hit after the first), and that time is the job's."""
         if backend == "statevector":
-            return self._dense_estimate(job)
+            start = time.perf_counter()
+            program = self._dense_program(job)
+            compile_time = time.perf_counter() - start
+            noise = job.noise if job.noise is not None and not job.noise.is_noiseless else None
+            estimate = self.cost_model.dense_seconds(
+                program,
+                job.shots,
+                job.resolved_batch_size(),
+                combos=math.prod(len(ens.weights) for ens in job.ensembles),
+                noise=noise,
+            )
+            return estimate, compile_time
         caps = get_capabilities(job.circuit)
         noise = job.noise
         sites = caps.num_measurements
@@ -158,7 +175,7 @@ class Scheduler:
         groups, faults = 0, 0.0
         if backend == "pauliframe" and noise is not None:
             groups, faults = frame_fault_profile(job.circuit, noise)
-        return self.cost_model.estimate_job_seconds(
+        estimate = self.cost_model.estimate_job_seconds(
             shots=job.shots,
             num_qubits=caps.num_qubits,
             num_instructions=len(job.circuit.instructions),
@@ -167,34 +184,7 @@ class Scheduler:
             site_groups=groups,
             faults_per_shot=faults,
         )
-
-    def _dense_estimate(self, job: Job) -> float:
-        """Price a dense job by the history rows its kernel calls hold.
-
-        The job is priced as one group.  A batch whose input ensembles
-        draw several component combinations splits into one segment per
-        combination, and segments of one batch run in successive kernel
-        calls; so do the memory chunks of a wide circuit.  Each call
-        holds its share of the shots, starting from one input row.
-        """
-        program = self._dense_program(job)
-        noise = job.noise if job.noise is not None and not job.noise.is_noiseless else None
-        batch = job.resolved_batch_size()
-        batches = max(1, math.ceil(job.shots / batch))
-        combos = min(math.prod(len(ens.weights) for ens in job.ensembles), batch)
-        calls = max(combos, math.ceil(job.shots * program.dim / MAX_CHUNK_AMPLITUDES))
-        rows = calls * expected_row_ops(program, job.shots / calls, noise)
-        return self.cost_model.estimate_job_seconds(
-            shots=job.shots,
-            num_qubits=program.num_qubits,
-            num_instructions=len(program.ops),
-            stochastic_sites=sum(op.is_stochastic for op in program.ops),
-            backend="statevector",
-            row_ops=rows,
-            segments=batches * combos,
-            calls=calls,
-            fold_points=sum(op.fold for op in program.ops),
-        )
+        return estimate, 0.0
 
     def decide(
         self, job: Job, backend: str, num_batches: int, jobs: int = 1
@@ -216,12 +206,25 @@ class Scheduler:
         across all of them, while in a sweep of at least ``workers`` jobs
         each job is sized as if it had one worker, keeping its batches
         in few groups that share kernel rows.
+
+        A dense job's pricing compile is timed into the plan's
+        ``compile_time``, which the engine adds to the job's.
         """
-        estimate = 0.0 if job.mode == "exact" else self.estimate_job_seconds(job, backend)
+        if job.mode == "exact":
+            estimate, compile_time = 0.0, 0.0
+        else:
+            estimate, compile_time = self._price(job, backend)
         if num_batches <= 1:
-            return DispatchPlan(pooled=False, estimated_seconds=estimate, reason="one batch")
+            return DispatchPlan(
+                pooled=False,
+                estimated_seconds=estimate,
+                compile_time=compile_time,
+                reason="one batch",
+            )
         workers = self.workers if self.pooled else 1
-        plan = self.cost_model.plan(estimate, num_batches, workers)
+        plan = replace(
+            self.cost_model.plan(estimate, num_batches, workers), compile_time=compile_time
+        )
         if not plan.pooled and (not self.pooled or self.executor_kind == "auto"):
             return plan
         # Pooled by the model, or by an explicit pool, which runs even a
@@ -231,6 +234,7 @@ class Scheduler:
             pooled=True,
             num_groups=self.cost_model.group_count(estimate, num_batches, share),
             estimated_seconds=estimate,
+            compile_time=compile_time,
             reason=plan.reason if plan.pooled else f"explicit {self.executor_kind} executor",
         )
 

@@ -319,7 +319,7 @@ def compile_circuit(
         num_qubits=circuit.num_qubits,
         num_clbits=circuit.num_clbits,
         ops=tuple(ops),
-        capabilities=circuit.capabilities,
+        capabilities=get_capabilities(circuit),
         gate_noise=gate_noise,
         prefix_len=prefix_len,
         source_ops=source_ops,
@@ -415,10 +415,16 @@ def prime_compiled(circuit: Circuit, program: CompiledProgram) -> bool:
 def get_capabilities(circuit: Circuit) -> CircuitCapabilities:
     """Capability flags (scan only; no matrices are resolved).
 
-    A frozen circuit scans once and keeps the result; an open one is
-    scanned on every call.
+    A frozen circuit is scanned once: the scan is kept on the circuit and
+    travels with it through pickling.  An open one is scanned on every
+    call.
     """
-    return circuit.capabilities
+    caps = circuit.__dict__.get("_capabilities")
+    if caps is None:
+        caps = analyze_circuit(circuit)
+        if circuit.is_frozen:
+            circuit.__dict__["_capabilities"] = caps
+    return caps
 
 
 def compile_cache_stats() -> dict:

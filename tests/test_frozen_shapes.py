@@ -28,14 +28,19 @@ from repro.api import Experiment, NetworkSpec, NoiseSpec
 from repro.circuits import Circuit, FrozenCircuitError
 from repro.core.shape_memo import clear_shape_memo, memoized_shape, shape_memo_stats
 from repro.engine import Batch, Engine, Ensemble, Job, Scheduler
-from repro.engine.costmodel import expected_row_ops
+from repro.engine.costmodel import CostModel, expected_row_ops
 from repro.engine.job import JOB_HASH_TAG
 from repro.engine.router import BackendRouter
 from repro.engine.runners import _warm_group, execute_batch_group
 from repro.service import ExperimentService, ServiceConfig
 from repro.sim import NoiseModel
 from repro.sim.batched_stabilizer import clear_stabilizer_cache
-from repro.sim.compile import clear_compile_cache, get_compiled
+from repro.sim.compile import (
+    clear_compile_cache,
+    compile_cache_stats,
+    get_capabilities,
+    get_compiled,
+)
 from repro.utils.states import random_pure_state
 
 
@@ -108,13 +113,13 @@ class TestFrozenCircuit:
 
     def test_pickle_round_trip_keeps_digest_and_capabilities(self, digest_calls):
         frozen = bell_circuit().freeze()
-        capabilities = frozen.capabilities
+        capabilities = get_capabilities(frozen)
         digest = frozen.content_digest()
         digest_calls.clear()
         shipped = pickle.loads(pickle.dumps(frozen))
         assert shipped.is_frozen
         assert shipped.content_digest() == digest
-        assert shipped.capabilities == capabilities
+        assert get_capabilities(shipped) == capabilities
         assert digest_calls == []
         with pytest.raises(FrozenCircuitError):
             shipped.h(0)
@@ -137,7 +142,7 @@ class TestFrozenCircuit:
             scheduler.decide(job, "statevector", 3)
         assert scans == ["bell"]
         shipped = pickle.loads(pickle.dumps(job))
-        assert shipped.circuit.capabilities == job.circuit.capabilities
+        assert get_capabilities(shipped.circuit) == get_capabilities(job.circuit)
         assert scans == ["bell"]
 
     def test_job_freezes_a_copy_and_keeps_the_hash(self):
@@ -466,6 +471,36 @@ class TestRowPricedCostModel:
         counters = service.metrics_snapshot()["counters"]
         ratios = [value for key, value in counters.items() if key.startswith("engine.cost_ratio")]
         assert [ratio["count"] for ratio in ratios] == [2]
+
+
+class TestPricingInsideTheGuard:
+    def test_pricing_compile_counts_toward_compile_time(self):
+        clear_compile_cache()
+        job = Job(circuit=bell_circuit(), shots=600, seed=4, backend="statevector")
+        with Engine(workers=1, executor="serial") as engine:
+            result = engine.run(job)
+            compiled = compile_cache_stats()
+            assert compiled["compiles"] == 1
+            assert result.compile_time >= compiled["compile_time"] > 0.0
+            assert engine.stats.compile_time == result.compile_time
+
+    def test_dense_jobs_are_priced_by_dense_seconds_only(self):
+        with pytest.raises(ValueError, match="dense_seconds"):
+            CostModel().estimate_job_seconds(
+                shots=100, num_qubits=2, num_instructions=4,
+                stochastic_sites=2, backend="statevector",
+            )
+
+    def test_a_job_that_fails_planning_releases_its_claim(self):
+        job = Job(
+            circuit=bell_circuit(), shots=100, seed=1, mode="frames", frame_qubits=(0, 1)
+        )
+        with Engine(workers=1, cache=True) as engine:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="noise model"):
+                    engine.run(job)
+                # A leaked claim would make the next run wait forever.
+                assert engine._inflight == {}
 
 
 def test_commuting_shots_matches_the_label_predicate():
