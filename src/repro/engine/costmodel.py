@@ -23,12 +23,14 @@ keeps one row per distinct history, so it is priced by **expected
 history rows** (:func:`expected_row_ops`), derived from the compiled
 program's collapse, fault and fold structure, rather than by shots
 times amplitudes.  The dense constants were fitted to the measured
-kernel seconds (median of 5 runs) of 56 serial one-group jobs on 2
+kernel seconds (median of 7 runs) of 56 serial one-group jobs on 2
 vCPUs: monolithic, noisy monolithic, COMPAS with 1% link noise and
 N-state SWAP tests at k = 2..4, n = 1..2 (k·n ≤ 6), N-party and
-mixed-input ones at k·n ≤ 4, two shot budgets each.  With the expected
-rows, their predicted / actual ratios have a median of 0.97, quartiles
-0.84 and 1.25 and a range of 0.49–2.0.  Every decision is a
+mixed-input ones at k·n ≤ 4, two shot budgets each
+(``benchmarks/fit_dense_costmodel.py`` reruns the set).  With the
+expected rows, their predicted / actual ratios have a median of
+0.86–0.99, quartiles 0.66–0.70 and 1.14–1.21 and a range of 0.29–2.0
+over two reruns; sub-millisecond jobs read lowest.  Every decision is a
 threshold comparison against overheads that are orders of magnitude
 apart, so such errors do not flip a decision that matters.  None of
 this affects results: grouping only changes *where* a batch executes and
@@ -57,17 +59,17 @@ _FRAME_FAULT_SECONDS = 2e-7
 
 #: The dense kernel's costs (module docstring: how they were fitted):
 #: per amplitude of a held history row per compiled op, per held row per
-#: op on top of its amplitudes (branch copies, fold sorting), per
+#: op on top of its amplitudes (branch copies, fold hashing), per
 #: compiled op and per fold point per kernel call (numpy dispatch, the
-#: row sort), per shot per stochastic op (draws, outcome columns), and
-#: per segment (a batch's share of one input state: the input draw and
-#: assembly, the outcome tally).
-_ROW_AMP_SECONDS = 2.5e-8
-_ROW_SECONDS = 2.2e-6
-_DENSE_OP_SECONDS = 5e-5
-_FOLD_SECONDS = 1.3e-4
-_SITE_SHOT_SECONDS = 1.1e-7
-_SEGMENT_SECONDS = 3.8e-4
+#: fold's bookkeeping), per shot per stochastic op (draws, outcome
+#: columns), and per segment (a batch's share of one input state: its
+#: generator's draw calls and its input draw).
+_ROW_AMP_SECONDS = 1.2e-8
+_ROW_SECONDS = 1.9e-6
+_DENSE_OP_SECONDS = 5.5e-5
+_FOLD_SECONDS = 1.5e-5
+_SITE_SHOT_SECONDS = 4.2e-8
+_SEGMENT_SECONDS = 7.5e-5
 
 #: The longest one group may run, by the estimate.  The cancel token is
 #: checked between groups and a failed group fails whole, so however long

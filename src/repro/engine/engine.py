@@ -437,8 +437,8 @@ class Engine:
             # fails before anything runs (and, inside the try, releases
             # its claims).  Scheduler.decide is the one dispatch policy:
             # it sizes every job's batch groups, and the groups of the
-            # jobs it keeps inline (serial schedulers, single-batch jobs,
-            # jobs smaller than one dispatch round trip) run on the
+            # jobs it keeps inline (serial schedulers, a lone single-batch
+            # job, jobs smaller than one dispatch round trip) run on the
             # calling thread, overlapping the pooled futures.
             pooled: list[tuple] = []
             inline: list[tuple] = []
@@ -757,12 +757,13 @@ def _combine(
     ordered = sorted(group_stats, key=lambda s: s.index)
     counts: Counter = Counter()
     compile_time = plan.compile_time
-    execute_time = 0.0
+    execute_time = reduce_time = 0.0
     row_ops = shot_ops = 0
     for stats in ordered:
         counts.update(stats.counts)
         compile_time += stats.compile_time
         execute_time += stats.execute_time
+        reduce_time += stats.reduce_time
         row_ops += stats.row_ops
         shot_ops += stats.shot_ops
     parity_mean = parity_stderr = None
@@ -793,6 +794,7 @@ def _combine(
         elapsed=elapsed,
         compile_time=compile_time,
         execute_time=execute_time,
+        reduce_time=reduce_time,
         row_ops=row_ops,
         shot_ops=shot_ops,
         predicted_s=plan.estimated_seconds,

@@ -140,9 +140,10 @@ class BatchStats:
     affects the statistical aggregates.
 
     ``row_ops`` / ``shot_ops`` are the dense kernel's row census: history
-    rows held summed over ops, against shots times ops (zero on other
-    backends).  ``compile_hits`` / ``compile_misses`` snapshot the
-    process's compile cache across the group; ``job_shipped`` /
+    rows held summed over ops, against shots times ops, and
+    ``reduce_time`` the part of ``execute_time`` its outcome reduce took
+    (all zero on other backends).  ``compile_hits`` / ``compile_misses``
+    snapshot the process's compile cache across the group; ``job_shipped`` /
     ``program_primed`` record whether a process-pool dispatch paid the
     full-payload and compile costs or rode the warm caches.
     """
@@ -155,6 +156,7 @@ class BatchStats:
     probabilities: dict[str, float] | None = None
     compile_time: float = 0.0
     execute_time: float = 0.0
+    reduce_time: float = 0.0
     spans: list[dict] | None = None
     row_ops: int = 0
     shot_ops: int = 0
@@ -241,7 +243,8 @@ def _worker_spans(
         cursor += stats.compile_time
     records.append(
         span_record(
-            "worker.execute", cursor, stats.execute_time, parent_id=root["span_id"]
+            "worker.execute", cursor, stats.execute_time, parent_id=root["span_id"],
+            attrs={"reduce_time": stats.reduce_time},
         )
     )
     return records
@@ -258,7 +261,9 @@ def _accumulate(stats: BatchStats, clbits: list[int], job: Job) -> None:
 # ----------------------------------------------------------------------
 # Vectorized statevector backend (compiled programs + batch kernel)
 # ----------------------------------------------------------------------
-def _accumulate_matrix(stats: BatchStats, clbits: np.ndarray, job: Job) -> None:
+def _accumulate_matrix(
+    stats: BatchStats, clbits: np.ndarray, job: Job, sizes: list[int] | None = None
+) -> None:
     """Fold a (shots, num_clbits) outcome matrix into the batch aggregates.
 
     Parity values are ±1, so the float sums are exact integers and the
@@ -267,18 +272,23 @@ def _accumulate_matrix(stats: BatchStats, clbits: np.ndarray, job: Job) -> None:
 
     Counting packs each row into one fixed-width ASCII bytes key (add
     ``'0'`` to every bit, reinterpret the row as a single ``S{ncols}``
-    scalar) so the unique/count pass runs on a 1-D bytes array and the
-    Python-level bitstring is materialized once per *unique* outcome
-    rather than once per row — the row-wise ``str.join`` this replaces
-    dominated high-entropy batches.
+    scalar) so one unique/count pass runs on a 1-D bytes array and the
+    Python-level bitstring is materialized once per *unique* outcome.
+    ``sizes`` splits the rows into consecutive segments that are reduced
+    in this one pass: labels enter ``stats.counts`` in the order one fold
+    per segment would insert them, by the first segment that holds them,
+    then by label.
     """
     shots, ncols = clbits.shape
     if ncols:
         chars = np.ascontiguousarray(clbits, dtype=np.uint8) + np.uint8(48)
         keys = np.ascontiguousarray(chars).view(np.dtype((np.bytes_, ncols))).ravel()
-        unique_keys, row_counts = np.unique(keys, return_counts=True)
-        for key, count in zip(unique_keys, row_counts):
-            stats.counts[key.decode("ascii")] += int(count)
+        unique_keys, first, row_counts = np.unique(keys, return_index=True, return_counts=True)
+        if sizes is not None and len(sizes) > 1:
+            order = np.argsort(np.searchsorted(np.cumsum(sizes), first, "right"), kind="stable")
+            unique_keys, row_counts = unique_keys[order], row_counts[order]
+        for key, count in zip(unique_keys.tolist(), row_counts.tolist()):
+            stats.counts[key.decode("ascii")] += count
     else:
         stats.counts[""] += shots
     if job.readout:
@@ -304,16 +314,20 @@ def _ensemble_groups(
     ``inputs`` maps component combinations to their assembled states
     across the batches of one group, so each distinct combination is
     assembled once; the states are read-only, shared by every segment
-    that loads them.
+    that loads them.  When every ensemble is deterministic (pure inputs)
+    the batch is one group on the one combination: nothing is drawn, as
+    deterministic ensembles never touch ``rng``.
     """
-    draws = []
-    for ens in job.ensembles:
-        if ens.is_deterministic:
-            draws.append(np.zeros(shots, dtype=np.int64))
-        else:
-            draws.append(rng.choice(len(ens.weights), p=ens.weights, size=shots))
-    combos = np.stack(draws, axis=1)
-    unique, combo_counts = np.unique(combos, axis=0, return_counts=True)
+    if all(ens.is_deterministic for ens in job.ensembles):
+        unique, combo_counts = np.zeros((1, len(job.ensembles)), dtype=np.int64), [shots]
+    else:
+        draws = [
+            np.zeros(shots, dtype=np.int64)
+            if ens.is_deterministic
+            else rng.choice(len(ens.weights), p=ens.weights, size=shots)
+            for ens in job.ensembles
+        ]
+        unique, combo_counts = np.unique(np.stack(draws, axis=1), axis=0, return_counts=True)
     if inputs is None:
         inputs = {}
     groups = []
@@ -337,7 +351,8 @@ def _statevector_batches(job: Job, batches, stats) -> None:
 
     Each batch keeps its own substreams: ``kernel_rng`` drives its kernel
     draws and ``rng`` its input-ensemble draw.  All the batches go to the
-    kernel at once, so shots of different batches share history rows.
+    kernel at once, so shots of different batches share history rows, and
+    the group's outcomes are reduced in one pass, timed as ``reduce_time``.
     """
     noise = job.noise if job.noise is not None and not job.noise.is_noiseless else None
     compile_start = time.perf_counter()
@@ -362,10 +377,9 @@ def _statevector_batches(job: Job, batches, stats) -> None:
         else:
             segments.append(Segment(kernel_rng, batch.shots, job.initial_state))
     result = run_segments(program, segments, noise=noise)
-    start = 0
-    for segment in segments:
-        _accumulate_matrix(stats, result.clbits[start : start + segment.shots], job)
-        start += segment.shots
+    reduce_start = time.perf_counter()
+    _accumulate_matrix(stats, result.clbits, job, [segment.shots for segment in segments])
+    stats.reduce_time += time.perf_counter() - reduce_start
     stats.row_ops += result.row_ops
     stats.shot_ops += result.shot_ops
     stats.execute_time += time.perf_counter() - execute_start

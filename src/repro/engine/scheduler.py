@@ -192,9 +192,12 @@ class Scheduler:
         """How many groups this job's batches run as, and where.
 
         A one-batch job (every exact-distribution job among them) is one
-        inline group; its plan still carries the estimate (zero for an
-        exact job, which the model does not price).  Otherwise the cost
-        model sizes the groups:
+        group.  It runs inline when it is the submission's only job or
+        the scheduler has no pool; its plan still carries the estimate
+        (zero for an exact job, which the model does not price).  Beside
+        other jobs it is pooled like a multi-batch job, so two one-batch
+        jobs run side by side on the workers, not one after the other on
+        the calling thread.  Otherwise the cost model sizes the groups:
         serial schedulers run them inline; ``executor="auto"`` lets the
         model also veto pooling (a job smaller than its own dispatch
         overhead stays on the calling thread); an explicit ``"thread"``
@@ -214,7 +217,7 @@ class Scheduler:
             estimate, compile_time = 0.0, 0.0
         else:
             estimate, compile_time = self._price(job, backend)
-        if num_batches <= 1:
+        if num_batches <= 1 and (jobs <= 1 or not self.pooled):
             return DispatchPlan(
                 pooled=False,
                 estimated_seconds=estimate,

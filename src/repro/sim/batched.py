@@ -317,20 +317,26 @@ class _Rows:
         """Merge byte-identical rows that shots hold; drop rows none holds.
 
         Two byte-identical rows give identical results under every later
-        op, so their shots can share one row without moving a bit.
+        op, so their shots can share one row without moving a bit.  Held
+        rows are grouped by their bytes in a dict, in buffer order, so the
+        survivors (each group's first row) keep their order in the buffer;
+        ``+0.0`` and ``-0.0`` differ in their bytes and stay apart.
         """
         held = np.flatnonzero(np.bincount(self.row_of, minlength=self.count))
-        live = self.buf[held]
-        keys = live.view(np.dtype((np.void, live.shape[1] * live.itemsize))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        if first.size == self.count:
+        index_of: dict[bytes, int] = {}
+        keep: list[int] = []
+        slots = []
+        for row in held.tolist():
+            slot = index_of.setdefault(self.buf[row].tobytes(), len(keep))
+            if slot == len(keep):
+                keep.append(row)
+            slots.append(slot)
+        if len(keep) == self.count:
             return
-        # Survivors keep their order in the buffer.
-        keep = np.sort(first)
         new_row = np.empty(self.count, dtype=np.intp)
-        new_row[held] = np.searchsorted(keep, first)[inverse]
-        self.buf[: keep.size] = live[keep]
-        self.count = keep.size
+        new_row[held] = slots
+        self.buf[: len(keep)] = self.buf[keep]
+        self.count = len(keep)
         self.row_of = new_row[self.row_of]
 
     def apply(self, matrix: np.ndarray, qubits: Sequence[int], n: int, rows=None) -> None:
