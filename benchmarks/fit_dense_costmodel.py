@@ -32,8 +32,14 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import Engine  # noqa: E402
-from repro.api import Experiment, NetworkSpec  # noqa: E402
+from repro.api import NetworkSpec, NoiseSpec  # noqa: E402
+from repro.core import (  # noqa: E402
+    build_compas,
+    build_monolithic_swap_test,
+    build_nparty_hadamard,
+    build_nstate_swap,
+    protocol_job,
+)
 from repro.engine import Scheduler, costmodel  # noqa: E402
 from repro.engine.runners import execute_batch_group  # noqa: E402
 from repro.utils.states import random_density_matrix, random_pure_state  # noqa: E402
@@ -64,48 +70,34 @@ SHOTS = {
 }
 
 
-class _Recorder(Engine):
-    """A serial engine that keeps the jobs an experiment submits, unrun."""
+#: COMPAS runs over a line with 1% link depolarizing noise.
+LINK = NetworkSpec(topology="line", link_depolarizing=0.01)
 
-    def __init__(self):
-        super().__init__(workers=1, executor="serial")
-        self.jobs = []
-
-    def run_many(self, jobs, *args, **kwargs):
-        self.jobs.extend(jobs)
-        raise _Captured
+#: The X-basis job's seed in an experiment run with ``seed=1``.
+SEED = int(np.random.default_rng(1).integers(2**63))
 
 
-class _Captured(Exception):
-    pass
-
-
-def experiment(family: str, k: int, n: int, shots: int, rng) -> Experiment:
+def x_basis_job(family: str, k: int, n: int, shots: int, rng):
+    """The X-basis job (half of ``shots``) of one experiment of ``family``,
+    built as ``Experiment.run`` builds it, with the builders' defaults."""
     if family == "mono-mixed":
         states = [random_density_matrix(n, rng=rng) for _ in range(k)]
     else:
         states = [random_pure_state(n, rng) for _ in range(k)]
-    if family in ("mono", "mono-mixed"):
-        return Experiment.swap_test(states, shots=shots, seed=1)
-    if family == "mono-noisy":
-        return Experiment.swap_test(states, shots=shots, seed=1, noise=0.002)
-    if family == "compas":
-        network = NetworkSpec(topology="line", link_depolarizing=0.01)
-        return Experiment.swap_test(
-            states, shots=shots, seed=1, backend="compas", network=network
-        )
-    if family == "nstate":
-        return Experiment.nstate_swap(states, shots=shots, seed=1)
-    return Experiment.nparty_hadamard(states, shots=shots, seed=1)
-
-
-def x_basis_job(exp: Experiment):
-    recorder = _Recorder()
-    try:
-        exp.run(engine=recorder)
-    except _Captured:
-        pass
-    return recorder.jobs[0]
+    noise = None
+    if family in ("mono", "mono-mixed", "mono-noisy"):
+        build = build_monolithic_swap_test(k, n, basis="x")
+        if family == "mono-noisy":
+            noise = NoiseSpec.from_base(0.002).to_model()
+    elif family == "compas":
+        qpus = [f"qpu{p}" for p in range(k)]
+        build = build_compas(k, n, basis="x", topology=LINK.build(qpus))
+        noise = LINK.noise_model(None)
+    elif family == "nstate":
+        build = build_nstate_swap(k, n, basis="x")
+    else:
+        build = build_nparty_hadamard(k, n, basis="x")
+    return protocol_job(build, states, shots // 2, SEED, noise=noise)
 
 
 def fit_set():
@@ -115,7 +107,7 @@ def fit_set():
             if family in ("nparty", "mono-mixed") and (k, n) not in SMALL:
                 continue
             for shots in (base, 8 * base):
-                yield f"{family} k{k}n{n}", x_basis_job(experiment(family, k, n, shots, rng))
+                yield f"{family} k{k}n{n}", x_basis_job(family, k, n, shots, rng)
 
 
 def terms(job, scheduler: Scheduler) -> list[float]:
@@ -169,7 +161,7 @@ def measure(name: str, job, scheduler: Scheduler, repeats: int) -> dict:
         "batches": len(batches),
         "row_ops": runs[0].row_ops,
         "execute_s": actual,
-        "reduce_s": statistics.median(stats.reduce_time for stats in runs),
+        "tally_s": statistics.median(stats.tally_time for stats in runs),
         "predicted_s": predicted,
         "ratio": predicted / actual,
         "terms": terms(job, scheduler),

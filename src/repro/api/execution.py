@@ -99,7 +99,7 @@ def _resources(backend, build, network, jobs, results, seed, **campaign) -> dict
         "from_cache": all(r.from_cache for r in results),
         "compile_time": sum(r.compile_time for r in results),
         "execute_time": sum(r.execute_time for r in results),
-        "reduce_time": sum(r.reduce_time for r in results),
+        "tally_time": sum(r.tally_time for r in results),
         "row_ops": sum(r.row_ops for r in results),
         "shot_ops": sum(r.shot_ops for r in results),
         "predicted_s": sum(r.predicted_s for r in results),

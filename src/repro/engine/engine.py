@@ -757,13 +757,13 @@ def _combine(
     ordered = sorted(group_stats, key=lambda s: s.index)
     counts: Counter = Counter()
     compile_time = plan.compile_time
-    execute_time = reduce_time = 0.0
+    execute_time = tally_time = 0.0
     row_ops = shot_ops = 0
     for stats in ordered:
         counts.update(stats.counts)
         compile_time += stats.compile_time
         execute_time += stats.execute_time
-        reduce_time += stats.reduce_time
+        tally_time += stats.tally_time
         row_ops += stats.row_ops
         shot_ops += stats.shot_ops
     parity_mean = parity_stderr = None
@@ -794,7 +794,7 @@ def _combine(
         elapsed=elapsed,
         compile_time=compile_time,
         execute_time=execute_time,
-        reduce_time=reduce_time,
+        tally_time=tally_time,
         row_ops=row_ops,
         shot_ops=shot_ops,
         predicted_s=plan.estimated_seconds,

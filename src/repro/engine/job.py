@@ -234,8 +234,8 @@ class JobResult:
     elapsed: float = 0.0
     compile_time: float = 0.0
     execute_time: float = 0.0
-    reduce_time: float = 0.0
-    """The part of ``execute_time`` the dense kernel's outcome reduce took."""
+    tally_time: float = 0.0
+    """The part of ``execute_time`` the dense kernel's outcome tally took."""
 
     from_cache: bool = False
     row_ops: int = 0
@@ -273,7 +273,7 @@ class JobResult:
             "elapsed": self.elapsed,
             "compile_time": self.compile_time,
             "execute_time": self.execute_time,
-            "reduce_time": self.reduce_time,
+            "tally_time": self.tally_time,
             "row_ops": self.row_ops,
             "shot_ops": self.shot_ops,
             "predicted_s": self.predicted_s,
@@ -297,7 +297,7 @@ class JobResult:
             elapsed=float(payload.get("elapsed", 0.0)),
             compile_time=float(payload.get("compile_time", 0.0)),
             execute_time=float(payload.get("execute_time", 0.0)),
-            reduce_time=float(payload.get("reduce_time", 0.0)),
+            tally_time=float(payload.get("tally_time", 0.0)),
             row_ops=int(payload.get("row_ops", 0)),
             shot_ops=int(payload.get("shot_ops", 0)),
             predicted_s=float(payload.get("predicted_s", 0.0)),

@@ -141,7 +141,7 @@ class BatchStats:
 
     ``row_ops`` / ``shot_ops`` are the dense kernel's row census: history
     rows held summed over ops, against shots times ops, and
-    ``reduce_time`` the part of ``execute_time`` its outcome reduce took
+    ``tally_time`` the part of ``execute_time`` its outcome tally took
     (all zero on other backends).  ``compile_hits`` / ``compile_misses``
     snapshot the process's compile cache across the group; ``job_shipped`` /
     ``program_primed`` record whether a process-pool dispatch paid the
@@ -156,7 +156,7 @@ class BatchStats:
     probabilities: dict[str, float] | None = None
     compile_time: float = 0.0
     execute_time: float = 0.0
-    reduce_time: float = 0.0
+    tally_time: float = 0.0
     spans: list[dict] | None = None
     row_ops: int = 0
     shot_ops: int = 0
@@ -244,7 +244,7 @@ def _worker_spans(
     records.append(
         span_record(
             "worker.execute", cursor, stats.execute_time, parent_id=root["span_id"],
-            attrs={"reduce_time": stats.reduce_time},
+            attrs={"tally_time": stats.tally_time},
         )
     )
     return records
@@ -261,9 +261,7 @@ def _accumulate(stats: BatchStats, clbits: list[int], job: Job) -> None:
 # ----------------------------------------------------------------------
 # Vectorized statevector backend (compiled programs + batch kernel)
 # ----------------------------------------------------------------------
-def _accumulate_matrix(
-    stats: BatchStats, clbits: np.ndarray, job: Job, sizes: list[int] | None = None
-) -> None:
+def _accumulate_matrix(stats: BatchStats, clbits: np.ndarray, job: Job, sizes=None) -> None:
     """Fold a (shots, num_clbits) outcome matrix into the batch aggregates.
 
     Parity values are ±1, so the float sums are exact integers and the
@@ -352,7 +350,7 @@ def _statevector_batches(job: Job, batches, stats) -> None:
     Each batch keeps its own substreams: ``kernel_rng`` drives its kernel
     draws and ``rng`` its input-ensemble draw.  All the batches go to the
     kernel at once, so shots of different batches share history rows, and
-    the group's outcomes are reduced in one pass, timed as ``reduce_time``.
+    the group's outcomes are tallied in one pass, timed as ``tally_time``.
     """
     noise = job.noise if job.noise is not None and not job.noise.is_noiseless else None
     compile_start = time.perf_counter()
@@ -377,9 +375,9 @@ def _statevector_batches(job: Job, batches, stats) -> None:
         else:
             segments.append(Segment(kernel_rng, batch.shots, job.initial_state))
     result = run_segments(program, segments, noise=noise)
-    reduce_start = time.perf_counter()
+    tally_start = time.perf_counter()
     _accumulate_matrix(stats, result.clbits, job, [segment.shots for segment in segments])
-    stats.reduce_time += time.perf_counter() - reduce_start
+    stats.tally_time += time.perf_counter() - tally_start
     stats.row_ops += result.row_ops
     stats.shot_ops += result.shot_ops
     stats.execute_time += time.perf_counter() - execute_start

@@ -148,9 +148,11 @@ class Scheduler:
         """
         return self._price(job, backend)[0]
 
-    def _price(self, job: Job, backend: str) -> tuple[float, float]:
-        """``(estimate, compile seconds)``: pricing a dense job compiles it
-        (a cache hit after the first), and that time is the job's."""
+    def _price(self, job: Job, backend: str, shots: int | None = None) -> tuple[float, float]:
+        """``(estimate, compile seconds)`` of ``job``, or of a group of
+        its first ``shots`` shots: pricing a dense job compiles it (a
+        cache hit after the first), and that time is the job's."""
+        shots = job.shots if shots is None else shots
         if backend == "statevector":
             start = time.perf_counter()
             program = self._dense_program(job)
@@ -158,7 +160,7 @@ class Scheduler:
             noise = job.noise if job.noise is not None and not job.noise.is_noiseless else None
             estimate = self.cost_model.dense_seconds(
                 program,
-                job.shots,
+                shots,
                 job.resolved_batch_size(),
                 combos=math.prod(len(ens.weights) for ens in job.ensembles),
                 noise=noise,
@@ -176,7 +178,7 @@ class Scheduler:
         if backend == "pauliframe" and noise is not None:
             groups, faults = frame_fault_profile(job.circuit, noise)
         estimate = self.cost_model.estimate_job_seconds(
-            shots=job.shots,
+            shots=shots,
             num_qubits=caps.num_qubits,
             num_instructions=len(job.circuit.instructions),
             stochastic_sites=sites,
@@ -192,12 +194,10 @@ class Scheduler:
         """How many groups this job's batches run as, and where.
 
         A one-batch job (every exact-distribution job among them) is one
-        group.  It runs inline when it is the submission's only job or
-        the scheduler has no pool; its plan still carries the estimate
-        (zero for an exact job, which the model does not price).  Beside
-        other jobs it is pooled like a multi-batch job, so two one-batch
-        jobs run side by side on the workers, not one after the other on
-        the calling thread.  Otherwise the cost model sizes the groups:
+        group, inline when it is the submission's only job or there is no
+        pool (its plan still carries the estimate, zero for an exact job);
+        beside other jobs it is pooled like any job, so two one-batch jobs
+        run side by side.  Otherwise the cost model sizes the groups:
         serial schedulers run them inline; ``executor="auto"`` lets the
         model also veto pooling (a job smaller than its own dispatch
         overhead stays on the calling thread); an explicit ``"thread"``
@@ -208,7 +208,9 @@ class Scheduler:
         only need to cover its share of the workers: a lone job splits
         across all of them, while in a sweep of at least ``workers`` jobs
         each job is sized as if it had one worker, keeping its batches
-        in few groups that share kernel rows.
+        in few groups that share kernel rows.  A job whose split does not
+        shorten it (:meth:`CostModel.group_count`) is also sized as on
+        one worker; under ``"auto"`` such a lone job stays inline.
 
         A dense job's pricing compile is timed into the plan's
         ``compile_time``, which the engine adds to the job's.
@@ -233,9 +235,16 @@ class Scheduler:
         # Pooled by the model, or by an explicit pool, which runs even a
         # job the model would keep inline.
         share = -(-workers // max(jobs, 1))
+        split = None
+        if share > 1 and num_batches > 1:
+            shots = -(-num_batches // share) * job.resolved_batch_size()
+            split = self._price(job, backend, min(shots, job.shots))[0]
+        num_groups = self.cost_model.group_count(estimate, num_batches, share, split)
+        if num_groups == 1 and jobs <= 1 and self.executor_kind == "auto":
+            return replace(plan, pooled=False, num_groups=1, reason="split does not pay")
         return DispatchPlan(
             pooled=True,
-            num_groups=self.cost_model.group_count(estimate, num_batches, share),
+            num_groups=num_groups,
             estimated_seconds=estimate,
             compile_time=compile_time,
             reason=plan.reason if plan.pooled else f"explicit {self.executor_kind} executor",

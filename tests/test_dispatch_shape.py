@@ -17,8 +17,10 @@ import pytest
 from repro.analysis.ghz_fidelity import build_distributed_ghz_circuit
 from repro.api import Experiment, NetworkSpec
 from repro.circuits import Circuit
-from repro.engine import Engine, Ensemble, Job, Scheduler
+from repro.core import build_monolithic_swap_test, swap_test_job
+from repro.engine import CostModel, Engine, Ensemble, Job, Scheduler
 from repro.sim import NoiseModel
+from repro.utils import random_density_matrix
 from repro.utils.states import random_pure_state
 
 NOISE = NoiseModel(p1=0.01, p2=0.02, p_meas=0.03)
@@ -144,15 +146,47 @@ class TestDispatchPlan:
     def test_pooled_job_sizes_groups_for_its_share_of_the_workers(self):
         # A lone job splits across all eight workers; in a sweep of eight
         # or more jobs each job is grouped as on one worker, like serial.
-        job = Job(circuit=sv_circuit(), shots=1024, seed=3, batch_size=256)
+        # The per-shot reference backend is priced by shots, so its split
+        # shortens the job.
+        job = Job(
+            circuit=sv_circuit(), shots=256, seed=3, batch_size=64, backend="statevector-ref"
+        )
         pool = Scheduler(workers=8, executor="process")
         serial = Scheduler(workers=1)
-        assert pool.decide(job, "statevector", 4).num_groups == 4
-        assert pool.decide(job, "statevector", 4, jobs=2).num_groups == 4
+        assert pool.decide(job, "statevector-ref", 4).num_groups == 4
+        assert pool.decide(job, "statevector-ref", 4, jobs=2).num_groups == 4
         for jobs in (8, 24):
-            plan = pool.decide(job, "statevector", 4, jobs=jobs)
+            plan = pool.decide(job, "statevector-ref", 4, jobs=jobs)
             assert plan.pooled
-            assert plan.num_groups == serial.decide(job, "statevector", 4).num_groups == 1
+            assert plan.num_groups == serial.decide(job, "statevector-ref", 4).num_groups == 1
+
+    def test_split_that_does_not_pay_keeps_one_group(self):
+        # Each dense group pays its own kernel calls and history rows,
+        # which a quarter of these shots still hold: split four ways the
+        # job would not run any shorter, so it stays one group, and under
+        # "auto" a lone one stays inline.
+        job = Job(circuit=sv_circuit(), shots=1024, seed=3, batch_size=256)
+        plan = Scheduler(workers=8, executor="process").decide(job, "statevector", 4)
+        assert plan.pooled and plan.num_groups == 1
+
+    def test_auto_keeps_a_lone_job_inline_when_its_split_does_not_pay(self):
+        # A 6,000-shot SWAP test on mixed inputs: 8 input combinations,
+        # so every group makes 8 kernel calls whatever its shots.  Its
+        # estimate alone would fan out on two workers, but half of it
+        # costs well over half.
+        rng = np.random.default_rng(77)
+        build = build_monolithic_swap_test(3, 1, variant="b", basis="x")
+        states = [random_density_matrix(1, rng=rng) for _ in range(3)]
+        job = swap_test_job(build, states, 6000, 404, batch_size=250)
+        model = CostModel()
+        auto = Scheduler(workers=2, executor="auto", cost_model=model)
+        estimate = auto.estimate_job_seconds(job, "statevector")
+        assert model.plan(estimate, 24, 2).pooled
+        plan = auto.decide(job, "statevector", 24)
+        assert not plan.pooled and plan.num_groups == 1
+        assert plan.reason == "split does not pay"
+        assert auto.decide(job, "statevector", 24, jobs=2).pooled
+        assert Scheduler(workers=8, executor="auto").decide(job, "statevector", 24).pooled
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_long_job_groups_stay_under_the_time_cap(self, workers):

@@ -9,10 +9,12 @@
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.analysis.ghz_fidelity import build_distributed_ghz_circuit
 from repro.api import Experiment
 from repro.circuits import Circuit
 from repro.engine import Engine, Ensemble, Job, Scheduler
@@ -175,19 +177,41 @@ class TestOneBatchDispatch:
             assert not scheduler.decide(job, "statevector", 1, jobs=2).pooled
 
     def test_same_bits_on_every_engine(self):
-        jobs = [one_batch_job(1), one_batch_job(2)]
+        # Dense sample jobs, an exact-distribution job and a frames job:
+        # every one-batch kind that now crosses to an explicit pool.
+        exact = replace(one_batch_job(3), shots=1, mode="exact", backend=None)
+        frames_circuit, members = build_distributed_ghz_circuit(4)
+        frames = Job(
+            circuit=frames_circuit, shots=200, seed=4, noise=NoiseModel.from_base(0.02),
+            frame_qubits=tuple(members), mode="frames",
+        )
+        jobs = [one_batch_job(1), one_batch_job(2), exact, frames]
         results = {}
         for executor in ("serial", "thread", "process"):
             with Engine(workers=2, executor=executor, cache=False) as engine:
+                for job in jobs:
+                    backend = engine.router.select(job).name
+                    assert len(engine.scheduler.plan(job)) == 1
+                    plan = engine.scheduler.decide(job, backend, 1, jobs=len(jobs))
+                    assert plan.pooled == (executor != "serial"), (executor, backend)
                 results[executor] = [
-                    (list(r.counts.items()), r.parity_mean, r.parity_stderr)
+                    (
+                        r.backend,
+                        list((r.counts or {}).items()),
+                        r.probabilities,
+                        r.parity_mean,
+                        r.parity_stderr,
+                    )
                     for r in engine.run_many(jobs)
                 ]
+        assert [row[0] for row in results["serial"]] == [
+            "statevector", "statevector", "density", "pauliframe"
+        ]
         assert results["thread"] == results["serial"]
         assert results["process"] == results["serial"]
 
 
-class TestReduceTime:
+class TestTallyTime:
     def test_reported_on_spans_and_resources(self):
         rng = np.random.default_rng(4)
         pair = [random_pure_state(1, rng) for _ in range(2)]
@@ -195,8 +219,8 @@ class TestReduceTime:
         with Engine(workers=1, executor="serial", obs=obs) as engine:
             result = Experiment.swap_test(pair, shots=600, seed=3).run(engine=engine)
         engine_resources = result.extra["resources"]["engine"]
-        assert 0.0 < engine_resources["reduce_time"] < engine_resources["execute_time"]
+        assert 0.0 < engine_resources["tally_time"] < engine_resources["execute_time"]
         executes = [s for s in obs.tracer.span_dicts() if s["name"] == "worker.execute"]
-        assert executes and all(s["attrs"]["reduce_time"] > 0.0 for s in executes)
-        total = sum(s["attrs"]["reduce_time"] for s in executes)
-        assert total == pytest.approx(engine_resources["reduce_time"])
+        assert executes and all(s["attrs"]["tally_time"] > 0.0 for s in executes)
+        total = sum(s["attrs"]["tally_time"] for s in executes)
+        assert total == pytest.approx(engine_resources["tally_time"])
