@@ -81,7 +81,7 @@ class PrimitiveErrorModel:
     # ------------------------------------------------------------------
     def _frame_distribution(self, circuit, data_qubits, key) -> ErrorSampler:
         if key not in self._cache:
-            counts = sample_frame_counts(
+            counts, _ = sample_frame_counts(
                 circuit,
                 data_qubits,
                 self.noise,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from ..engine import Engine
+from ..engine import Engine, JobResult
 from ..fanout.fanout import append_fanout, fanout_ancillas_required
 from ..network.program import DistributedProgram
 from ..sim.noisemodel import NoiseModel
@@ -80,9 +80,10 @@ def sample_fanout_error_counts(
     seed: int | None,
     engine: Engine | None = None,
     batch_size: int | None = None,
-) -> Counter:
-    """Error tally behind ``Experiment.fanout_errors``: one frames-mode
-    job (:func:`~repro.analysis.frames.sample_frame_counts`)."""
+) -> tuple[Counter, JobResult | None]:
+    """Error tally behind ``Experiment.fanout_errors``, and the engine's
+    result: one frames-mode job
+    (:func:`~repro.analysis.frames.sample_frame_counts`)."""
     circuit, data = build_fanout_circuit(num_targets)
     return sample_frame_counts(
         circuit,
@@ -104,7 +105,7 @@ def fanout_error_distribution(
     engine: Engine | None = None,
 ) -> FanoutErrorReport:
     """Sample the effective Pauli error distribution of the noisy Fanout."""
-    counts = sample_fanout_error_counts(
+    counts, _ = sample_fanout_error_counts(
         num_targets, NoiseModel.from_base(p), shots=shots, seed=seed, engine=engine
     )
     return FanoutErrorReport(

@@ -10,7 +10,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..engine import Engine, Job
+from ..engine import Engine, Job, JobResult
 from ..sim.noisemodel import NoiseModel
 
 __all__ = ["sample_frame_counts"]
@@ -25,16 +25,18 @@ def sample_frame_counts(
     seed: int | None,
     engine: Engine | None = None,
     batch_size: int | None = None,
-) -> Counter:
+) -> tuple[Counter, JobResult | None]:
     """Tally the bare Pauli labels of the error on ``data_qubits``.
 
-    The job seed is drawn from ``seed`` (``None`` draws a fresh one), so
-    equal arguments build one job hash.  A noiseless model short-circuits:
-    every shot carries the identity error.  Without an ``engine`` the job
-    runs on a private serial one.
+    Returns the tally and the engine's :class:`~repro.engine.JobResult`
+    (its backend, batches, times and cost-model prediction).  The job
+    seed is drawn from ``seed`` (``None`` draws a fresh one), so equal
+    arguments build one job hash.  A noiseless model short-circuits:
+    every shot carries the identity error and no job runs (the result is
+    None).  Without an ``engine`` the job runs on a private serial one.
     """
     if noise is None or noise.is_noiseless:
-        return Counter({"I" * len(data_qubits): shots})
+        return Counter({"I" * len(data_qubits): shots}), None
     job = Job(
         circuit=circuit,
         shots=shots,
@@ -45,4 +47,5 @@ def sample_frame_counts(
         batch_size=batch_size,
     )
     with Engine.or_serial(engine) as runner:
-        return Counter(runner.run(job).counts)
+        result = runner.run(job)
+    return Counter(result.counts), result

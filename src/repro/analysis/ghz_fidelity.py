@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.ghz import distributed_ghz
 from ..core.shape_memo import memoized_shape
-from ..engine import Engine
+from ..engine import Engine, JobResult
 from ..network.program import DistributedProgram
 from ..network.topology import line_topology
 from ..sim.density import DensitySimulator
@@ -100,8 +100,9 @@ def sample_ghz_fidelity_frames(
     seed: int | None,
     engine: Engine | None = None,
     batch_size: int | None = None,
-) -> tuple[float, int]:
-    """Frame-sampled ``(fidelity, good_shot_count)`` of the noisy prep.
+) -> tuple[float, int, JobResult | None]:
+    """Frame-sampled ``(fidelity, good_shot_count, job_result)`` of the
+    noisy prep (the result is None when a noiseless model ran no job).
 
     This is the implementation behind ``Experiment.ghz_fidelity``: the
     error distribution runs as one frames-mode job
@@ -112,7 +113,7 @@ def sample_ghz_fidelity_frames(
     circuit, members = memoized_shape(
         ("build_distributed_ghz_circuit", num_parties), lambda: _frozen_ghz(num_parties)
     )
-    counts = sample_frame_counts(
+    counts, result = sample_frame_counts(
         circuit,
         members,
         noise,
@@ -122,7 +123,7 @@ def sample_ghz_fidelity_frames(
         batch_size=batch_size,
     )
     good = commuting_shots(counts)
-    return good / shots, good
+    return good / shots, good, result
 
 
 def ghz_fidelity_frames(
@@ -134,7 +135,7 @@ def ghz_fidelity_frames(
     engine: Engine | None = None,
 ) -> float:
     """<GHZ|rho|GHZ> of the noisy prep at base rate ``p``, by frame sampling."""
-    fidelity, _ = sample_ghz_fidelity_frames(
+    fidelity, _, _ = sample_ghz_fidelity_frames(
         num_parties, NoiseModel.from_base(p), shots=shots, seed=seed, engine=engine
     )
     return fidelity

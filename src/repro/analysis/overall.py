@@ -71,7 +71,7 @@ def compose_overall_fidelity(
     A custom primitive-error ``model`` is only available here, since the
     spec layer cannot hash it.
     """
-    ghz_fidelity, good = sample_ghz_fidelity_frames(
+    ghz_fidelity, good, _ = sample_ghz_fidelity_frames(
         (k + 1) // 2, NoiseModel.from_base(p), shots=ghz_shots, seed=seed, engine=engine
     )
     ghz_stderr = binomial_stderr(good, ghz_shots)

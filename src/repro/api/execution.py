@@ -93,7 +93,14 @@ def _resources(backend, build, network, jobs, results, seed, **campaign) -> dict
         resources["lowered"] = build.lowered(bell_latency=network.bell_latency).summary()
         resources["network"] = asdict(network)
     resources["seed"] = seed
-    resources["engine"] = {
+    resources["engine"] = _engine_resources(results)
+    resources["compiled"] = jobs[0].metadata.get("compiled")
+    return resources
+
+
+def _engine_resources(results) -> dict:
+    """The engine totals of a run's jobs: ``resources["engine"]``."""
+    return {
         "backend": results[0].backend,
         "batches": sum(r.num_batches for r in results),
         "from_cache": all(r.from_cache for r in results),
@@ -105,8 +112,12 @@ def _resources(backend, build, network, jobs, results, seed, **campaign) -> dict
         "predicted_s": sum(r.predicted_s for r in results),
         "route_reason": results[0].route_reason,
     }
-    resources["compiled"] = jobs[0].metadata.get("compiled")
-    return resources
+
+
+def _frames_resources(result) -> dict:
+    """The resources of a frames run: its one job's engine totals, or
+    None when a noiseless model ran no job."""
+    return {"engine": _engine_resources([result]) if result is not None else None}
 
 
 def _memoized_build(key, make):
@@ -505,7 +516,7 @@ def _run_qsp(experiment, options, engine):
 
 def _run_ghz_fidelity(experiment, options, engine):
     num_parties = experiment.payload["num_parties"]
-    fidelity, good = sample_ghz_fidelity_frames(
+    fidelity, good, result = sample_ghz_fidelity_frames(
         num_parties,
         experiment.noise.to_model(),
         shots=options.shots,
@@ -513,13 +524,17 @@ def _run_ghz_fidelity(experiment, options, engine):
         engine=engine,
         batch_size=options.batch_size,
     )
-    extra = {"num_parties": num_parties, "good": good}
+    extra = {
+        "num_parties": num_parties,
+        "good": good,
+        "resources": _frames_resources(result),
+    }
     return fidelity, binomial_stderr(good, options.shots), extra
 
 
 def _run_fanout_errors(experiment, options, engine):
     num_targets = experiment.payload["num_targets"]
-    counts = sample_fanout_error_counts(
+    counts, result = sample_fanout_error_counts(
         num_targets,
         experiment.noise.to_model(),
         shots=options.shots,
@@ -538,6 +553,7 @@ def _run_fanout_errors(experiment, options, engine):
     extra = {
         "num_targets": num_targets,
         "top_errors": [[label, prob] for label, prob in report.top_errors(8)],
+        "resources": _frames_resources(result),
     }
     return report.error_probability(), binomial_stderr(errors, options.shots), extra
 

@@ -47,15 +47,21 @@ from .job import DEFAULT_BATCH_SIZE
 
 __all__ = ["CostModel", "DispatchPlan", "expected_row_ops"]
 
-#: The frames backend's batch costs: a fixed cost per rate group per
-#: batch (one block of geometric gap draws and its share of the label
-#: tally) and a cost per fired fault (its word draw and effect XOR).
-#: The effect table compiles once per process and is not charged.  The
-#: group cost was recalibrated on GHZ-64 (3 rate groups, p = 0.002) on 2
-#: vCPUs: 5k / 20k / 40k serial shots ran 11 / 34 / 76 ms, and the
-#: 2-process ``cold_family`` pool ran 20k shots in 50 ms of worker time.
-_FRAME_GROUP_SECONDS = 1.6e-4
-_FRAME_FAULT_SECONDS = 2e-7
+#: The frames backend's costs: a fixed cost per rate group per batch
+#: (its block of geometric gap draws, which every batch draws from its
+#: own generator) and a cost per fired fault (its word draw, and its
+#: share of the group's one tally over the shots that fired).  The
+#: effect table compiles once per process and is not charged.  Fitted
+#: (least squares on relative error, near the median of nine fits) to
+#: the execute seconds of 26 serial one-group jobs on 2 vCPUs: GHZ with
+#: 16, 32 and 64 parties at p = 0.002 and 0.01 over 5k-40k shots, and
+#: Fanout to 4 and 16 targets at p = 0.003 and 0.01 over 20k and 100k
+#: shots.  The host's speed moved ~25% between runs, so predicted /
+#: actual read a median of 1.23 on a fast rerun and 0.77 on a slow one.
+#: GHZ-64 (3 rate groups, p = 0.002) ran 4.1-6.0 / 9.9-20 / 21-38 ms at
+#: 5k / 20k / 40k shots, against 3.5 / 14.0 / 28.0 ms predicted.
+_FRAME_GROUP_SECONDS = 3.5e-5
+_FRAME_FAULT_SECONDS = 4.3e-7
 
 #: The dense kernel's costs (module docstring: how they were fitted):
 #: per amplitude of a held history row per compiled op, per held row per
@@ -299,18 +305,27 @@ class CostModel:
         )
 
     def group_count(
-        self, estimated_seconds: float, num_batches: int, workers: int, split: float | None = None
+        self,
+        estimated_seconds: float,
+        num_batches: int,
+        workers: int,
+        split: float | None = None,
+        pooled: bool = False,
     ) -> int:
         """How many batch groups a job runs as on ``workers`` workers.
 
         ``split`` prices the longest group of the job split evenly over the
         workers; each group pays its own kernel calls and history rows.  If
         that group, run beside the others, plus one round trip does not beat
-        the job by ``fanout_gain_floor``, the job is grouped as on one worker.
+        the job run whole by ``fanout_gain_floor``, the job is grouped as on
+        one worker.  ``pooled`` says the whole job would run on the pool
+        too (an explicit executor), so it also pays its round trip; else it
+        would run inline.
         """
         if workers > 1 and split is not None:
             split = split * _CONCURRENT_SLOWDOWN + self.group_overhead_seconds
-            if split >= estimated_seconds * (1.0 - self.fanout_gain_floor):
+            whole = estimated_seconds + (self.group_overhead_seconds if pooled else 0.0)
+            if split >= whole * (1.0 - self.fanout_gain_floor):
                 workers = 1
         per_worker_seconds = estimated_seconds / max(workers, 1)
         per_worker = int(round(per_worker_seconds / self.target_group_seconds))

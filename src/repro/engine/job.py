@@ -235,7 +235,7 @@ class JobResult:
     compile_time: float = 0.0
     execute_time: float = 0.0
     tally_time: float = 0.0
-    """The part of ``execute_time`` the dense kernel's outcome tally took."""
+    """The part of ``execute_time`` the dense or frames outcome tally took."""
 
     from_cache: bool = False
     row_ops: int = 0

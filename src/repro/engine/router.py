@@ -13,7 +13,7 @@ Routing rules, in order:
 1. ``mode="exact"``   → :class:`DensitySimulator` — exact mixed-state
    evolution over the full branch ensemble was explicitly requested.
 2. ``mode="frames"``  → ``pauliframe``, the compiled Pauli-frame sampler
-   (:func:`~repro.sim.pauliframe.sample_error_counts`) — effective-Pauli-
+   (:func:`~repro.sim.pauliframe.tally_error_counts`) — effective-Pauli-
    error sampling; requires a Clifford circuit (Pauli-only feedback) and a
    non-trivial Pauli noise model.
 3. ``mode="sample"``:

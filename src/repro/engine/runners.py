@@ -31,6 +31,7 @@ context is None and no span is built.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from collections import Counter, OrderedDict
@@ -53,7 +54,7 @@ from ..sim.batched_stabilizer import (
 )
 from ..sim.compile import compile_cache_stats, get_compiled, prime_compiled
 from ..sim.density import DensitySimulator
-from ..sim.pauliframe import sample_error_counts
+from ..sim.pauliframe import tally_error_counts
 from ..sim.statevector import StatevectorSimulator
 from ..utils.states import assemble_initial_state
 from .job import Job
@@ -140,9 +141,9 @@ class BatchStats:
     affects the statistical aggregates.
 
     ``row_ops`` / ``shot_ops`` are the dense kernel's row census: history
-    rows held summed over ops, against shots times ops, and
-    ``tally_time`` the part of ``execute_time`` its outcome tally took
-    (all zero on other backends).  ``compile_hits`` / ``compile_misses``
+    rows held summed over ops, against shots times ops (zero on other
+    backends), and ``tally_time`` the part of ``execute_time`` the
+    dense or frames outcome tally took.  ``compile_hits`` / ``compile_misses``
     snapshot the process's compile cache across the group; ``job_shipped`` /
     ``program_primed`` record whether a process-pool dispatch paid the
     full-payload and compile costs or rode the warm caches.
@@ -418,15 +419,26 @@ def _stabilizer_batches(job: Job, batches, stats: BatchStats) -> None:
 
 def _pauliframe_batches(job: Job, batches, stats: BatchStats) -> None:
     """Frames mode: sample the job's compiled fault-effect table, looked
-    up once (one circuit digest) for the whole group."""
+    up once (one circuit digest) for the whole group.
+
+    Each batch draws its faults from its own ``kernel_rng``; the group's
+    fired faults are then tallied in one pass over the shots they touch,
+    timed as ``tally_time``.
+    """
     compile_start = time.perf_counter()
     program = get_frame_program(job.circuit, job.noise, job.frame_qubits)
     stats.compile_time += time.perf_counter() - compile_start
     execute_start = time.perf_counter()
+    segments = []
     for batch in batches:
         rng = batch_rng(job.seed, batch.index)
-        kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
-        stats.counts.update(sample_error_counts(program, batch.shots, kernel_rng))
+        segments.append((np.random.default_rng(int(rng.integers(2**63))), batch.shots))
+    hits, rows = program.fire(segments)
+    tally_start = time.perf_counter()
+    stats.counts.update(
+        tally_error_counts(program, hits, rows, [batch.shots for batch in batches])
+    )
+    stats.tally_time += time.perf_counter() - tally_start
     stats.execute_time += time.perf_counter() - execute_start
 
 
@@ -490,7 +502,7 @@ def _recall_job(job_key: str) -> Job | None:
 
 
 def _init_pool_worker() -> None:
-    """Process-pool initializer: start every worker with empty warm caches.
+    """Start a worker with empty warm caches.
 
     On fork-start platforms a worker would otherwise inherit the parent's
     job cache and silently skip the warm-up protocol the tests (and the
@@ -498,6 +510,20 @@ def _init_pool_worker() -> None:
     """
     with _worker_jobs_lock:
         _WORKER_JOBS.clear()
+
+
+def _start_pool_worker() -> None:
+    """Process-pool initializer: empty warm caches, and everything the
+    worker inherited moved out of the garbage collector's reach.
+
+    A forked worker holds every object its parent had tracked (~50k under
+    the ``cold_family`` benchmark), and each full collection walked them
+    all: 20-35 ms on 2 vCPUs, a stall of whatever group the worker was
+    running.  Frozen (:func:`gc.freeze`), a full collection walks only
+    the worker's own few thousand objects, in 1-4 ms.
+    """
+    _init_pool_worker()
+    gc.freeze()
 
 
 def _warm_worker() -> int:
@@ -548,7 +574,10 @@ def execute_batch_group(
     generators, packed into as few calls as
     :data:`~repro.sim.batched.MAX_CHUNK_AMPLITUDES` allows), so histories
     are shared across the group's batches; ``row_ops`` and ``shot_ops``
-    on the returned stats show how much.
+    on the returned stats show how much.  A ``pauliframe`` group draws
+    every batch's fired faults from that batch's generator, then tallies
+    the group in one pass over the shots they touch.  Either tally is
+    timed as ``tally_time``.
     """
     runner = _GROUP_RUNNERS.get(backend)
     if runner is None:

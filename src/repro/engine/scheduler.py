@@ -64,7 +64,7 @@ from .job import Job
 from .runners import (
     Batch,
     BatchStats,
-    _init_pool_worker,
+    _start_pool_worker,
     _warm_group,
     _warm_worker,
     execute_batch_group,
@@ -239,7 +239,9 @@ class Scheduler:
         if share > 1 and num_batches > 1:
             shots = -(-num_batches // share) * job.resolved_batch_size()
             split = self._price(job, backend, min(shots, job.shots))[0]
-        num_groups = self.cost_model.group_count(estimate, num_batches, share, split)
+        num_groups = self.cost_model.group_count(
+            estimate, num_batches, share, split, pooled=self.executor_kind != "auto"
+        )
         if num_groups == 1 and jobs <= 1 and self.executor_kind == "auto":
             return replace(plan, pooled=False, num_groups=1, reason="split does not pay")
         return DispatchPlan(
@@ -421,7 +423,7 @@ class Scheduler:
             if self._pool is None:
                 if self.executor_kind in _PROCESS_KINDS:
                     self._pool = ProcessPoolExecutor(
-                        max_workers=self.workers, initializer=_init_pool_worker
+                        max_workers=self.workers, initializer=_start_pool_worker
                     )
                 else:
                     self._pool = ThreadPoolExecutor(max_workers=self.workers)

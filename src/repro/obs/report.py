@@ -6,7 +6,10 @@ pipeline *breakdown* — queue wait, worker-side compile, worker-side
 execute, parent-side reduce, and the serialization/IPC gap (parent-
 observed batch latency minus queue wait minus worker-side time, the
 direct measurement of what pickling jobs in and shipping results out
-costs) — worker utilization, and cache hit rates by tier.
+costs) — the worker-side outcome tally (``worker_tally``, the part of
+``worker_execute`` the ``tally_time`` of ``worker.execute`` spans
+reports; outside the breakdown, so its shares still sum to 1), worker
+utilization, and cache hit rates by tier.
 
 :func:`render_timeline` draws the span tree as an indented text timeline
 with proportional duration bars — a terminal-friendly flame view.
@@ -82,6 +85,7 @@ def build_run_report(source, *, since: int = 0, extra: dict | None = None) -> di
     ipc = 0.0
     worker_compile = 0.0
     worker_execute = 0.0
+    worker_tally = 0.0
     reduce_time = 0.0
     worker_busy = 0.0
     batches = 0
@@ -99,6 +103,7 @@ def build_run_report(source, *, since: int = 0, extra: dict | None = None) -> di
             worker_compile += span["duration"]
         elif name == "worker.execute":
             worker_execute += span["duration"]
+            worker_tally += attrs.get("tally_time", 0.0) or 0.0
         elif name == "engine.batch":
             ipc += attrs.get(_IPC_ATTR, 0.0) or 0.0
         elif name == "engine.reduce":
@@ -135,6 +140,7 @@ def build_run_report(source, *, since: int = 0, extra: dict | None = None) -> di
         "breakdown": breakdown,
         "breakdown_shares": shares,
         "ipc_share": shares["ipc"],
+        "worker_tally": worker_tally,
         "kernel_rows": {
             "row_ops": row_ops,
             "shot_ops": shot_ops,

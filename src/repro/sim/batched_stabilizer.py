@@ -64,6 +64,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter, OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from threading import Lock
 
@@ -524,10 +525,15 @@ class FrameProgram:
     groups: tuple[tuple[float, int, np.ndarray], ...]
     effects: np.ndarray
 
-    def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """``(shots, num_outputs)`` bool matrix of sampled output deviations.
+    def fire(
+        self, segments: Sequence[tuple[np.random.Generator, int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The faults that fire in consecutive shot segments, as ``(shot,
+        row)`` pairs: the shot's index in the concatenated segments and the
+        ``effects`` row it XORs (a shot may appear many times).
 
-        RNG contract, group by group in ``groups`` order: the group's
+        Each ``(rng, shots)`` segment draws from its own generator.  RNG
+        contract, group by group in ``groups`` order: the group's
         ``(site, shot)`` cells are flattened site-major into positions
         ``site * shots + shot``, and :func:`_fired_cells` draws
         ``geometric(rate)`` gaps between fired positions until they pass
@@ -537,25 +543,33 @@ class FrameProgram:
         one ``random(shots) < rate`` draw per site would have it, but only
         the fired cells cost draws.
         """
-        if shots < 1:
-            raise ValueError("need at least one shot")
         hits, rows = [], []
-        for rate, words, offsets in self.groups:
-            fired = _fired_cells(len(offsets) * shots, rate, rng)
-            if not fired.size:
-                continue
-            site, shot = np.divmod(fired, shots)
-            row = offsets[site]
-            if words:
-                row += rng.integers(1, words, size=fired.size) - 1
-            hits.append(shot)
-            rows.append(row)
-        # One unbuffered XOR at the end: a shot may fire at many sites.
+        start = 0
+        for rng, shots in segments:
+            if shots < 1:
+                raise ValueError("need at least one shot")
+            for rate, words, offsets in self.groups:
+                fired = _fired_cells(len(offsets) * shots, rate, rng)
+                if not fired.size:
+                    continue
+                site, shot = np.divmod(fired, shots)
+                row = offsets[site]
+                if words:
+                    row += rng.integers(1, words, size=fired.size) - 1
+                hits.append(shot + start)
+                rows.append(row)
+            start += shots
+        if not hits:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.concatenate(hits), np.concatenate(rows)
+
+    def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
+        """``(shots, num_outputs)`` bool matrix of sampled output deviations:
+        :meth:`fire` on one segment, each shot's fired effects XORed."""
+        hits, rows = self.fire([(rng, shots)])
+        # One unbuffered XOR: a shot may fire at many sites.
         acc = np.zeros((shots, self.effects.shape[1]), dtype=np.uint64)
-        if hits:
-            np.bitwise_xor.at(
-                acc, np.concatenate(hits), self.effects[np.concatenate(rows)]
-            )
+        np.bitwise_xor.at(acc, hits, self.effects[rows])
         bits = np.unpackbits(acc.view(np.uint8), axis=1, count=self.num_outputs)
         return bits.view(bool)
 

@@ -17,9 +17,14 @@ effective error E with ``E . U_ideal = U_noisy`` (paper Sec 5.1).
 Only Clifford gates and Pauli feedback are supported — which covers GHZ
 preparation, Fanout, and all teleportation corrections.
 
-:class:`PauliFrameSimulator` is the per-shot cross-validation oracle;
-engine frames jobs run :func:`sample_error_counts` over the compiled
-:class:`~repro.sim.batched_stabilizer.FrameProgram`.
+:class:`PauliFrameSimulator` is the per-shot cross-validation oracle.
+Engine frames jobs run over the compiled
+:class:`~repro.sim.batched_stabilizer.FrameProgram`: each batch draws
+its fired faults with :meth:`~repro.sim.batched_stabilizer.FrameProgram.fire`
+from its own generator, and :func:`tally_error_counts` counts a whole
+batch group's labels in one pass over only the shots those faults
+touch, so a shot that no fault touched costs nothing.
+:func:`sample_error_counts` is the one-batch case.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .batched_stabilizer import FrameProgram
 from .noisemodel import NoiseModel
 from .pauli import Pauli
 
-__all__ = ["FrameSample", "PauliFrameSimulator", "sample_error_counts"]
+__all__ = ["FrameSample", "PauliFrameSimulator", "sample_error_counts", "tally_error_counts"]
 
 _CLIFFORD_1Q = {"h", "s", "sdg", "x", "y", "z", "id"}
 _CLIFFORD_2Q = {"cx", "cz", "swap"}
@@ -171,7 +176,7 @@ class PauliFrameSimulator:
     def sample_error_distribution_reference(
         self, data_qubits: Sequence[int], shots: int
     ) -> Counter:
-        """Per-shot tally loop: the cross-check of :func:`sample_error_counts`."""
+        """Per-shot tally loop: the cross-check of :func:`tally_error_counts`."""
         counts: Counter = Counter()
         for _ in range(shots):
             sample = self.sample()
@@ -182,29 +187,66 @@ class PauliFrameSimulator:
 def sample_error_counts(
     program: FrameProgram, shots: int, rng: np.random.Generator
 ) -> Counter:
-    """Tally the bare Pauli labels of ``shots`` samples of ``program``,
-    whose outputs are the X then the Z frame of the data qubits."""
-    bits = program.sample(shots, rng)
-    k = program.num_outputs // 2
-    return _tally_labels(bits[:, :k], bits[:, k:])
+    """Tally the bare Pauli labels of ``shots`` samples of ``program``:
+    the one-segment case of :func:`tally_error_counts`."""
+    hits, rows = program.fire([(rng, shots)])
+    return tally_error_counts(program, hits, rows, [shots])
 
 
-def _tally_labels(fx: np.ndarray, fz: np.ndarray) -> Counter:
-    """Count bare Pauli labels of packed (shots, k) frame matrices.
+#: ASCII codes of the bare Pauli letters by ``x + 2z``: I X Z Y.
+_LETTERS = np.array([73, 88, 90, 89], dtype=np.uint8)
 
-    Builds each row's label as ASCII codes via a 4-entry lookup on the
-    (x + 2z) encoding — (0,0)->I, (1,0)->X, (0,1)->Z, (1,1)->Y, matching
-    :attr:`Pauli._SINGLE` with qubit 0 leftmost — then reinterprets rows
-    as fixed-width bytes so the unique/count pass happens in C and Python
-    strings materialize once per *distinct* label.
+
+def tally_error_counts(
+    program: FrameProgram, hits: np.ndarray, rows: np.ndarray, sizes: Sequence[int]
+) -> Counter:
+    """Count the bare Pauli labels of consecutive shot segments of
+    ``sizes`` shots, whose fired faults are ``(hits, rows)`` as
+    :meth:`FrameProgram.fire` returns them; the program's outputs are the
+    X then the Z frame of the data qubits.
+
+    Only shots that fired are accumulated: one ``bitwise_xor.at`` over
+    their distinct indices, then a ``lexsort`` of the packed rows finds
+    the distinct frames, and only those are unpacked into labels (qubit 0
+    leftmost, ``(x, z)`` = (0,0)->I, (1,0)->X, (0,1)->Z, (1,1)->Y as
+    :attr:`Pauli._SINGLE` has it).  Shots that never fired join the
+    identity count without being built, as do shots whose faults cancel.
+    Labels enter the Counter as one tally per segment would insert them:
+    by the first segment that holds them, then by label.
     """
-    shots, k = fx.shape
-    if k == 0:
-        return Counter({"": shots})
-    codes = np.array([73, 88, 90, 89], dtype=np.uint8)  # I X Z Y
-    chars = codes[fx.astype(np.uint8) + 2 * fz.astype(np.uint8)]
-    keys = np.ascontiguousarray(chars).view(np.dtype((np.bytes_, k))).ravel()
-    unique_keys, counts = np.unique(keys, return_counts=True)
+    k = program.num_outputs // 2
+    total = int(sum(sizes))
+    if not hits.size or not k:
+        return Counter({"I" * k: total})
+    shots, inverse = np.unique(hits, return_inverse=True)
+    acc = np.zeros((shots.size, program.effects.shape[1]), dtype=np.uint64)
+    np.bitwise_xor.at(acc, inverse, program.effects[rows])
+    order = np.lexsort(acc.T)
+    acc, shots = acc[order], shots[order]
+    starts = np.flatnonzero(np.r_[True, (acc[1:] != acc[:-1]).any(axis=1)])
+    distinct = acc[starts]
+    counts = np.diff(np.r_[starts, acc.shape[0]])
+    bounds = np.cumsum(sizes)
+    first = np.searchsorted(bounds, np.minimum.reduceat(shots, starts), "right")
+    bits = np.unpackbits(distinct.view(np.uint8), axis=1, count=2 * k)
+    labels = _LETTERS[bits[:, :k] + 2 * bits[:, k:]]
+    labels = np.ascontiguousarray(labels).view(np.dtype((np.bytes_, k))).ravel()
+    untouched = total - shots.size
+    if untouched:
+        touched = np.bincount(np.searchsorted(bounds, shots, "right"), minlength=len(sizes))
+        idle = int(np.flatnonzero(touched < np.asarray(sizes))[0])
+        # The sort puts an all-zero (cancelled) frame first.
+        if not distinct[0].any():
+            counts[0] += untouched
+            first[0] = min(first[0], idle)
+        else:
+            labels = np.r_[labels, np.array([b"I" * k])]
+            counts = np.r_[counts, untouched]
+            first = np.r_[first, idle]
+    order = np.lexsort((labels, first))
     return Counter(
-        {key.decode("ascii"): int(count) for key, count in zip(unique_keys, counts)}
+        {
+            label.decode("ascii"): count
+            for label, count in zip(labels[order].tolist(), counts[order].tolist())
+        }
     )

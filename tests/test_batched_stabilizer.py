@@ -37,12 +37,13 @@ from repro.sim import (
 )
 from repro.sim.batched import Segment, run_segments
 from repro.sim.batched_stabilizer import (
+    FrameProgram,
     clear_stabilizer_cache,
     get_frame_program,
     prime_stabilizer,
     stabilizer_cache_stats,
 )
-from repro.sim.pauliframe import _tally_labels, sample_error_counts
+from repro.sim.pauliframe import sample_error_counts, tally_error_counts
 from repro.utils import random_pure_state
 
 RNG = np.random.default_rng(2026)
@@ -348,10 +349,22 @@ class TestRouterMatrix:
 # ----------------------------------------------------------------------
 class TestFramesVectorization:
     def test_tally_labels_encoding(self):
-        fx = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0]], dtype=bool)
-        fz = np.array([[0, 0, 1], [0, 1, 0], [0, 0, 0]], dtype=bool)
-        assert _tally_labels(fx, fz) == Counter({"XIZ": 1, "IYI": 1, "III": 1})
-        assert _tally_labels(np.zeros((5, 0), bool), np.zeros((5, 0), bool)) == Counter(
+        # Identity outputs: each fired row of ``effects`` is one shot's
+        # frame, X bits then Z bits, so labels read off the fired rows.
+        frames = np.array(
+            [[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0]], dtype=bool
+        )
+        program = FrameProgram(
+            num_outputs=6,
+            groups=(),
+            effects=np.pad(np.packbits(frames, axis=1), ((0, 0), (0, 7))).view(np.uint64),
+        )
+        hits, rows = np.array([0, 1, 2]), np.array([0, 1, 2])
+        assert tally_error_counts(program, hits, rows, [4]) == Counter(
+            {"XIZ": 1, "IYI": 1, "III": 2}
+        )
+        empty = FrameProgram(num_outputs=0, groups=(), effects=np.zeros((1, 0), np.uint64))
+        assert tally_error_counts(empty, np.array([0]), np.array([0]), [5]) == Counter(
             {"": 5}
         )
 

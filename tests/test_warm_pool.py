@@ -6,6 +6,7 @@ worker count and any dispatch shape, because RNG substreams depend only on
 parent-side index-ordered combine) is exact and order-insensitive.
 """
 
+import gc
 from collections import Counter
 
 import numpy as np
@@ -133,6 +134,18 @@ class TestWarmWorkerProtocol:
             assert pool.submit(worker_cache_info).result()["jobs"] == 0
         with Engine(workers=2, executor="thread") as engine:
             assert engine.prewarm() == []
+
+    def test_workers_freeze_what_they_inherit(self):
+        # A worker's full collections skip the objects it inherited; the
+        # parent process, and an in-process cache clear, freeze nothing.
+        frozen = gc.get_freeze_count()
+        _init_pool_worker()
+        assert gc.get_freeze_count() == frozen
+        with Engine(workers=1, executor="process") as engine:
+            pool = engine.scheduler._ensure_pool()
+            assert pool.submit(gc.get_freeze_count).result() > 0
+            assert engine.run(sv_job()).counts
+        assert gc.get_freeze_count() == frozen
 
     def test_compile_cache_hits_on_later_groups(self):
         # Tiny target group seconds force groups-per-worker to the max, so
