@@ -18,7 +18,7 @@ multi-shot SWAP-test job:
 """
 
 import numpy as np
-from conftest import cpu_count, emit, scaled, stopwatch
+from conftest import cpu_count, emit, measured_cpu_share, scaled, stopwatch
 
 from repro.core import build_monolithic_swap_test, swap_test_job
 from repro.engine import Engine
@@ -73,6 +73,9 @@ def test_engine_scaling(once):
             with stopwatch() as pool_time:
                 rows["pool"] = pool.run(make_job())
         rows["pool_time"] = pool_time()
+        # After the pooled run, not before: spinning the probe just ahead
+        # of it slowed the pooled job (x0.63 median against x0.78, 2 vCPUs).
+        rows["cpu_share"] = measured_cpu_share()
         with stopwatch() as cold_time:
             rows["cold"] = cached_engine.run(make_job())
         rows["cold_time"] = cold_time()
@@ -112,7 +115,8 @@ def test_engine_scaling(once):
         wall_time_s=rows["pool_time"],
         shots_per_s=throughput("pool_time"),
         estimate=f"{rows['pool'].parity_mean:.5f}",
-        note=f"speedup x{pool_speedup:.2f} over 1-worker kernel",
+        note=f"speedup x{pool_speedup:.2f} over 1-worker kernel "
+        f"({rows['cpu_share']:.2f} CPUs measured)",
     )
     table.add_row(
         configuration="cache cold",
@@ -142,6 +146,9 @@ def test_engine_scaling(once):
             "cpus_visible": CPUS,
             "pool_workers": POOL_WORKERS,
             "pool_speedup": pool_speedup,
+            # CPUs a two-process spin probe got right after the pooled
+            # run: the speedup above can only be read against it.
+            "cpu_share_measured": rows["cpu_share"],
             "pool_gate": (
                 f">= {POOL_EFFICIENCY_FLOOR} * {POOL_WORKERS}x serial"
                 if CPUS >= 4

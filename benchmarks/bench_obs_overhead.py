@@ -68,9 +68,8 @@ def sampling_circuit(width: int = WIDTH) -> Circuit:
 
 
 def make_jobs(shots: int = SHOTS, count: int = NUM_JOBS) -> list[Job]:
-    # Backend pinned so the run measures the dense kernel the engine's
-    # default routing sends non-Clifford work to, not the stabilizer
-    # kernel this Clifford circuit would otherwise get.
+    # Backend pinned to the dense kernel, where the engine routes every
+    # sample job, so the measured kernel never depends on routing.
     return [
         Job(
             circuit=sampling_circuit(),

@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from conftest import cpu_count, emit, scaled, stopwatch
+from conftest import cpu_count, emit, measured_cpu_share, scaled, stopwatch
 
 from repro.api import Experiment
 from repro.core import build_monolithic_swap_test, swap_test_job
@@ -74,6 +74,9 @@ def run_sweep_configs():
         with stopwatch() as pipeline_time:
             rows["pipeline"] = pool.run_many([make_job(seed) for seed in SEEDS])
         rows["pipeline_time"] = pipeline_time()
+        # After the timed run: a probe spun just ahead of a pooled run
+        # slows it.
+        rows["cpu_share"] = measured_cpu_share()
         rows["pool_stats"] = pool.stats_dict()
     return rows
 
@@ -140,7 +143,8 @@ def test_sweep_pipeline(once):
         wall_time_s=pipeline_t,
         jobs_per_s=f"{NUM_JOBS / max(pipeline_t, 1e-9):.1f}",
         speedup=f"x{pipeline_speedup:.2f}",
-        note=f"all {NUM_JOBS * BATCHES} batches share the pool"
+        note=f"all {NUM_JOBS * BATCHES} batches share the pool, "
+        f"{rows['cpu_share']:.2f} CPUs measured"
         + ("" if identical else " (MISMATCH)"),
     )
     table.add_row(
@@ -167,6 +171,13 @@ def test_sweep_pipeline(once):
         wall_time=serial_t + pipeline_t
         + demo["first_leg_time"] + demo["resume_leg_time"],
         results=demo["sweep"],
+        meta={
+            "cpus_visible": CPUS,
+            "pipeline_speedup": pipeline_speedup,
+            # CPUs a two-process spin probe got right after the timed
+            # pipeline run: the speedup above can only be read against it.
+            "cpu_share_measured": rows["cpu_share"],
+        },
     )
 
     # Bit-identity: the pipeline never changes the estimates.

@@ -10,6 +10,7 @@ sized for minutes.  Set ``REPRO_BENCH_SCALE=full`` for paper-scale shots,
 """
 
 import json
+import multiprocessing
 import os
 import time
 from contextlib import contextmanager
@@ -41,6 +42,38 @@ def cpu_count() -> int:
 
 
 WORKERS = max(1, min(4, cpu_count()))
+
+
+def _spin(barrier, seconds: float, results) -> None:
+    barrier.wait()
+    start = time.process_time()
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
+    results.put(time.process_time() - start)
+
+
+def measured_cpu_share(processes: int = 2, seconds: float = 0.25) -> float:
+    """CPUs the host actually gives ``processes`` busy processes now
+    (at most ``processes``).
+
+    Each process spins pure Python for ``seconds`` of wall time, all
+    starting together; the share is their summed ``process_time`` over
+    that wall time.  On 2 vCPUs it read anywhere from 0.86 to 2.19
+    between runs, so a pooled speedup is recorded next to it.
+    """
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(processes)
+    results = ctx.Queue()
+    spinners = [
+        ctx.Process(target=_spin, args=(barrier, seconds, results)) for _ in range(processes)
+    ]
+    for spinner in spinners:
+        spinner.start()
+    cpu = sum(results.get() for _ in spinners)
+    for spinner in spinners:
+        spinner.join()
+    return cpu / seconds
 
 
 def make_engine(cache=True):

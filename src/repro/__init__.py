@@ -2,7 +2,7 @@
 
 A from-scratch implementation of the distributed multi-party SWAP test of
 Goldstein-Gelb et al., including every substrate the paper relies on:
-circuit IR, statevector / density-matrix / stabilizer simulators, a
+circuit IR, statevector / density-matrix / Pauli-frame simulators, a
 distributed QPU network model with Bell-pair accounting, teleoperation
 primitives, the constant-depth Fanout, the COMPAS protocol itself, the
 paper's resource and noise analyses, the Section 6 applications, a
@@ -36,7 +36,6 @@ from .sim import (
     Pauli,
     PauliFrameSimulator,
     StatevectorSimulator,
-    TableauSimulator,
 )
 from .utils import (
     ghz_state,
@@ -95,7 +94,6 @@ __all__ = [
     "Pauli",
     "PauliFrameSimulator",
     "StatevectorSimulator",
-    "TableauSimulator",
     "ghz_state",
     "random_density_matrix",
     "random_pure_state",

@@ -17,8 +17,8 @@ group); the model decides
   between groups, so no group is estimated to run longer than
   :data:`MAX_GROUP_SECONDS`).
 
-Cost estimates come from ``(shots, n_qubits, stochastic sites, op
-count)`` with per-backend constants.  The dense ``statevector`` kernel
+Cost estimates come from ``(shots, op count)`` with per-backend
+constants.  The dense ``statevector`` kernel
 keeps one row per distinct history, so it is priced by **expected
 history rows** (:func:`expected_row_ops`), derived from the compiled
 program's collapse, fault and fold structure, rather than by shots
@@ -188,23 +188,9 @@ class CostModel:
     bounded too.
     """
 
-    vector_op_overhead_seconds: float = 15e-6
-    """Fixed numpy dispatch cost per op of the stabilizer kernel."""
-
     shot_op_seconds: float = 27e-6
     """Per instruction per shot, the per-shot ``statevector-ref`` loop: the
     median of twelve 4,096-shot GHZ-3 (6-instruction) runs on 2 vCPUs."""
-
-    stochastic_site_factor: float = 4.0
-    """Extra amplitude passes a collapse/fault site costs vs a unitary."""
-
-    tableau_ref_op_seconds: float = 4e-8
-    """Per op per qubit, the stabilizer kernel's one-time reference tableau
-    pass (O(n^2) rowsums amortize to ~n bit-ops per op per qubit)."""
-
-    frame_shot_op_seconds: float = 1.5e-9
-    """Per shot per weighted op, packed-frame propagation (a few boolean
-    column ops over a (shots, n) matrix)."""
 
     group_overhead_seconds: float = 1.5e-3
     fanout_gain_floor: float = 0.25
@@ -215,9 +201,7 @@ class CostModel:
     def estimate_job_seconds(
         self,
         shots: int,
-        num_qubits: int,
         num_instructions: int,
-        stochastic_sites: int,
         backend: str,
         site_groups: int = 0,
         faults_per_shot: float = 0.0,
@@ -228,20 +212,12 @@ class CostModel:
         ``site_groups`` and ``faults_per_shot`` price the ``pauliframe``
         backend: its number of distinct ``(rate, words)`` site groups and
         the sum of its site rates (see
-        :func:`repro.sim.batched_stabilizer.frame_fault_profile`).
+        :func:`repro.sim.pauliframe.frame_fault_profile`); the per-shot
+        ``statevector-ref`` loop is priced by shots and instructions.
         """
         if backend == "statevector":
             raise ValueError("dense statevector jobs are priced by dense_seconds")
         ops = max(num_instructions, 1)
-        if backend == "stabilizer":
-            # Compile-once O(ops * n^2) reference pass (cached across
-            # batches, charged once here) + O(shots * n) frame propagation.
-            weighted = ops + self.stochastic_site_factor * max(stochastic_sites, 0)
-            ref = ops * float(num_qubits) * self.tableau_ref_op_seconds * num_qubits
-            frames = (
-                float(shots) * weighted * num_qubits * self.frame_shot_op_seconds
-            )
-            return ref + frames + weighted * self.vector_op_overhead_seconds
         if backend == "pauliframe":
             # Per-batch gap draws per rate group + the expected fired
             # faults (the effect table is compiled once per process).

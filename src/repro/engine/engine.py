@@ -767,13 +767,7 @@ def _combine(
         row_ops += stats.row_ops
         shot_ops += stats.shot_ops
     parity_mean = parity_stderr = None
-    probabilities = None
-    if job.mode == "exact":
-        probabilities = ordered[0].probabilities
-        if job.readout:
-            parity_mean = ordered[0].parity_total
-            parity_stderr = 0.0
-    elif job.readout:
+    if job.readout:
         total = 0.0
         total_sq = 0.0
         for stats in ordered:
@@ -788,7 +782,6 @@ def _combine(
         shots=job.shots,
         num_batches=sum(len(stats.indices) for stats in ordered),
         counts=dict(counts) if counts else None,
-        probabilities=probabilities,
         parity_mean=parity_mean,
         parity_stderr=parity_stderr,
         elapsed=elapsed,

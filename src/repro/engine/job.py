@@ -36,7 +36,7 @@ __all__ = ["DEFAULT_BATCH_SIZE", "Ensemble", "Job", "JobResult", "JOB_BACKENDS",
 
 #: Versions the sampling semantics behind every job hash: bumped whenever
 #: equal jobs may produce different bits (see :meth:`Job.content_hash`).
-JOB_HASH_TAG = "repro-job-v7"
+JOB_HASH_TAG = "repro-job-v8"
 
 #: Shots per scheduler batch when the job does not override it.  The batch
 #: partition (not the worker count) defines the RNG substreams, so this value
@@ -44,21 +44,33 @@ JOB_HASH_TAG = "repro-job-v7"
 #: worker count but change if the partition changes.
 DEFAULT_BATCH_SIZE = 256
 
-#: Job execution modes.
-MODES = ("sample", "exact", "frames")
+#: Job execution modes: ``sample`` runs on a statevector backend,
+#: ``frames`` on ``pauliframe``.
+MODES = ("sample", "frames")
 
 #: Backends a job may explicitly pin via ``Job.backend`` (``None`` = route
-#: automatically).  ``statevector-ref`` is the per-shot reference
-#: interpreter, kept for cross-validating the vectorized kernel;
-#: ``stabilizer`` is the compile-once/sample-many batched frame kernel for
-#: Clifford circuits under Pauli/link noise.
-JOB_BACKENDS = (
-    "stabilizer",
-    "pauliframe",
-    "statevector",
-    "statevector-ref",
-    "density",
-)
+#: automatically).  ``statevector`` is the shot-branching dense kernel,
+#: ``statevector-ref`` the per-shot reference interpreter kept for
+#: cross-validating it, and ``pauliframe`` the compiled frame sampler of
+#: frames mode.
+JOB_BACKENDS = ("statevector", "statevector-ref", "pauliframe")
+
+#: Removed routes, and the error that names what replaces each.
+_RETIRED = {
+    ("backend", "stabilizer"): (
+        "the stabilizer backend was removed: leave backend=None to route "
+        "automatically (Clifford sample jobs run on the dense kernel), or "
+        "use mode='frames' for wide Clifford sampling"
+    ),
+    ("backend", "density"): (
+        "the density backend was removed: use repro.sim.DensitySimulator "
+        "for an exact distribution"
+    ),
+    ("mode", "exact"): (
+        "mode='exact' was removed: use repro.sim.DensitySimulator for an "
+        "exact distribution"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -114,8 +126,6 @@ class Job:
 
     * ``"sample"`` — run ``shots`` stochastic trajectories, tally classical
       registers, and (if ``readout`` names clbits) the ±1 parity statistic.
-    * ``"exact"``  — exact mixed-state evolution; shots are ignored and the
-      full branch distribution is returned.
     * ``"frames"`` — sample effective Pauli errors of a noisy Clifford
       circuit on ``frame_qubits`` (the Table-4 workload).
 
@@ -139,11 +149,14 @@ class Job:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for retired in (("mode", self.mode), ("backend", self.backend)):
+            if retired in _RETIRED:
+                raise ValueError(_RETIRED[retired])
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.backend is not None and self.backend not in JOB_BACKENDS:
             raise ValueError(f"backend must be one of {JOB_BACKENDS} (or None)")
-        if self.mode != "exact" and self.shots < 1:
+        if self.shots < 1:
             raise ValueError("sampled jobs need at least one shot")
         if self.seed < 0:
             raise ValueError("job seed must be non-negative")
@@ -167,13 +180,13 @@ class Job:
     def content_hash(self) -> str:
         """Stable hex digest of everything that determines the result.
 
-        The tag, :data:`JOB_HASH_TAG` = ``repro-job-v7``, marks the
-        removal of the per-shot tableau route: noiseless Clifford jobs
-        on a basis input that the frame kernel cannot serve (conditioned
-        collapse, non-Pauli feedback) now run on the dense statevector
-        kernel, so their bits moved.  Cached bits of the ``v6``
-        geometric-gap era (or the earlier ``v5``/``v4``/``v3``/``v2``/``v1``
-        eras) must never be served.
+        The tag, :data:`JOB_HASH_TAG` = ``repro-job-v8``, marks the
+        removal of the sample-mode stabilizer backend: Clifford sample
+        jobs on a basis input (GHZ, teleport and fanout sampling, noisy
+        or not) now run on the dense statevector kernel, so their bits
+        moved, and the ``exact`` mode left :data:`MODES`.  Cached bits
+        of the ``v7`` era (or the earlier ``v6``/``v5``/``v4``/``v3``/
+        ``v2``/``v1`` eras) must never be served.
         """
         h = hashlib.sha256()
         h.update(JOB_HASH_TAG.encode())
@@ -228,7 +241,6 @@ class JobResult:
     shots: int
     num_batches: int
     counts: dict[str, int] | None = None
-    probabilities: dict[str, float] | None = None
     parity_mean: float | None = None
     parity_stderr: float | None = None
     elapsed: float = 0.0
@@ -247,7 +259,7 @@ class JobResult:
 
     predicted_s: float = 0.0
     """The cost model's serial-runtime estimate the job was dispatched on
-    (compare ``execute_time``; 0 for exact jobs, which are not priced)."""
+    (compare ``execute_time``)."""
 
     route_reason: str = ""
     """Why the router picked ``backend``."""
@@ -267,7 +279,6 @@ class JobResult:
             "shots": self.shots,
             "num_batches": self.num_batches,
             "counts": self.counts,
-            "probabilities": self.probabilities,
             "parity_mean": self.parity_mean,
             "parity_stderr": self.parity_stderr,
             "elapsed": self.elapsed,
@@ -289,9 +300,6 @@ class JobResult:
             shots=int(payload["shots"]),
             num_batches=int(payload["num_batches"]),
             counts=dict(payload["counts"]) if payload.get("counts") else None,
-            probabilities=(
-                dict(payload["probabilities"]) if payload.get("probabilities") else None
-            ),
             parity_mean=payload.get("parity_mean"),
             parity_stderr=payload.get("parity_stderr"),
             elapsed=float(payload.get("elapsed", 0.0)),

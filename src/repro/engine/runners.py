@@ -43,18 +43,8 @@ import numpy as np
 from ..circuits import Circuit
 from ..obs.trace import span_record
 from ..sim.batched import Segment, run_segments
-from ..sim.batched_stabilizer import (
-    StabilizerProgram,
-    frame_cache_stats,
-    get_frame_program,
-    get_stabilizer,
-    prime_stabilizer,
-    run_batched_stabilizer,
-    stabilizer_cache_stats,
-)
 from ..sim.compile import compile_cache_stats, get_compiled, prime_compiled
-from ..sim.density import DensitySimulator
-from ..sim.pauliframe import tally_error_counts
+from ..sim.pauliframe import frame_cache_stats, get_frame_program, tally_error_counts
 from ..sim.statevector import StatevectorSimulator
 from ..utils.states import assemble_initial_state
 from .job import Job
@@ -132,8 +122,7 @@ class BatchStats:
     a ``Counter`` sum and parity totals are exact sums of ±1, so folding
     a group can never change the bits the parent's index-ordered
     reduction produces.  Only this object (a few hundred bytes) crosses a
-    process boundary.  ``probabilities`` is set only by an exact-mode
-    group, which is always one batch.
+    process boundary.
 
     ``spans`` carries the worker-side span records (plain picklable
     dicts) when the group ran under a trace context; the parent tracer
@@ -154,7 +143,6 @@ class BatchStats:
     counts: Counter = field(default_factory=Counter)
     parity_total: float = 0.0
     parity_total_sq: float = 0.0
-    probabilities: dict[str, float] | None = None
     compile_time: float = 0.0
     execute_time: float = 0.0
     tally_time: float = 0.0
@@ -399,24 +387,6 @@ def _statevector_ref_batches(job: Job, batches, stats: BatchStats) -> None:
     stats.execute_time += time.perf_counter() - execute_start
 
 
-def _stabilizer_batches(job: Job, batches, stats: BatchStats) -> None:
-    """Batched stabilizer kernel: compile-once reference pass + packed frames."""
-    if job.initial_state is not None or job.ensembles:
-        raise ValueError("the stabilizer backend requires the basis input state")
-    noise = job.noise if job.noise is not None and not job.noise.is_noiseless else None
-    compile_start = time.perf_counter()
-    program = get_stabilizer(job.circuit)
-    stats.compile_time += time.perf_counter() - compile_start
-
-    execute_start = time.perf_counter()
-    for batch in batches:
-        rng = batch_rng(job.seed, batch.index)
-        kernel_rng = np.random.default_rng(int(rng.integers(2**63)))
-        result = run_batched_stabilizer(program, batch.shots, kernel_rng, noise=noise)
-        _accumulate_matrix(stats, result.clbits, job)
-    stats.execute_time += time.perf_counter() - execute_start
-
-
 def _pauliframe_batches(job: Job, batches, stats: BatchStats) -> None:
     """Frames mode: sample the job's compiled fault-effect table, looked
     up once (one circuit digest) for the whole group.
@@ -442,33 +412,11 @@ def _pauliframe_batches(job: Job, batches, stats: BatchStats) -> None:
     stats.execute_time += time.perf_counter() - execute_start
 
 
-def _density_batches(job: Job, batches, stats: BatchStats) -> None:
-    """Exact mode: the full branch distribution of the job's one batch."""
-    if job.ensembles:
-        raise ValueError("exact mode takes a fixed initial state, not ensembles")
-    if len(batches) != 1:
-        raise ValueError("an exact-distribution job runs as exactly one batch")
-    simulator = DensitySimulator(noise=job.noise)
-    execute_start = time.perf_counter()
-    branches = simulator.run(
-        job.circuit, initial_state=job.initial_state
-    ).branch_probabilities()
-    stats.probabilities = {"".join(str(b) for b in bits): p for bits, p in branches.items()}
-    if job.readout:
-        mean = 0.0
-        for bits, p in branches.items():
-            mean += p * (1.0 - 2.0 * _parity(list(bits), job.readout))
-        stats.parity_total = mean
-    stats.execute_time += time.perf_counter() - execute_start
-
-
 #: Each backend folds a whole group into one BatchStats.
 _GROUP_RUNNERS = {
     "statevector": _statevector_batches,
     "statevector-ref": _statevector_ref_batches,
-    "stabilizer": _stabilizer_batches,
     "pauliframe": _pauliframe_batches,
-    "density": _density_batches,
 }
 
 
@@ -550,7 +498,6 @@ def worker_cache_info() -> dict:
         "pid": os.getpid(),
         "jobs": jobs,
         "compile": compile_cache_stats(),
-        "stabilizer": stabilizer_cache_stats(),
         "frames": frame_cache_stats(),
     }
 
@@ -634,12 +581,7 @@ def _warm_group(
         job = _recall_job(job_key)
         if job is None:
             raise WorkerJobMiss(job_key)
-    primed = False
-    if program is not None:
-        if isinstance(program, StabilizerProgram):
-            primed = prime_stabilizer(job.circuit, program)
-        else:
-            primed = prime_compiled(job.circuit, program)
+    primed = program is not None and prime_compiled(job.circuit, program)
     stats = execute_batch_group(job, batches, backend, trace)
     stats.job_shipped = shipped
     stats.program_primed = primed

@@ -57,8 +57,8 @@ from concurrent.futures import (
 from dataclasses import replace
 
 from ..obs.runtime import NOOP
-from ..sim.batched_stabilizer import frame_fault_profile, get_stabilizer
-from ..sim.compile import get_capabilities, get_compiled
+from ..sim.compile import get_compiled
+from ..sim.pauliframe import frame_fault_profile
 from .costmodel import CostModel, DispatchPlan
 from .job import Job
 from .runners import (
@@ -124,8 +124,6 @@ class Scheduler:
 
     def plan(self, job: Job) -> list[Batch]:
         """Deterministic batch partition of the job's shot budget."""
-        if job.mode == "exact":
-            return [Batch(index=0, shots=job.shots)]
         size = job.resolved_batch_size()
         num_batches = max(1, math.ceil(job.shots / size))
         batches = []
@@ -142,9 +140,9 @@ class Scheduler:
     def estimate_job_seconds(self, job: Job, backend: str) -> float:
         """The cost model's serial-runtime estimate for one job.
 
-        It reads the frozen circuit's carried capability scan; a dense
-        ``statevector`` job is priced by its compiled program's expected
-        history rows (:meth:`CostModel.dense_seconds`).
+        A dense ``statevector`` job is priced by its compiled program's
+        expected history rows (:meth:`CostModel.dense_seconds`), a
+        ``pauliframe`` job by its frame program's fault profile.
         """
         return self._price(job, backend)[0]
 
@@ -166,22 +164,12 @@ class Scheduler:
                 noise=noise,
             )
             return estimate, compile_time
-        caps = get_capabilities(job.circuit)
-        noise = job.noise
-        sites = caps.num_measurements
-        if noise is not None and not noise.is_noiseless:
-            if noise.has_gate_noise:
-                sites += caps.num_gates
-            if noise.has_link_noise:
-                sites += caps.num_link_events
         groups, faults = 0, 0.0
-        if backend == "pauliframe" and noise is not None:
-            groups, faults = frame_fault_profile(job.circuit, noise)
+        if backend == "pauliframe" and job.noise is not None:
+            groups, faults = frame_fault_profile(job.circuit, job.noise)
         estimate = self.cost_model.estimate_job_seconds(
             shots=shots,
-            num_qubits=caps.num_qubits,
             num_instructions=len(job.circuit.instructions),
-            stochastic_sites=sites,
             backend=backend,
             site_groups=groups,
             faults_per_shot=faults,
@@ -193,11 +181,10 @@ class Scheduler:
     ) -> DispatchPlan:
         """How many groups this job's batches run as, and where.
 
-        A one-batch job (every exact-distribution job among them) is one
-        group, inline when it is the submission's only job or there is no
-        pool (its plan still carries the estimate, zero for an exact job);
-        beside other jobs it is pooled like any job, so two one-batch jobs
-        run side by side.  Otherwise the cost model sizes the groups:
+        A one-batch job is one group, inline when it is the submission's
+        only job or there is no pool (its plan still carries the
+        estimate); beside other jobs it is pooled like any job, so two
+        one-batch jobs run side by side.  Otherwise the cost model sizes the groups:
         serial schedulers run them inline; ``executor="auto"`` lets the
         model also veto pooling (a job smaller than its own dispatch
         overhead stays on the calling thread); an explicit ``"thread"``
@@ -215,10 +202,7 @@ class Scheduler:
         A dense job's pricing compile is timed into the plan's
         ``compile_time``, which the engine adds to the job's.
         """
-        if job.mode == "exact":
-            estimate, compile_time = 0.0, 0.0
-        else:
-            estimate, compile_time = self._price(job, backend)
+        estimate, compile_time = self._price(job, backend)
         if num_batches <= 1 and (jobs <= 1 or not self.pooled):
             return DispatchPlan(
                 pooled=False,
@@ -368,15 +352,10 @@ class Scheduler:
         """The parent-side compiled program to prime workers with (or None).
 
         The vectorized statevector backend ships its
-        :class:`~repro.sim.compile.CompiledProgram` and the batched
-        stabilizer backend its
-        :class:`~repro.sim.batched_stabilizer.StabilizerProgram` (which
-        embeds the one-time reference tableau pass — the expensive part).
-        The parent's caches make repeat calls free, so shipping costs one
-        compile per distinct circuit across the whole run.
+        :class:`~repro.sim.compile.CompiledProgram`.  The parent's caches
+        make repeat calls free, so shipping costs one compile per distinct
+        circuit across the whole run.
         """
-        if backend == "stabilizer":
-            return get_stabilizer(job.circuit)
         if backend != "statevector":
             return None
         return self._dense_program(job)

@@ -1,17 +1,9 @@
 """Simulators: statevector (per-shot reference + vectorized batch kernel),
-density matrix, stabilizer tableau, batched stabilizer frames, Pauli frame —
+density matrix, Pauli frame (per-shot oracle + compiled frame programs) —
 plus the circuit compiler that lowers the IR into frozen, executable
 programs."""
 
 from .batched import BatchRunResult, run_batched
-from .batched_stabilizer import (
-    StabilizerProgram,
-    StabilizerRunResult,
-    compile_stabilizer,
-    get_stabilizer,
-    run_batched_frames,
-    run_batched_stabilizer,
-)
 from .compile import (
     CircuitCapabilities,
     CompiledProgram,
@@ -23,19 +15,13 @@ from .compile import (
 from .density import DensityResult, DensitySimulator
 from .noisemodel import NoiseModel, QpuNoiseOverride, depolarizing_kraus
 from .pauli import Pauli
-from .pauliframe import FrameSample, PauliFrameSimulator
+from .pauliframe import FrameSample, PauliFrameSimulator, run_batched_frames
 from .statevector import StatevectorSimulator, TrajectoryResult, simulate_statevector
-from .tableau import TableauSimulator
 
 __all__ = [
     "BatchRunResult",
     "run_batched",
-    "StabilizerProgram",
-    "StabilizerRunResult",
-    "compile_stabilizer",
-    "get_stabilizer",
     "run_batched_frames",
-    "run_batched_stabilizer",
     "CircuitCapabilities",
     "CompiledProgram",
     "analyze_circuit",
@@ -53,5 +39,4 @@ __all__ = [
     "StatevectorSimulator",
     "TrajectoryResult",
     "simulate_statevector",
-    "TableauSimulator",
 ]

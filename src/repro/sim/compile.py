@@ -68,14 +68,6 @@ class CircuitCapabilities:
     num_link_events: int = 0
     """Bell-generation ops tagged with a hop distance (link-noise sites)."""
 
-    num_gates: int = 0
-    """Unitary gate instructions (gate-noise sites)."""
-
-    has_conditioned_collapse: bool = False
-    """A measure or reset sits under a classical condition — the collapse
-    structure is then shot-dependent, which rules out frame-based sampling
-    even when the gate set is otherwise Clifford."""
-
     @property
     def is_deterministic(self) -> bool:
         """No measurement, reset, or feedback: one trajectory fits all shots."""
@@ -161,9 +153,7 @@ def analyze_circuit(circuit: Circuit) -> CircuitCapabilities:
     num_measurements = 0
     has_reset = False
     has_conditional = False
-    has_conditioned_collapse = False
     num_link_events = 0
-    num_gates = 0
     for inst in circuit.instructions:
         if inst.name == "barrier":
             continue
@@ -171,15 +161,12 @@ def analyze_circuit(circuit: Circuit) -> CircuitCapabilities:
             num_measurements += 1
             if inst.condition is not None:
                 has_conditional = True
-                has_conditioned_collapse = True
             continue
         if inst.name == "reset":
             has_reset = True
             if inst.condition is not None:
                 has_conditional = True
-                has_conditioned_collapse = True
             continue
-        num_gates += 1
         if inst.hops:
             num_link_events += 1
         if inst.condition is not None:
@@ -198,8 +185,6 @@ def analyze_circuit(circuit: Circuit) -> CircuitCapabilities:
         has_reset=has_reset,
         has_conditional=has_conditional,
         num_link_events=num_link_events,
-        num_gates=num_gates,
-        has_conditioned_collapse=has_conditioned_collapse,
     )
 
 

@@ -2,8 +2,8 @@
 
 A Pauli operator on n qubits is represented in the symplectic form
 ``i^phase * prod_q X_q^{x[q]} Z_q^{z[q]}`` with ``phase`` mod 4.  This is the
-shared currency between the stabilizer tableau, the Pauli-frame sampler, and
-the noise analyses (Table 4 reports Pauli error strings).
+shared currency between the Pauli-frame sampler and the noise analyses
+(Table 4 reports Pauli error strings).
 """
 
 from __future__ import annotations

@@ -10,12 +10,17 @@ Three-way agreement is the correctness argument for the new simulation core:
   feedback;
 * the engine's new ``statevector`` backend against itself across worker
   counts (bit identity) and against the pinned ``statevector-ref``
-  per-shot backend (statistical identity).
+  per-shot backend (statistical identity);
+* Clifford sample jobs, which route to the dense kernel, against the
+  density branches and against the Pauli-frame sampler's record flips;
+* the router matrix: one pinned backend per circuit class and mode.
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis.fanout_errors import build_fanout_circuit
+from repro.analysis.ghz_fidelity import build_distributed_ghz_circuit
 from repro.circuits import Circuit, Condition
 from repro.core import build_monolithic_swap_test, swap_test_job
 from repro.core.estimator import exact_swap_test_expectation
@@ -28,7 +33,9 @@ from repro.sim import (
     get_capabilities,
     get_compiled,
     run_batched,
+    run_batched_frames,
 )
+from repro.sim.batched import Segment, run_segments
 from repro.sim.compile import FUSION_MAX_QUBITS
 from repro.utils import partial_trace, random_density_matrix, random_pure_state, state_fidelity
 
@@ -356,11 +363,11 @@ class TestEngineIntegration:
         assert router.select(job_auto).name == "statevector"
         assert router.select(job_ref).name == "statevector-ref"
 
-    def test_router_uses_capability_flags(self):
+    def test_router_sends_every_sample_job_to_statevector(self):
         clifford = Circuit(2, 2).h(0).cx(0, 1).measure(0, 0).measure(1, 1)
         magic = Circuit(2, 2).h(0).t(1).cx(0, 1).measure(0, 0).measure(1, 1)
         router = BackendRouter()
-        assert router.select(Job(circuit=clifford, shots=10, seed=1)).name == "stabilizer"
+        assert router.select(Job(circuit=clifford, shots=10, seed=1)).name == "statevector"
         assert router.select(Job(circuit=magic, shots=10, seed=1)).name == "statevector"
 
     def test_invalid_backend_pins_rejected(self):
@@ -381,3 +388,371 @@ class TestEngineIntegration:
         assert result.compile_time >= 0.0
         stats = engine.stats_dict()
         assert stats["execute_time"] == pytest.approx(result.execute_time)
+
+
+# ----------------------------------------------------------------------
+# Clifford sampling on the dense kernel's auto-route
+# ----------------------------------------------------------------------
+def ghz_circuit(width: int) -> Circuit:
+    """Clifford GHZ prep + full Z readout."""
+    circuit = Circuit(width, width)
+    circuit.h(0)
+    for q in range(1, width):
+        circuit.cx(q - 1, q)
+    for q in range(width):
+        circuit.measure(q, q)
+    return circuit
+
+
+def verified_teleport_circuit() -> Circuit:
+    """Teleport |0> through a Bell pair with Pauli feedback, then verify."""
+    c = Circuit(3, 3)
+    c.h(1).cx(1, 2)
+    c.cx(0, 1).h(0)
+    c.measure(0, 0).measure(1, 1)
+    c.x(2, condition=Condition((1,), 1))
+    c.z(2, condition=Condition((0,), 1))
+    return c.measure(2, 2)
+
+
+def magic_circuit() -> Circuit:
+    c = Circuit(2, 2)
+    c.h(0).t(0).cx(0, 1)
+    c.measure(0, 0).measure(1, 1)
+    return c
+
+
+def exact_distribution(circuit: Circuit, noise=None) -> dict[str, float]:
+    branches = DensitySimulator(noise=noise).run(circuit).branch_probabilities()
+    return {"".join(str(b) for b in bits): p for bits, p in branches.items()}
+
+
+def tvd(counts: dict, exact: dict, shots: int) -> float:
+    keys = set(counts) | set(exact)
+    return 0.5 * sum(abs(counts.get(k, 0) / shots - exact.get(k, 0.0)) for k in keys)
+
+
+class TestCliffordAutoRouteVsDensityExact:
+    """Clifford sample jobs route to the dense kernel and sample the
+    exact branch distribution."""
+
+    def _run(self, circuit, shots, seed, noise=None):
+        with Engine(workers=1) as engine:
+            result = engine.run(Job(circuit=circuit, shots=shots, seed=seed, noise=noise))
+        assert result.backend == "statevector"
+        return result.counts
+
+    def test_teleport_matches_density_exact(self):
+        # Teleporting |0> lands qubit 2 in |0> on every feedback branch;
+        # the Bell-measurement record is two fair coins.
+        circuit = verified_teleport_circuit()
+        counts = self._run(circuit, 4000, 5)
+        assert all(key[2] == "0" for key in counts)
+        assert tvd(counts, exact_distribution(circuit), 4000) < 0.05
+
+    def test_noisy_ghz_matches_density_exact(self):
+        circuit = ghz_circuit(2)
+        noise = NoiseModel.from_base(0.05)
+        counts = self._run(circuit, 20000, 21, noise)
+        assert tvd(counts, exact_distribution(circuit, noise), 20000) < 0.02
+
+    def test_link_noisy_distributed_ghz_matches_density_exact(self):
+        # Distributed GHZ: Bell links with hop weights, reset + feedback.
+        circuit, _members = build_distributed_ghz_circuit(3)
+        noise = NoiseModel(p1=0.002, p2=0.01, p_meas=0.01, p_link=0.03, p_swap=0.01)
+        counts = self._run(circuit, 20000, 31, noise)
+        assert tvd(counts, exact_distribution(circuit, noise), 20000) < 0.03
+
+
+# ----------------------------------------------------------------------
+# Segment packing leaves every segment's bits unchanged
+# ----------------------------------------------------------------------
+class TestPackedKernelPath:
+    """A segment packed into one kernel call with another segment must be
+    bit-identical to the same segment run alone: each segment draws from
+    its own generator in its own order and sizes, and rows shared across
+    segments carry the same arithmetic as rows held by one segment."""
+
+    SHOTS = 512
+
+    @staticmethod
+    def _program(circuit, noise):
+        return compile_circuit(
+            circuit,
+            gate_noise=noise is not None and noise.has_gate_noise,
+            link_noise=noise is not None and noise.has_link_noise,
+        )
+
+    def _compare(self, circuit, noise=None):
+        program = self._program(circuit, noise)
+        alone = run_segments(
+            program, [Segment(np.random.default_rng(1234), self.SHOTS)], noise=noise
+        )
+        companion = run_segments(
+            program, [Segment(np.random.default_rng(99), 300)], noise=noise
+        )
+        packed = run_segments(
+            program,
+            [
+                Segment(np.random.default_rng(99), 300),
+                Segment(np.random.default_rng(1234), self.SHOTS),
+            ],
+            noise=noise,
+        )
+        assert np.array_equal(packed.clbits[300:], alone.clbits)
+        assert np.array_equal(packed.clbits[:300], companion.clbits)
+        assert 0 < packed.row_ops <= packed.shot_ops
+        return alone
+
+    def test_noiseless_ghz(self):
+        alone = self._compare(ghz_circuit(4))
+        assert set(alone.clbit_strings()) == {"0000", "1111"}
+        # The deterministic prefix runs on one row: far fewer rows than shots.
+        assert alone.row_ops < alone.shot_ops // 10
+
+    def test_feedback_and_reset(self):
+        circuit = verified_teleport_circuit()
+        circuit.reset(0)
+        circuit.h(0)
+        alone = self._compare(circuit)
+        # Teleporting |0> with Pauli feedback always verifies as 0.
+        assert not alone.clbits[:, 2].any()
+
+    def test_non_clifford(self):
+        alone = self._compare(magic_circuit())
+        # T commutes with the Z readout: the two clbits always agree.
+        assert np.array_equal(alone.clbits[:, 0], alone.clbits[:, 1])
+
+    def test_noisy_ghz(self):
+        alone = self._compare(ghz_circuit(3), noise=NoiseModel.from_base(0.05))
+        # Faults leave GHZ's two-outcome support.
+        assert set(alone.clbit_strings()) - {"000", "111"}
+
+
+# ----------------------------------------------------------------------
+# Clifford sampling semantics on the dense kernel
+# ----------------------------------------------------------------------
+def random_clifford_circuit(num_qubits: int, depth: int, rng) -> Circuit:
+    """Random Clifford gates with mid-circuit measurement and Pauli
+    feedback, then a full Z readout."""
+    from repro.circuits.gates import GATES
+
+    c = Circuit(num_qubits, num_qubits + 1)
+    for _ in range(depth):
+        roll = rng.random()
+        if roll < 0.1:
+            c.measure(int(rng.integers(num_qubits)), num_qubits)
+        elif roll < 0.2:
+            c.append(
+                str(rng.choice(["x", "z"])),
+                [int(rng.integers(num_qubits))],
+                condition=Condition((num_qubits,), 1),
+            )
+        else:
+            name = str(rng.choice(["h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap"]))
+            qubits = rng.choice(num_qubits, size=GATES[name].num_qubits, replace=False)
+            c.append(name, [int(q) for q in qubits])
+    for q in range(num_qubits):
+        c.measure(q, q)
+    return c
+
+
+class TestCliffordSampling:
+    """What the retired stabilizer sampler was checked for, now asked of
+    the dense kernel that Clifford sample jobs route to."""
+
+    @staticmethod
+    def _run(circuit, shots, seed, noise=None, **kwargs):
+        with Engine(workers=1) as engine:
+            result = engine.run(
+                Job(circuit=circuit, shots=shots, seed=seed, noise=noise, **kwargs)
+            )
+        return result
+
+    @staticmethod
+    def _clbits(circuit, shots, seed):
+        program = get_compiled(circuit)
+        return run_batched(program, shots, np.random.default_rng(seed)).clbits
+
+    def test_noiseless_ghz_support_and_fair_coin(self):
+        clbits = self._clbits(ghz_circuit(5), 4000, 7)
+        rows = {"".join(map(str, row)) for row in clbits.astype(int)}
+        assert rows == {"00000", "11111"}
+        assert abs(clbits[:, 0].mean() - 0.5) < 0.03
+
+    def test_deterministic_outcomes_are_exact(self):
+        circuit = Circuit(3, 3).x(0).cx(0, 1).measure(0, 0).measure(1, 1).measure(2, 2)
+        clbits = self._clbits(circuit, 64, 0)
+        assert np.array_equal(clbits, np.tile([1, 1, 0], (64, 1)))
+
+    def test_feedback_fires_on_the_measured_bit(self):
+        circuit = Circuit(2, 2).x(0).measure(0, 0)
+        circuit.x(1, condition=Condition((0,), 1))
+        circuit.measure(1, 1)
+        assert self._run(circuit, 50, 0).counts == {"11": 50}
+
+    def test_repeat_measurement_is_stable(self):
+        circuit = Circuit(1, 2).h(0).measure(0, 0).measure(0, 1)
+        clbits = self._clbits(circuit, 4000, 3)
+        assert np.array_equal(clbits[:, 0], clbits[:, 1])
+        assert abs(clbits[:, 0].mean() - 0.5) < 0.03
+
+    def test_reset_rerandomizes_measurement(self):
+        # measure; reset; h; measure: the second bit is a fresh coin
+        # whatever the first was.
+        circuit = Circuit(1, 2)
+        circuit.h(0).measure(0, 0).reset(0).h(0).measure(0, 1)
+        clbits = self._clbits(circuit, 4000, 3)
+        first, second = clbits[:, 0], clbits[:, 1]
+        assert abs(second.mean() - 0.5) < 0.03
+        # Independence: the conditional means match the marginal.
+        assert abs(second[first == 1].mean() - second[first == 0].mean()) < 0.06
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_agrees_with_per_shot_backend(self, width):
+        shots = 3000
+        dense = self._run(ghz_circuit(width), shots, 11)
+        ref = self._run(ghz_circuit(width), shots, 12, backend="statevector-ref")
+        assert (dense.backend, ref.backend) == ("statevector", "statevector-ref")
+        keys = set(dense.counts) | set(ref.counts)
+        d = 0.5 * sum(abs(dense.counts.get(k, 0) - ref.counts.get(k, 0)) for k in keys)
+        assert d / shots < 0.05
+
+    def test_fanout_sampling_matches_density_exact(self):
+        circuit, _data = build_fanout_circuit(2)
+        noise = NoiseModel.from_base(0.02)
+        result = self._run(circuit, 6000, 41, noise)
+        assert result.backend == "statevector"
+        assert tvd(result.counts, exact_distribution(circuit, noise), 6000) < 0.05
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_clifford_circuit_matches_density_exact(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        circuit = random_clifford_circuit(3, 16, rng)
+        noise = NoiseModel.from_base(0.02) if seed % 2 else None
+        result = self._run(circuit, 4000, seed, noise)
+        assert result.backend == "statevector"
+        assert tvd(result.counts, exact_distribution(circuit, noise), 4000) < 0.05
+
+
+class TestDenseVsFrames:
+    """The two kernels that stay agree on noisy GHZ readout: a Clifford
+    circuit's noisy record is its ideal record XOR an independent
+    record-deviation pattern, and the frames sampler draws that pattern."""
+
+    @pytest.mark.parametrize("width", [3, 5])
+    @pytest.mark.parametrize("p", [0.01, 0.05])
+    def test_ghz_readout_is_ideal_record_xor_frame_flips(self, width, p):
+        circuit = ghz_circuit(width)
+        noise = NoiseModel.from_base(p)
+        shots = 20000
+        with Engine(workers=1) as engine:
+            result = engine.run(Job(circuit=circuit, shots=shots, seed=61, noise=noise))
+        assert result.backend == "statevector"
+        _fx, _fz, flips = run_batched_frames(
+            circuit, noise, shots, np.random.default_rng(62)
+        )
+        flip_counts: dict[str, int] = {}
+        for row in flips.astype(int):
+            key = "".join(map(str, row))
+            flip_counts[key] = flip_counts.get(key, 0) + 1
+        # The ideal GHZ record is all-0 or all-1 with equal weight.
+        predicted: dict[str, float] = {}
+        for key, count in flip_counts.items():
+            flipped = "".join("1" if b == "0" else "0" for b in key)
+            for record in (key, flipped):
+                predicted[record] = predicted.get(record, 0.0) + 0.5 * count / shots
+        assert set(flip_counts) - {"0" * width}
+        assert tvd(result.counts, predicted, shots) < 0.03
+
+
+class TestRouterMatrix:
+    """One pinned backend (or refusal) per circuit class and mode, so a
+    routing change is deliberate."""
+
+    NOISE = NoiseModel.from_base(0.01)
+
+    @staticmethod
+    def _conditioned_collapse():
+        c = Circuit(2, 2).h(0).measure(0, 0)
+        c.append("reset", [1], condition=Condition((0,), 1))
+        return c.measure(1, 1)
+
+    @pytest.mark.parametrize(
+        ("label", "make_job", "expected"),
+        [
+            ("clifford+noiseless", lambda n: Job(circuit=ghz_circuit(3), shots=10, seed=1), "statevector"),
+            ("clifford+pauli-noise", lambda n: Job(circuit=ghz_circuit(3), shots=10, seed=1, noise=n), "statevector"),
+            ("clifford-64+noiseless", lambda n: Job(circuit=ghz_circuit(64), shots=10, seed=1), "statevector"),
+            ("pauli-feedback+noise", lambda n: Job(circuit=verified_teleport_circuit(), shots=10, seed=1, noise=n), "statevector"),
+            ("cond-collapse+noiseless", lambda n: Job(circuit=TestRouterMatrix._conditioned_collapse(), shots=10, seed=1), "statevector"),
+            ("cond-collapse+noise", lambda n: Job(circuit=TestRouterMatrix._conditioned_collapse(), shots=10, seed=1, noise=n), "statevector"),
+            ("magic+noiseless", lambda n: Job(circuit=magic_circuit(), shots=10, seed=1), "statevector"),
+            ("magic+noise", lambda n: Job(circuit=magic_circuit(), shots=10, seed=1, noise=n), "statevector"),
+            ("clifford+state-input", lambda n: Job(circuit=ghz_circuit(3), shots=10, seed=1, initial_state=random_pure_state(3, np.random.default_rng(0))), "statevector"),
+            ("frames-mode", lambda n: Job(circuit=verified_teleport_circuit(), shots=10, seed=1, noise=n, frame_qubits=(2,), mode="frames"), "pauliframe"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_backend_matrix(self, label, make_job, expected):
+        assert BackendRouter().select(make_job(self.NOISE)).name == expected, label
+
+    def test_non_pauli_feedback_falls_back_to_statevector(self):
+        circuit = Circuit(2, 2).h(0).measure(0, 0)
+        circuit.h(1, condition=Condition((0,), 1))
+        circuit.measure(1, 1)
+        assert BackendRouter().select(Job(circuit=circuit, shots=10, seed=1)).name == "statevector"
+
+    def test_frames_mode_refuses_what_frames_cannot_run(self):
+        router = BackendRouter()
+        for circuit in (magic_circuit(), self._non_pauli_feedback()):
+            job = Job(
+                circuit=circuit, shots=10, seed=1, noise=self.NOISE,
+                frame_qubits=(1,), mode="frames",
+            )
+            with pytest.raises(ValueError, match="Clifford circuit with Pauli-only feedback"):
+                router.select(job)
+        noiseless = Job(circuit=ghz_circuit(3), shots=10, seed=1, frame_qubits=(0,), mode="frames")
+        with pytest.raises(ValueError, match="non-trivial noise model"):
+            router.select(noiseless)
+
+    @staticmethod
+    def _non_pauli_feedback():
+        c = Circuit(2, 2).h(0).measure(0, 0)
+        c.h(1, condition=Condition((0,), 1))
+        return c.measure(1, 1)
+
+
+class TestEngineDeterminism:
+    def test_worker_count_bit_identity_through_process_pool(self):
+        circuit = ghz_circuit(10)
+        noise = NoiseModel.from_base(0.02)
+        job = lambda: Job(  # noqa: E731
+            circuit=circuit, shots=2048, seed=99, noise=noise, batch_size=512
+        )
+        with Engine(workers=1) as serial, Engine(workers=2, executor="process") as pool:
+            a = serial.run(job())
+            b = pool.run(job())
+        assert a.backend == b.backend == "statevector"
+        assert a.counts == b.counts
+
+    def test_thread_executor_bit_identity(self):
+        circuit = ghz_circuit(6)
+        job = lambda: Job(circuit=circuit, shots=1024, seed=5, batch_size=256)  # noqa: E731
+        with Engine(workers=1) as serial, Engine(workers=3, executor="thread") as pool:
+            assert serial.run(job()).counts == pool.run(job()).counts
+
+    def test_64_qubit_ghz_completes_in_frames_mode(self):
+        # Wide Clifford sampling is frames mode: the 64-qubit GHZ that
+        # the dense kernel cannot hold runs as a Pauli-frame job.
+        circuit = ghz_circuit(64)
+        job = Job(
+            circuit=circuit, shots=256, seed=3, noise=NoiseModel.from_base(0.001),
+            frame_qubits=tuple(range(64)), mode="frames",
+        )
+        with Engine(workers=1) as engine:
+            result = engine.run(job)
+        assert result.backend == "pauliframe"
+        assert sum(result.counts.values()) == 256
+        assert all(len(label) == 64 and set(label) <= set("IXYZ") for label in result.counts)
+        assert result.counts.get("I" * 64, 0) > 0

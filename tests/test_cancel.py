@@ -116,7 +116,7 @@ class TestEngineCancellation:
         job = make_job(shots=300, batch_size=100)
         with Engine(cost_model=one_batch_groups(3)) as engine:
             original = engine.scheduler.obs
-            assert engine.scheduler.decide(job, "stabilizer", 3).num_groups == 3
+            assert engine.scheduler.decide(job, "statevector", 3).num_groups == 3
             calls = trip_in_first_group(monkeypatch, token)
             with pytest.raises(JobCancelled):
                 engine.run(job, cancel=token)
@@ -148,7 +148,7 @@ class TestEngineCancellation:
             workers=2, executor="thread", cache=True, cost_model=one_batch_groups(20)
         ) as engine:
             assert len(engine.scheduler.plan(job)) == 20
-            assert engine.scheduler.decide(job, "stabilizer", 20).num_groups == 20
+            assert engine.scheduler.decide(job, "statevector", 20).num_groups == 20
             calls = trip_in_first_group(monkeypatch, token)
             with pytest.raises(JobCancelled):
                 engine.run(job, cancel=token)

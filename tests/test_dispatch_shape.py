@@ -19,7 +19,7 @@ from repro.api import Experiment, NetworkSpec
 from repro.circuits import Circuit
 from repro.core import build_monolithic_swap_test, swap_test_job
 from repro.engine import CostModel, Engine, Ensemble, Job, Scheduler
-from repro.sim import NoiseModel
+from repro.sim import DensitySimulator, NoiseModel
 from repro.utils import random_density_matrix
 from repro.utils.states import random_pure_state
 
@@ -30,16 +30,6 @@ def sv_circuit() -> Circuit:
     circuit = Circuit(3, 3)
     circuit.h(0).t(0).cx(0, 1).rx(0.3, 2).cx(1, 2)
     for q in range(3):
-        circuit.measure(q, q)
-    return circuit
-
-
-def ghz_circuit(width: int = 4) -> Circuit:
-    circuit = Circuit(width, width)
-    circuit.h(0)
-    for q in range(1, width):
-        circuit.cx(q - 1, q)
-    for q in range(width):
         circuit.measure(q, q)
     return circuit
 
@@ -59,10 +49,6 @@ def matrix_jobs() -> dict[str, Job]:
             ensembles=(Ensemble.from_states((0,), [(0.3, zero), (0.7, plus)]),),
             backend="statevector",
         ),
-        "stabilizer": Job(
-            circuit=ghz_circuit(), shots=1500, seed=7, noise=NOISE, readout=(0, 3),
-            batch_size=100, backend="stabilizer",
-        ),
         "pauliframe": Job(
             circuit=frames_circuit, shots=3000, seed=8,
             noise=NoiseModel.from_base(0.02), frame_qubits=tuple(members),
@@ -72,20 +58,16 @@ def matrix_jobs() -> dict[str, Job]:
             circuit=sv_circuit(), shots=300, seed=9, noise=NOISE, readout=(0, 2),
             batch_size=50, backend="statevector-ref",
         ),
-        "density": Job(
-            circuit=sv_circuit(), shots=1, seed=10, noise=NOISE, readout=(0, 2),
-            mode="exact",
-        ),
     }
 
 
 def result_digest(result) -> str:
-    """Counts (in insertion order), distribution, parity and batch count."""
+    """Counts (in insertion order), parity and batch count.  The ``None``
+    is the slot the removed exact-distribution field filled, kept so the
+    recorded digests still read the same payload."""
     payload = [
         [(str(label), int(count)) for label, count in (result.counts or {}).items()],
-        None
-        if result.probabilities is None
-        else [(label, repr(p)) for label, p in result.probabilities.items()],
+        None,
         repr(result.parity_mean),
         repr(result.parity_stderr),
         result.num_batches,
@@ -96,10 +78,8 @@ def result_digest(result) -> str:
 MATRIX_DIGESTS = {
     "statevector": "f5e9160f3cf509ceea5697703fbb9961e961993b7a75fb8a2868b26d6d2963ea",
     "statevector-ensembles": "979d53560f2f90802559919522c720af8c75faaef80972635e59ce5ce4a5bba8",
-    "stabilizer": "935c080449c42ba57f7e52cdda8ff7ea90ad901e246cbcd2cd029e7c3ec92152",
     "pauliframe": "fc1e31d0a357ac6252e0e71484ce80663425a7a9aefcdfc4dae20ad9fed3269a",
     "statevector-ref": "ee54033521936a500bb97f6e09978f1eea82fbd609b22bc4e13696257e866bcb",
-    "density": "2b2c8db1e1b85384b9827222e29f3d18a4ec90a8d08214abebaac6b3a60b0e1e",
 }
 
 
@@ -113,6 +93,18 @@ class TestBitIdentityMatrix:
         for name, result in zip(jobs, results):
             assert result.backend == name.removesuffix("-ensembles")
             assert result_digest(result) == MATRIX_DIGESTS[name], name
+
+    def test_statevector_row_samples_the_density_reference(self):
+        job = matrix_jobs()["statevector"]
+        branches = DensitySimulator(noise=NOISE).run(job.circuit).branch_probabilities()
+        with Engine(workers=1, cache=False) as engine:
+            counts = engine.run(job).counts
+        labels = set(counts) | {"".join(map(str, bits)) for bits in branches}
+        distance = 0.5 * sum(
+            abs(counts.get(label, 0) / job.shots - branches.get(tuple(map(int, label)), 0.0))
+            for label in labels
+        )
+        assert distance < 0.05
 
 
 class TestDispatchPlan:
@@ -138,9 +130,8 @@ class TestDispatchPlan:
         ).pooled
 
     def test_one_batch_job_is_one_inline_group(self):
-        plan = Scheduler(workers=4, executor="process").decide(
-            matrix_jobs()["density"], "density", 1
-        )
+        job = Job(circuit=sv_circuit(), shots=100, seed=10, noise=NOISE, readout=(0, 2))
+        plan = Scheduler(workers=4, executor="process").decide(job, "statevector", 1)
         assert not plan.pooled and plan.num_groups == 1
 
     def test_pooled_job_sizes_groups_for_its_share_of_the_workers(self):

@@ -17,7 +17,7 @@ from repro.engine import (
     batch_rng,
     grid_points,
 )
-from repro.sim import NoiseModel
+from repro.sim import DensitySimulator, NoiseModel
 from repro.utils import random_density_matrix, random_pure_state
 
 RNG = np.random.default_rng(91)
@@ -128,37 +128,23 @@ class TestJobHash:
 
 
 class TestBackendRouter:
-    def test_clifford_swap_test_routes_to_stabilizer(self):
-        # The destructive two-party SWAP test is pure Clifford: the cheapest
-        # capable backend is the batched stabilizer kernel.
-        job = Job(circuit=destructive_swap_test_circuit(), shots=50, seed=1)
-        choice = BackendRouter().select(job)
-        assert choice.name == "stabilizer"
-
-    def test_pauli_noise_stays_on_stabilizer(self):
-        # Pauli/readout noise is frame-representable: the stabilizer kernel
-        # keeps Clifford jobs off the dense statevector path.
-        job = Job(
-            circuit=destructive_swap_test_circuit(),
-            shots=50,
-            seed=1,
-            noise=NoiseModel.from_base(0.01),
-        )
-        assert BackendRouter().select(job).name == "stabilizer"
+    def test_clifford_swap_test_routes_to_statevector(self):
+        # The destructive two-party SWAP test is pure Clifford; sample
+        # jobs run on the dense kernel, noisy or not.
+        for noise in (None, NoiseModel.from_base(0.01)):
+            job = Job(
+                circuit=destructive_swap_test_circuit(), shots=50, seed=1, noise=noise
+            )
+            assert BackendRouter().select(job).name == "statevector"
 
     def test_non_clifford_routes_to_statevector(self):
         circuit = Circuit(1, 1).t(0).measure(0, 0)
         job = Job(circuit=circuit, shots=50, seed=1)
         assert BackendRouter().select(job).name == "statevector"
 
-    def test_arbitrary_input_forces_statevector(self):
-        # Tableau cannot load non-basis amplitudes.
+    def test_arbitrary_input_routes_to_statevector(self):
         job = small_sv_job()
         assert BackendRouter().select(job).name == "statevector"
-
-    def test_exact_routes_to_density(self):
-        job = Job(circuit=ghz_sampling_circuit(), shots=0, seed=1, mode="exact")
-        assert BackendRouter().select(job).name == "density"
 
     def test_frames_routes_to_pauliframe(self):
         job = Job(
@@ -224,11 +210,11 @@ class TestDeterminism:
         assert routed.stderr == direct.stderr
         assert routed.extra["stderr_im"] == direct.extra["stderr_im"]
 
-    def test_stabilizer_sampling_statistics(self):
+    def test_clifford_sampling_statistics(self):
         job = Job(circuit=ghz_sampling_circuit(3), shots=2000, seed=3, readout=(0, 1))
         with Engine() as engine:
             result = engine.run(job)
-        assert result.backend == "stabilizer"
+        assert result.backend == "statevector"
         # GHZ readout: only all-zeros and all-ones strings occur.
         assert set(result.counts) == {"000", "111"}
         # Qubits 0 and 1 are perfectly correlated: parity always +1.
@@ -286,20 +272,15 @@ class TestEngineFacade:
         assert [r.shots for r in results] == [p["shots"] for p in params]
         assert {r.shots for r in results} == {50, 100}
 
-    def test_exact_mode_probabilities(self):
-        job = Job(
-            circuit=ghz_sampling_circuit(2),
-            shots=0,
-            seed=1,
-            mode="exact",
-            readout=(0, 1),
-        )
+    def test_sampled_counts_match_the_density_reference(self):
+        circuit = ghz_sampling_circuit(2)
+        exact = DensitySimulator().run(circuit).branch_probabilities()
+        assert exact == pytest.approx({(0, 0): 0.5, (1, 1): 0.5})
         with Engine() as engine:
-            result = engine.run(job)
-        assert result.backend == "density"
-        assert result.probabilities["00"] == pytest.approx(0.5)
-        assert result.probabilities["11"] == pytest.approx(0.5)
-        assert result.parity_mean == pytest.approx(1.0)
+            result = engine.run(Job(circuit=circuit, shots=2000, seed=1, readout=(0, 1)))
+        assert set(result.counts) == {"00", "11"}
+        assert result.counts["00"] / 2000 == pytest.approx(exact[(0, 0)], abs=0.05)
+        assert result.parity_mean == 1.0
 
     def test_frames_mode_counts(self):
         job = Job(
@@ -317,30 +298,30 @@ class TestEngineFacade:
         assert all(len(label) == 3 for label in result.counts)
 
     def test_process_executor_matches_thread(self):
-        # run(job) is a one-job pipeline: on every executor, and for an
-        # exact-mode (density) job too, it equals run_many([job])[0].
+        # run(job) is a one-job pipeline: on every executor, and for a
+        # one-batch job too, it equals run_many([job])[0].
         spec = dict(seed=37, shots=300, batch_size=75)
-        exact = Job(
-            circuit=ghz_sampling_circuit(2), shots=0, seed=1, mode="exact", readout=(0, 1)
-        )
+        one_batch = Job(circuit=ghz_sampling_circuit(2), shots=64, seed=1, readout=(0, 1))
 
         def bits(result):
             return (
                 result.counts,
                 result.parity_mean,
-                result.probabilities,
                 result.backend,
                 result.num_batches,
             )
 
-        runs = {"sampled": [], "exact": []}
+        runs = {"sampled": [], "one-batch": []}
         for executor in ("serial", "thread", "process"):
             with Engine(workers=2, executor=executor) as engine:
-                for name, job in (("sampled", small_sv_job(**spec)), ("exact", exact)):
+                for name, job in (("sampled", small_sv_job(**spec)), ("one-batch", one_batch)):
                     single = engine.run(job)
                     assert bits(single) == bits(engine.run_many([job])[0])
                     runs[name].append(bits(single))
-        for name, routed in (("sampled", ("statevector", 4)), ("exact", ("density", 1))):
+        for name, routed in (
+            ("sampled", ("statevector", 4)),
+            ("one-batch", ("statevector", 1)),
+        ):
             assert runs[name] == [runs[name][0]] * 3
             assert runs[name][0][-2:] == routed
 

@@ -1,20 +1,23 @@
 """Compile-once Pauli-frame sampling (``FrameProgram``).
 
 The golden values below were recorded from the geometric-gap sampler
-(job hash ``repro-job-v6``; ``v7`` left frames bits alone): each ``(rate, words)`` site group draws the
-gaps between its fired ``(site, shot)`` cells, then one word per fired
-depolarizing cell, and XORs the precomputed effects.  They pin that RNG
-contract, so any change to a frames-mode result at equal seed fails here;
+(job hash ``repro-job-v6``; ``v7`` and ``v8`` left frames bits alone):
+each ``(rate, words)`` site group draws the gaps between its fired
+``(site, shot)`` cells, then one word per fired depolarizing cell, and
+XORs the precomputed effects.  They pin that RNG contract, so any
+change to a frames-mode result at equal seed fails here;
 ``TestGeometricSampler`` checks the law the draws follow.
 """
 
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.analysis.fanout_errors import build_fanout_circuit
 from repro.analysis.ghz_fidelity import (
     build_distributed_ghz_circuit,
     ghz_label_commutes,
@@ -26,15 +29,18 @@ from repro.engine import Batch, CostModel, Engine, Job
 from repro.engine.runners import execute_batch_group, worker_cache_info
 from repro.network.program import DistributedProgram
 from repro.network.topology import line_topology
-from repro.sim import NoiseModel, Pauli
-from repro.sim.batched_stabilizer import (
-    clear_stabilizer_cache,
+from repro.sim import NoiseModel, Pauli, PauliFrameSimulator
+from repro.sim.pauliframe import (
+    FrameProgram,
+    clear_frame_caches,
     compile_frame_program,
     frame_cache_stats,
+    frame_fault_profile,
     get_frame_program,
     run_batched_frames,
+    sample_error_counts,
+    tally_error_counts,
 )
-from repro.sim.pauliframe import sample_error_counts
 
 
 def counts_digest(counts) -> str:
@@ -197,9 +203,71 @@ class TestFrameProgram:
         assert np.array_equal(a, b)
 
 
+def ghz_circuit(width: int) -> Circuit:
+    """Clifford GHZ prep + full Z readout."""
+    circuit = Circuit(width, width)
+    circuit.h(0)
+    for q in range(1, width):
+        circuit.cx(q - 1, q)
+    for q in range(width):
+        circuit.measure(q, q)
+    return circuit
+
+
+def tvd(p: Counter, q: Counter, shots: int) -> float:
+    keys = set(p) | set(q)
+    return 0.5 * sum(abs(p.get(k, 0) - q.get(k, 0)) for k in keys) / shots
+
+
+class TestFramesVectorization:
+    """The compiled sampler against the per-shot reference loop."""
+
+    def test_tally_labels_encoding(self):
+        # Identity outputs: each fired row of ``effects`` is one shot's
+        # frame, X bits then Z bits, so labels read off the fired rows.
+        frames = np.array(
+            [[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0]], dtype=bool
+        )
+        program = FrameProgram(
+            num_outputs=6,
+            groups=(),
+            effects=np.pad(np.packbits(frames, axis=1), ((0, 0), (0, 7))).view(np.uint64),
+        )
+        hits, rows = np.array([0, 1, 2]), np.array([0, 1, 2])
+        assert tally_error_counts(program, hits, rows, [4]) == Counter(
+            {"XIZ": 1, "IYI": 1, "III": 2}
+        )
+        empty = FrameProgram(num_outputs=0, groups=(), effects=np.zeros((1, 0), np.uint64))
+        assert tally_error_counts(empty, np.array([0]), np.array([0]), [5]) == Counter(
+            {"": 5}
+        )
+
+    def test_vectorized_distribution_matches_per_shot_reference(self):
+        circuit, data = build_fanout_circuit(3)
+        noise = NoiseModel.from_base(0.05)
+        shots = 6000
+        program = get_frame_program(circuit, noise, tuple(data))
+        vec = sample_error_counts(program, shots, np.random.default_rng(77))
+        slow = PauliFrameSimulator(circuit, noise, seed=78)
+        ref = slow.sample_error_distribution_reference(data, shots)
+        assert sum(vec.values()) == sum(ref.values()) == shots
+        assert tvd(vec, ref, shots) < 0.05
+        # The dominant no-error entry agrees tightly.
+        identity = "I" * len(data)
+        assert abs(vec[identity] - ref[identity]) / shots < 0.03
+
+    def test_run_batched_frames_record_flips_match_reference_model(self):
+        # Readout-noise-only GHZ: each record flips independently at p_meas.
+        circuit = ghz_circuit(3)
+        noise = NoiseModel(p1=0.0, p2=0.0, p_meas=0.1)
+        fx, fz, flips = run_batched_frames(circuit, noise, 20000, np.random.default_rng(9))
+        assert not fx.any() and not fz.any()
+        assert np.allclose(flips.mean(axis=0), 0.1, atol=0.01)
+
+
 class TestCompileOnce:
     def test_serial_job_compiles_once(self):
-        clear_stabilizer_cache()
+        clear_frame_caches()
         job = ghz_job(6, 0.01, shots=10 * 64, seed=21, batch_size=64)
         with Engine(workers=1, executor="serial", cache=False) as engine:
             result = engine.run(job)
@@ -211,7 +279,7 @@ class TestCompileOnce:
         assert worker_cache_info()["frames"]["compiles"] == 1
 
     def test_group_looks_up_its_program_once(self):
-        clear_stabilizer_cache()
+        clear_frame_caches()
         job = ghz_job(5, 0.01, shots=10 * 32, seed=8, batch_size=32)
         batches = tuple(Batch(i, 32) for i in range(10))
         execute_batch_group(job, batches, "pauliframe")
@@ -220,7 +288,7 @@ class TestCompileOnce:
         assert (stats["compiles"], stats["hits"]) == (1, 1)
 
     def test_process_pool_compiles_once_per_worker(self):
-        clear_stabilizer_cache()  # forked workers must not inherit a program
+        clear_frame_caches()  # forked workers must not inherit a program
         job = ghz_job(7, 0.01, shots=10 * 64, seed=5, batch_size=64)
         with Engine(workers=2, executor="process", cache=False) as engine:
             engine.prewarm()
@@ -232,10 +300,11 @@ class TestCompileOnce:
         by_pid = {info["pid"]: info["frames"]["compiles"] for info in infos}
         assert max(by_pid.values()) == 1
         assert all(count <= 1 for count in by_pid.values())
-        assert {"compile", "stabilizer", "frames"} <= set(infos[0])
+        assert {"compile", "frames"} <= set(infos[0])
+        assert "stabilizer" not in infos[0]
 
     def test_cache_key_separates_noise_and_outputs(self):
-        clear_stabilizer_cache()
+        clear_frame_caches()
         circuit = linked_ghz_circuit(3)
         a = get_frame_program(circuit, LINK_NOISE, (0, 3))
         assert get_frame_program(circuit, LINK_NOISE, (0, 3)) is a
@@ -271,9 +340,7 @@ class TestFramesCost:
     def test_ghz64_frames_estimate_is_per_group_and_fault(self):
         model = CostModel()
         kwargs = dict(
-            num_qubits=190,
             num_instructions=632,
-            stochastic_sites=506,
             backend="pauliframe",
             site_groups=3,
             faults_per_shot=0.6682,
@@ -287,7 +354,6 @@ class TestFramesCost:
 
     def test_scheduler_prices_the_compiled_groups(self):
         from repro.engine.scheduler import Scheduler
-        from repro.sim.batched_stabilizer import frame_fault_profile
 
         job = ghz_job(64, 0.002, 20000, 7)
         program = get_frame_program(job.circuit, job.noise, job.frame_qubits)
@@ -300,9 +366,7 @@ class TestFramesCost:
         estimate = Scheduler().estimate_job_seconds(job, "pauliframe")
         assert estimate == CostModel().estimate_job_seconds(
             shots=20000,
-            num_qubits=job.circuit.num_qubits,
             num_instructions=len(job.circuit.instructions),
-            stochastic_sites=506,
             backend="pauliframe",
             site_groups=3,
             faults_per_shot=faults,

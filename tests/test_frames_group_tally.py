@@ -21,7 +21,7 @@ from repro.engine.runners import batch_rng, execute_batch_group
 from repro.obs import Observability
 from repro.obs.report import build_run_report
 from repro.sim import NoiseModel
-from repro.sim.batched_stabilizer import FrameProgram, get_frame_program
+from repro.sim.pauliframe import FrameProgram, get_frame_program
 from repro.sim.pauliframe import sample_error_counts, tally_error_counts
 
 

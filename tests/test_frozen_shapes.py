@@ -34,7 +34,7 @@ from repro.engine.router import BackendRouter
 from repro.engine.runners import _warm_group, execute_batch_group
 from repro.service import ExperimentService, ServiceConfig
 from repro.sim import NoiseModel
-from repro.sim.batched_stabilizer import clear_stabilizer_cache
+from repro.sim.pauliframe import clear_frame_caches
 from repro.sim.compile import (
     clear_compile_cache,
     compile_cache_stats,
@@ -140,6 +140,7 @@ class TestFrozenCircuit:
         for _ in range(3):
             BackendRouter().select(job)
             scheduler.decide(job, "statevector", 3)
+            get_capabilities(job.circuit)
         assert scans == ["bell"]
         shipped = pickle.loads(pickle.dumps(job))
         assert get_capabilities(shipped.circuit) == get_capabilities(job.circuit)
@@ -154,8 +155,8 @@ class TestFrozenCircuit:
         assert same.circuit is frozen
         assert same.content_hash() == job.content_hash()
 
-    def test_job_hash_tag_is_unchanged(self):
-        assert JOB_HASH_TAG == "repro-job-v7"
+    def test_job_hash_tag_is_v8(self):
+        assert JOB_HASH_TAG == "repro-job-v8"
 
     def test_hash_routing_and_pricing_never_redigest(self, digest_calls):
         job = Job(circuit=bell_circuit(), shots=600, seed=3)
@@ -174,7 +175,7 @@ class TestNoDigestInsideGroups:
         shipped = pickle.loads(pickle.dumps(job))
         digest_calls.clear()
         clear_compile_cache()
-        clear_stabilizer_cache()
+        clear_frame_caches()
         batches = (Batch(0, 128), Batch(1, 128))
         first = _warm_group(shipped, "key-" + backend, batches, backend, None, program)
         again = _warm_group(None, "key-" + backend, batches, backend, None, None)
@@ -487,8 +488,7 @@ class TestPricingInsideTheGuard:
     def test_dense_jobs_are_priced_by_dense_seconds_only(self):
         with pytest.raises(ValueError, match="dense_seconds"):
             CostModel().estimate_job_seconds(
-                shots=100, num_qubits=2, num_instructions=4,
-                stochastic_sites=2, backend="statevector",
+                shots=100, num_instructions=4, backend="statevector",
             )
 
     def test_a_job_that_fails_planning_releases_its_claim(self):

@@ -20,7 +20,7 @@ from repro.circuits import Circuit
 from repro.engine import Engine, Ensemble, Job, Scheduler
 from repro.engine.runners import BatchStats, _accumulate_matrix, _ensemble_groups
 from repro.obs import Observability
-from repro.sim import NoiseModel
+from repro.sim import DensitySimulator, NoiseModel
 from repro.sim.batched import _Rows
 from repro.utils.states import random_pure_state
 
@@ -177,15 +177,15 @@ class TestOneBatchDispatch:
             assert not scheduler.decide(job, "statevector", 1, jobs=2).pooled
 
     def test_same_bits_on_every_engine(self):
-        # Dense sample jobs, an exact-distribution job and a frames job:
+        # Dense sample jobs, a per-shot reference job and a frames job:
         # every one-batch kind that now crosses to an explicit pool.
-        exact = replace(one_batch_job(3), shots=1, mode="exact", backend=None)
+        reference = replace(one_batch_job(3), backend="statevector-ref")
         frames_circuit, members = build_distributed_ghz_circuit(4)
         frames = Job(
             circuit=frames_circuit, shots=200, seed=4, noise=NoiseModel.from_base(0.02),
             frame_qubits=tuple(members), mode="frames",
         )
-        jobs = [one_batch_job(1), one_batch_job(2), exact, frames]
+        jobs = [one_batch_job(1), one_batch_job(2), reference, frames]
         results = {}
         for executor in ("serial", "thread", "process"):
             with Engine(workers=2, executor=executor, cache=False) as engine:
@@ -198,17 +198,23 @@ class TestOneBatchDispatch:
                     (
                         r.backend,
                         list((r.counts or {}).items()),
-                        r.probabilities,
                         r.parity_mean,
                         r.parity_stderr,
                     )
                     for r in engine.run_many(jobs)
                 ]
         assert [row[0] for row in results["serial"]] == [
-            "statevector", "statevector", "density", "pauliframe"
+            "statevector", "statevector", "statevector-ref", "pauliframe"
         ]
         assert results["thread"] == results["serial"]
         assert results["process"] == results["serial"]
+        # The exact reference: every sampled register has weight there.
+        exact = DensitySimulator(noise=reference.noise).run(reference.circuit)
+        support = {
+            "".join(map(str, bits)) for bits, p in exact.branch_probabilities().items() if p > 0
+        }
+        for row in results["serial"][:3]:
+            assert {label for label, _ in row[1]} <= support
 
 
 class TestTallyTime:

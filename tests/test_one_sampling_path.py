@@ -4,9 +4,10 @@ The noise analyses (Table 4, Fig 9a-c) and the naive scheme's slice
 estimator take an ``engine``: each must run its shots as jobs on that
 engine (so a caching engine serves a repeat), and without one it runs
 them on a private serial engine.  The per-shot simulators remain only as
-cross-validation oracles, and the former per-shot tableau route is gone:
-the Clifford circuits the frame kernel cannot serve run on the dense
-kernel and agree with the :class:`TableauSimulator` oracle.
+cross-validation oracles.  The former tableau and stabilizer routes are
+gone: Clifford sample jobs run on the dense kernel and agree with the
+per-shot :class:`StatevectorSimulator` oracle, and pinning a removed
+route is refused with an error that names its replacement.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.circuits import Circuit, Condition
 from repro.core.cyclic_shift import multivariate_trace
 from repro.core.naive import naive_slice_estimate
 from repro.engine import BackendRouter, Engine, Job
-from repro.sim import TableauSimulator
+from repro.sim import StatevectorSimulator
 from repro.utils import random_density_matrix
 
 
@@ -122,12 +123,11 @@ def non_pauli_feedback_circuit() -> Circuit:
     return c.measure(1, 1)
 
 
-def tableau_counts(circuit: Circuit, shots: int, seed: int) -> dict[str, int]:
-    rng = np.random.default_rng(seed)
+def reference_counts(circuit: Circuit, shots: int, seed: int) -> dict[str, int]:
+    simulator = StatevectorSimulator(seed=seed)
     counts: dict[str, int] = {}
     for _ in range(shots):
-        bits = TableauSimulator(circuit.num_qubits, seed=rng).run(circuit)
-        key = "".join(map(str, bits))
+        key = "".join(map(str, simulator.run(circuit).clbits))
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -141,7 +141,7 @@ class TestFormerTableauRoute:
     @pytest.mark.parametrize(
         "make", [conditioned_collapse_circuit, non_pauli_feedback_circuit]
     )
-    def test_routes_to_statevector_and_matches_the_tableau_oracle(self, make):
+    def test_routes_to_statevector_and_matches_the_per_shot_oracle(self, make):
         circuit = make()
         shots = 4000
         job = Job(circuit=circuit, shots=shots, seed=21)
@@ -149,8 +149,18 @@ class TestFormerTableauRoute:
         with Engine(workers=1, executor="serial") as engine:
             result = engine.run(job)
         assert result.backend == "statevector"
-        assert tvd(result.counts, tableau_counts(circuit, shots, 22), shots) < 0.05
+        assert tvd(result.counts, reference_counts(circuit, shots, 22), shots) < 0.05
 
-    def test_tableau_pin_is_rejected(self):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            Job(circuit=non_pauli_feedback_circuit(), shots=10, seed=1, backend="tableau")
+    @pytest.mark.parametrize(
+        ("pin", "replacement"),
+        [
+            ({"backend": "tableau"}, "backend must be one of"),
+            ({"backend": "stabilizer"}, "route automatically.*mode='frames'"),
+            ({"backend": "density"}, "DensitySimulator for an exact distribution"),
+            ({"mode": "exact"}, "DensitySimulator for an exact distribution"),
+        ],
+        ids=["tableau", "stabilizer", "density", "exact"],
+    )
+    def test_tableau_pin_is_rejected(self, pin, replacement):
+        with pytest.raises(ValueError, match=replacement):
+            Job(circuit=non_pauli_feedback_circuit(), shots=10, seed=1, **pin)

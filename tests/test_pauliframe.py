@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuits import Circuit, Condition
 from repro.sim import NoiseModel, PauliFrameSimulator
-from repro.sim.batched_stabilizer import get_frame_program
+from repro.sim.pauliframe import get_frame_program
 from repro.sim.pauliframe import sample_error_counts
 from repro.analysis.ghz_fidelity import (
     build_distributed_ghz_circuit,

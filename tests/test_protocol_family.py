@@ -204,15 +204,15 @@ class TestEngineDiscipline:
         }
         assert len(hashes) == 3
 
-    def test_job_hash_is_v7(self):
+    def test_job_hash_is_v8(self):
         build = build_nstate_swap(2, 1, basis="x")
         job = protocol_job(build, random_states(2), shots=16, seed=3)
         assert job.content_hash()  # digest exists and is stable
         import repro.engine.job as job_module
         import inspect
 
-        assert job_module.JOB_HASH_TAG == 'repro-job-v7'
-        assert 'repro-job-v7' in inspect.getsource(job_module.Job.content_hash)
+        assert job_module.JOB_HASH_TAG == 'repro-job-v8'
+        assert 'repro-job-v8' in inspect.getsource(job_module.Job.content_hash)
 
 
 # ----------------------------------------------------------------------

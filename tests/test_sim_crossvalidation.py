@@ -1,8 +1,8 @@
 """Cross-validation between the simulators, plus failure injection.
 
-The four simulators implement the same semantics through different
-algorithms; random-circuit agreement between them is the strongest
-correctness evidence the repository has.  The failure-injection tests
+The statevector, density and Pauli-frame simulators implement the same
+semantics through different algorithms; random-circuit agreement between
+them is the strongest correctness evidence the repository has.  The failure-injection tests
 deliberately corrupt protocol circuits and check the validators notice —
 a silent-pass here would mean the test oracles are vacuous.
 """
@@ -14,10 +14,11 @@ from repro.circuits import Circuit, Condition
 from repro.sim import (
     DensitySimulator,
     NoiseModel,
+    Pauli,
     PauliFrameSimulator,
     StatevectorSimulator,
-    TableauSimulator,
 )
+from repro.sim.pauliframe import _conjugate_frames
 from repro.utils import partial_trace, random_pure_state, state_fidelity
 
 RNG = np.random.default_rng(2025)
@@ -71,22 +72,167 @@ class TestStatevectorVsDensity:
         assert abs(p1_exact - p1_sampled) < 0.08
 
 
-class TestTableauVsStatevector:
+class TestCliffordMeasurementStructure:
     @pytest.mark.parametrize("seed", range(5))
     def test_clifford_measurement_distributions(self, seed):
         rng = np.random.default_rng(200 + seed)
         n = 3
         circuit = random_circuit(n, 14, rng, CLIFFORD_GATES)
-        # Deterministic measurements must agree exactly.
+        sv = StatevectorSimulator(seed=seed).run(circuit).statevector
         for qubit in range(n):
-            probe = circuit.copy()
-            tableau = TableauSimulator(n, seed=seed)
-            tableau.run(probe)
-            outcome, deterministic = tableau.measure(qubit)
-            if deterministic:
-                sv = StatevectorSimulator(seed=seed).run(circuit).statevector
-                rho = partial_trace(sv, [qubit], n)
-                assert abs(np.real(rho[outcome, outcome]) - 1.0) < 1e-8
+            # A stabilizer state measures every qubit deterministically or
+            # as a fair coin, and the density branches say the same.
+            p1 = float(np.real(partial_trace(sv, [qubit], n)[1, 1]))
+            assert min(abs(p1 - v) for v in (0.0, 0.5, 1.0)) < 1e-8
+            probe = Circuit(n, 1)
+            probe.compose(circuit)
+            probe.measure(qubit, 0)
+            branches = DensitySimulator().run(probe).branch_probabilities()
+            assert abs(branches.get((1,), 0.0) - p1) < 1e-8
+
+
+def gf2_rank(rows: np.ndarray) -> int:
+    rows = rows.astype(bool).copy()
+    rank = 0
+    for col in range(rows.shape[1]):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r, col]), None)
+        if pivot is None:
+            continue
+        rows[[rank, pivot]] = rows[[pivot, rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r, col]:
+                rows[r] ^= rows[rank]
+        rank += 1
+    return rank
+
+
+def conjugated_z_generators(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """Push each Z_i stabilizer of |0...0> through ``circuit`` with the
+    frames kernel's Clifford rules; row i is U Z_i U^dagger up to sign."""
+    n = circuit.num_qubits
+    fx = np.zeros((n, n), dtype=bool)
+    fz = np.eye(n, dtype=bool)
+    for inst in circuit.instructions:
+        _conjugate_frames(inst.name, inst.qubits, fx, fz)
+    return fx, fz
+
+
+def hermitian_pauli(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # Pauli stores i^phase X^x Z^z; one factor of i per Y keeps it Hermitian.
+    return Pauli(x, z, int(np.count_nonzero(x & z))).to_matrix()
+
+
+def pauli_expectation(label: str, state: np.ndarray) -> float:
+    matrix = Pauli.from_label(label).to_matrix()
+    if state.ndim == 1:
+        return float(np.real(np.vdot(state, matrix @ state)))
+    return float(np.real(np.trace(state @ matrix)))
+
+
+class TestFrameRulesVsStatevector:
+    """The frames kernel's Clifford conjugation against the statevector:
+    the pushed-through Z stabilizers of |0...0> must stabilize the
+    circuit's output state and stay independent."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_clifford_stabilizers_fix_state(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        circuit = random_circuit(n, 18, rng, CLIFFORD_GATES)
+        sv = StatevectorSimulator(seed=seed).run(circuit).statevector
+        fx, fz = conjugated_z_generators(circuit)
+        assert gf2_rank(np.concatenate([fx, fz], axis=1)) == n
+        for x, z in zip(fx, fz):
+            image = hermitian_pauli(x, z) @ sv
+            # Frames drop the sign: the state is a +1 or -1 eigenvector.
+            overlap = np.vdot(sv, image)
+            assert abs(abs(overlap) - 1.0) < 1e-8
+            assert np.allclose(image, overlap.real * sv, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_frames_conjugate_like_the_circuit_unitary(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        n = int(rng.integers(2, 5))
+        circuit = random_circuit(n, 18, rng, CLIFFORD_GATES)
+        u = circuit.to_unitary()
+        fx, fz = rng.random((12, n)) < 0.5, rng.random((12, n)) < 0.5
+        before = [hermitian_pauli(x, z) for x, z in zip(fx, fz)]
+        for inst in circuit.instructions:
+            _conjugate_frames(inst.name, inst.qubits, fx, fz)
+        for pauli, x, z in zip(before, fx, fz):
+            image = u @ pauli @ u.conj().T
+            after = hermitian_pauli(x, z)
+            # Equal up to the sign frames do not track.
+            assert np.allclose(image, after, atol=1e-8) or np.allclose(
+                image, -after, atol=1e-8
+            )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pauli_expectations_match(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        circuit = random_circuit(3, 15, rng, CLIFFORD_GATES)
+        sv = StatevectorSimulator(seed=seed).run(circuit).statevector
+        rho = DensitySimulator().run(circuit).final_density()
+        for label in ("ZII", "IXI", "XYZ", "ZZI", "XXX"):
+            expect_sv = pauli_expectation(label, sv)
+            assert abs(expect_sv - pauli_expectation(label, rho)) < 1e-8
+            # A stabilizer state's Pauli expectations are 0 or +-1.
+            assert min(abs(expect_sv - v) for v in (-1.0, 0.0, 1.0)) < 1e-8
+
+    def test_ghz_expectations(self):
+        circuit = Circuit(3).h(0).cx(0, 1).cx(1, 2)
+        sv = StatevectorSimulator().run(circuit).statevector
+        expected = {"XXX": 1, "ZZI": 1, "IZZ": 1, "ZII": 0, "YYX": -1}
+        for label, value in expected.items():
+            assert abs(pauli_expectation(label, sv) - value) < 1e-12
+        fx, fz = conjugated_z_generators(circuit)
+        labels = {Pauli(x, z, int(np.count_nonzero(x & z))).bare_label() for x, z in zip(fx, fz)}
+        assert labels == {"XXX", "ZZI", "IZZ"}
+
+
+class TestSdg:
+    """``sdg`` is ``s`` applied three times: on the statevector exactly,
+    and in the frames kernel's conjugation rule."""
+
+    ONE_Q = ["h", "s", "sdg", "x", "y", "z"]
+    TWO_Q = ["cx", "cz", "swap"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sdg_matches_triple_s_after_random_clifford_prefix(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4
+        direct, reference = Circuit(n), Circuit(n)
+        for _ in range(30):
+            if rng.random() < 0.6:
+                gate, qubits = str(rng.choice(self.ONE_Q)), [int(rng.integers(n))]
+            else:
+                gate = str(rng.choice(self.TWO_Q))
+                qubits = [int(v) for v in rng.choice(n, size=2, replace=False)]
+            direct.append(gate, qubits)
+            reference.append(gate, qubits)
+            q = int(rng.integers(n))
+            direct.append("sdg", [q])
+            for _ in range(3):
+                reference.append("s", [q])
+        sim = StatevectorSimulator()
+        assert np.allclose(
+            sim.run(direct).statevector, sim.run(reference).statevector, atol=1e-12
+        )
+        frames = [rng.random((16, n)) < 0.5 for _ in range(2)]
+        pushed = []
+        for circuit in (direct, reference):
+            fx, fz = frames[0].copy(), frames[1].copy()
+            for inst in circuit.instructions:
+                _conjugate_frames(inst.name, inst.qubits, fx, fz)
+            pushed.append((fx, fz))
+        assert np.array_equal(pushed[0][0], pushed[1][0])
+        assert np.array_equal(pushed[0][1], pushed[1][1])
+
+    def test_sdg_inverts_s(self):
+        sim = StatevectorSimulator()
+        plus = sim.run(Circuit(1).h(0)).statevector
+        assert np.allclose(sim.run(Circuit(1).h(0).s(0).sdg(0)).statevector, plus)
+        assert not np.allclose(sim.run(Circuit(1).h(0).s(0)).statevector, plus)
 
 
 class TestFrameVsDensityNoisy:

@@ -29,6 +29,7 @@ from repro.engine import (
     ResultCache,
     grid_points,
 )
+from repro.sim import DensitySimulator
 from repro.utils import random_density_matrix, random_pure_state
 
 
@@ -39,13 +40,13 @@ def small_sv_job(seed: int = 5, shots: int = 240, batch_size: int = 60) -> Job:
     return swap_test_job(build, states, shots, seed, batch_size=batch_size)
 
 
-def exact_ghz_job() -> Job:
+def ghz_circuit() -> Circuit:
     circuit = Circuit(2, 2)
     circuit.h(0)
     circuit.cx(0, 1)
     circuit.measure(0, 0)
     circuit.measure(1, 1)
-    return Job(circuit=circuit, shots=0, seed=1, mode="exact", readout=(0, 1))
+    return circuit
 
 
 def result_bits(result):
@@ -139,12 +140,15 @@ class TestPipelinedExecution:
         assert not results[0].from_cache and not results[1].from_cache
         assert result_bits(results[0]) == result_bits(results[1])
 
-    def test_density_jobs_run_inline_alongside_pooled(self):
-        jobs = [small_sv_job(seed=1), exact_ghz_job(), small_sv_job(seed=2)]
+    def test_one_batch_jobs_run_alongside_pooled(self):
+        one_batch = Job(circuit=ghz_circuit(), shots=200, seed=1, readout=(0, 1))
+        jobs = [small_sv_job(seed=1), one_batch, small_sv_job(seed=2)]
         with Engine(workers=4) as engine:
             results = engine.run_many(jobs)
-        assert results[1].backend == "density"
-        assert results[1].probabilities["00"] == pytest.approx(0.5)
+        exact = DensitySimulator().run(ghz_circuit()).branch_probabilities()
+        assert exact == pytest.approx({(0, 0): 0.5, (1, 1): 0.5})
+        assert results[1].backend == "statevector" and results[1].num_batches == 1
+        assert set(results[1].counts) == {"00", "11"}
         assert result_bits(results[0]) == result_bits(self.reference()[0])
 
 
