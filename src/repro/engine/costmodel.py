@@ -27,10 +27,13 @@ kernel seconds (median of 7 runs) of 56 serial one-group jobs on 2
 vCPUs: monolithic, noisy monolithic, COMPAS with 1% link noise and
 N-state SWAP tests at k = 2..4, n = 1..2 (k·n ≤ 6), N-party and
 mixed-input ones at k·n ≤ 4, two shot budgets each
-(``benchmarks/fit_dense_costmodel.py`` reruns the set).  With the
+(``benchmarks/fit_dense_costmodel.py`` reruns the set); they were
+refitted when the kernel's row plans cut its fixed cost per op, taking
+the one of eight fits nearest the median of each constant.  With the
 expected rows, their predicted / actual ratios have a median of
-0.86–0.99, quartiles 0.66–0.70 and 1.14–1.21 and a range of 0.29–2.0
-over two reruns; sub-millisecond jobs read lowest.  Every decision is a
+0.78–0.97, quartiles 0.53–0.68 and 0.98–1.07 and a range of 0.23–1.51
+over five reruns on a host whose speed drifted between them;
+sub-millisecond jobs read lowest.  Every decision is a
 threshold comparison against overheads that are orders of magnitude
 apart, so such errors do not flip a decision that matters.  None of
 this affects results: grouping only changes *where* a batch executes and
@@ -70,12 +73,12 @@ _FRAME_FAULT_SECONDS = 4.3e-7
 #: fold's bookkeeping), per shot per stochastic op (draws, outcome
 #: columns), and per segment (a batch's share of one input state: its
 #: generator's draw calls and its input draw).
-_ROW_AMP_SECONDS = 1.2e-8
-_ROW_SECONDS = 1.9e-6
-_DENSE_OP_SECONDS = 5.5e-5
-_FOLD_SECONDS = 1.5e-5
-_SITE_SHOT_SECONDS = 4.2e-8
-_SEGMENT_SECONDS = 7.5e-5
+_ROW_AMP_SECONDS = 1.1e-8
+_ROW_SECONDS = 7.0e-7
+_DENSE_OP_SECONDS = 2.9e-5
+_FOLD_SECONDS = 1.7e-5
+_SITE_SHOT_SECONDS = 2.7e-8
+_SEGMENT_SECONDS = 5.6e-5
 
 #: How much longer a group runs beside busy workers than alone: two
 #: side-by-side 3,000-shot mixed-input dense groups on 2 vCPUs ran

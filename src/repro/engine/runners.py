@@ -257,25 +257,39 @@ def _accumulate_matrix(stats: BatchStats, clbits: np.ndarray, job: Job, sizes=No
     totals do not depend on accumulation order — regrouping shots (by
     ensemble component, by chunk) never changes the bits.
 
-    Counting packs each row into one fixed-width ASCII bytes key (add
-    ``'0'`` to every bit, reinterpret the row as a single ``S{ncols}``
-    scalar) so one unique/count pass runs on a 1-D bytes array and the
-    Python-level bitstring is materialized once per *unique* outcome.
-    ``sizes`` splits the rows into consecutive segments that are reduced
-    in this one pass: labels enter ``stats.counts`` in the order one fold
-    per segment would insert them, by the first segment that holds them,
-    then by label.
+    Counting keys each row as a big-endian integer, clbit 0 most
+    significant, in as many 16-bit words as the register needs (16 bits,
+    so the stable sort is numpy's radix sort): the rows are sorted by
+    their words (``np.lexsort``, stable, first word primary), so the
+    distinct outcomes come out in the order of their bit-string labels,
+    each first at the row where it first occurs, and each label is
+    decoded once.  ``sizes`` splits the rows into consecutive segments
+    that are reduced in this one pass: labels enter ``stats.counts`` in
+    the order one fold per segment would insert them, by the first
+    segment that holds them, then by label.
     """
     shots, ncols = clbits.shape
     if ncols:
-        chars = np.ascontiguousarray(clbits, dtype=np.uint8) + np.uint8(48)
-        keys = np.ascontiguousarray(chars).view(np.dtype((np.bytes_, ncols))).ravel()
-        unique_keys, first, row_counts = np.unique(keys, return_index=True, return_counts=True)
+        keys = np.empty((-(-ncols // 16), shots), dtype=np.uint16)
+        for word, lo in enumerate(range(0, ncols, 16)):
+            bits = clbits[:, lo : lo + 16]
+            weights = np.uint16(1) << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.uint16)
+            keys[word] = bits @ weights
+        order = np.lexsort(keys[::-1])
+        ordered = keys[:, order]
+        new_key = np.ones(shots, dtype=bool)
+        new_key[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        starts = np.flatnonzero(new_key)
+        first = order[starts]
+        row_counts = np.diff(np.append(starts, shots))
         if sizes is not None and len(sizes) > 1:
-            order = np.argsort(np.searchsorted(np.cumsum(sizes), first, "right"), kind="stable")
-            unique_keys, row_counts = unique_keys[order], row_counts[order]
-        for key, count in zip(unique_keys.tolist(), row_counts.tolist()):
-            stats.counts[key.decode("ascii")] += count
+            by_segment = np.argsort(np.searchsorted(np.cumsum(sizes), first, "right"), kind="stable")
+            first, row_counts = first[by_segment], row_counts[by_segment]
+        text = (clbits[first].astype(np.uint8) + np.uint8(48)).tobytes().decode("ascii")
+        labels = [text[i : i + ncols] for i in range(0, len(text), ncols)]
+        # Counter.update adds a mapping's counts in its order (one dict
+        # update when the Counter is still empty).
+        stats.counts.update(dict(zip(labels, row_counts.tolist())))
     else:
         stats.counts[""] += shots
     if job.readout:

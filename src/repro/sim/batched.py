@@ -461,19 +461,21 @@ def _collapse_site(
 
 def _zero_probability(state: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
     """Probability of outcome 0 on ``qubit``, per row."""
-    m = state.shape[0]
-    amp0 = _moved_view(state, qubit, num_qubits)[:, 0].reshape(m, -1)
+    amp0 = _qubit_view(state, qubit, num_qubits)[:, :, 0].reshape(state.shape[0], -1)
     return np.einsum("ij,ij->i", amp0, amp0.conj()).real
 
 
 def _collapse_rows(
     state: np.ndarray, outcomes: np.ndarray, qubit: int, num_qubits: int
 ) -> None:
-    """Zero each row's dead branch and renormalise, in place."""
-    m = state.shape[0]
-    moved = _moved_view(state, qubit, num_qubits)
-    moved[np.arange(m), 1 - outcomes] = 0.0
-    norms = np.linalg.norm(state, axis=1)
+    """Zero each row's dead branch and renormalise, in place.
+
+    The norms are ``np.linalg.norm(state, axis=1)``'s own formula, without
+    its wrapper.
+    """
+    view = _qubit_view(state, qubit, num_qubits)
+    view[np.arange(state.shape[0]), :, 1 - outcomes] = 0.0
+    norms = np.sqrt(np.add.reduce((state.conj() * state).real, axis=1))
     if np.any(norms < 1e-15):
         raise RuntimeError("collapse onto zero-probability branch")
     state /= norms[:, None]
@@ -515,17 +517,59 @@ def _inject_faults(
     if active is not None:
         hit = active[hit]
     targets, kinds = rows.branch(hit, np.concatenate(words), 4**k)
-    for word in np.unique(kinds):
-        paulis = [
-            PAULI_MATRICES[_PAULI_NAMES[(int(word) >> (2 * (k - 1 - i))) & 3]]
-            for i in range(k)
-        ]
-        rows.apply(kron_all(paulis), qubits, num_qubits, targets[kinds == word])
+    for word in np.unique(kinds).tolist():
+        rows.apply(_fault_matrix(word, k), qubits, num_qubits, targets[kinds == word])
+
+
+#: Pauli-word matrices by ``(word, k)``, built once per process.
+_FAULT_MATRICES: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _fault_matrix(word: int, k: int) -> np.ndarray:
+    """The read-only matrix of fault ``word`` on ``k`` qubits.
+
+    The word's base-4 digits name the Paulis, first qubit most significant.
+    """
+    matrix = _FAULT_MATRICES.get((word, k))
+    if matrix is None:
+        # A copy: for k = 1, ``kron_all`` hands back the shared Pauli itself.
+        matrix = np.array(
+            kron_all(
+                [PAULI_MATRICES[_PAULI_NAMES[(word >> (2 * (k - 1 - i))) & 3]] for i in range(k)]
+            )
+        )
+        matrix.flags.writeable = False
+        _FAULT_MATRICES[word, k] = matrix
+    return matrix
 
 
 # ----------------------------------------------------------------------
 # Row kernels
 # ----------------------------------------------------------------------
+#: Transpose plans of :func:`_apply_matrix` by ``(qubits, width)``.  They
+#: live in this process only: compiled programs, which are pickled to
+#: pool workers with their jobs, never carry them.
+_ROW_PLANS: dict[tuple[tuple[int, ...], int], tuple] = {}
+
+
+def _row_plan(qubits: Sequence[int], num_qubits: int) -> tuple:
+    """``(forward, inverse, axes, block)`` for a unitary on ``qubits``.
+
+    ``forward`` moves the qubits' axes of the ``(m, 2, ..., 2)`` row tensor
+    to positions 1..k, in the order given, and keeps the other axes in
+    order; ``inverse`` puts them back; ``axes`` is ``(2,) * num_qubits``
+    and ``block`` is ``2**k``.
+    """
+    key = (tuple(qubits), num_qubits)
+    plan = _ROW_PLANS.get(key)
+    if plan is None:
+        moved = [1 + q for q in key[0]]
+        forward = (0, *moved, *(a for a in range(1, num_qubits + 1) if a not in moved))
+        inverse = tuple(np.argsort(forward).tolist())
+        plan = _ROW_PLANS[key] = (forward, inverse, (2,) * num_qubits, 1 << len(moved))
+    return plan
+
+
 def _apply_matrix(
     state: np.ndarray,
     matrix: np.ndarray,
@@ -535,37 +579,33 @@ def _apply_matrix(
 ) -> np.ndarray:
     """Apply a k-qubit unitary to every row of a (m, 2**n) batch.
 
-    With ``out`` (which may be ``state`` itself) the result is written
-    there instead of into a new array.
+    The rows are transposed into one contiguous ``(m, 2**k, rest)`` block
+    with the qubits' axes first, multiplied, and transposed back.  With
+    ``out`` (which may be ``state`` itself) the result is written there
+    instead of into a new array.
     """
+    forward, inverse, axes, block = _row_plan(qubits, num_qubits)
     m = state.shape[0]
-    k = len(qubits)
-    axes = [1 + q for q in qubits]
-    tensor = state.reshape((m,) + (2,) * num_qubits)
-    tensor = np.moveaxis(tensor, axes, range(1, k + 1))
-    block = tensor.reshape(m, 2**k, -1)
-    block = np.matmul(matrix, block)
-    tensor = block.reshape((m,) + (2,) * num_qubits)
-    tensor = np.moveaxis(tensor, range(1, k + 1), axes)
+    tensor = state.reshape((m, *axes)).transpose(forward)
+    product = np.matmul(matrix, tensor.reshape(m, block, -1))
+    tensor = product.reshape((m, *axes)).transpose(inverse)
     if out is None:
         return np.ascontiguousarray(tensor).reshape(m, -1)
-    out.reshape((m,) + (2,) * num_qubits)[...] = tensor
+    out.reshape((m, *axes))[...] = tensor
     return out
 
 
-def _moved_view(state: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    """(m, 2, ...) view of the batch with ``qubit``'s axis second (writable)."""
-    m = state.shape[0]
-    tensor = state.reshape((m,) + (2,) * num_qubits)
-    return np.moveaxis(tensor, 1 + qubit, 1)
+def _qubit_view(state: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+    """(m, 2**qubit, 2, rest) view of the batch; axis 2 is ``qubit`` (writable)."""
+    return state.reshape(state.shape[0], 1 << qubit, 2, 1 << (num_qubits - qubit - 1))
 
 
 def _flip_qubit(
     state: np.ndarray, rows: np.ndarray, qubit: int, num_qubits: int
 ) -> None:
     """Apply X on ``qubit`` to the selected rows, in place."""
-    moved = _moved_view(state, qubit, num_qubits)
-    moved[rows] = moved[rows][:, ::-1]
+    view = _qubit_view(state, qubit, num_qubits)
+    view[rows] = view[rows][:, :, ::-1]
 
 
 def _parity(clbits: np.ndarray, cond_clbits: Sequence[int]) -> np.ndarray:

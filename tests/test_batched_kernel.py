@@ -16,6 +16,9 @@ Three-way agreement is the correctness argument for the new simulation core:
 * the router matrix: one pinned backend per circuit class and mode.
 """
 
+import pickle
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -35,9 +38,20 @@ from repro.sim import (
     run_batched,
     run_batched_frames,
 )
-from repro.sim.batched import Segment, run_segments
+from repro.sim.batched import (
+    _PAULI_NAMES,
+    Segment,
+    _apply_matrix,
+    _collapse_rows,
+    _fault_matrix,
+    _flip_qubit,
+    _zero_probability,
+    run_segments,
+)
 from repro.sim.compile import FUSION_MAX_QUBITS
+from repro.sim.noisemodel import PAULI_MATRICES
 from repro.utils import partial_trace, random_density_matrix, random_pure_state, state_fidelity
+from repro.utils.linalg import kron_all
 
 RNG = np.random.default_rng(515)
 
@@ -756,3 +770,136 @@ class TestEngineDeterminism:
         assert sum(result.counts.values()) == 256
         assert all(len(label) == 64 and set(label) <= set("IXYZ") for label in result.counts)
         assert result.counts.get("I" * 64, 0) > 0
+
+
+# ----------------------------------------------------------------------
+# Row plans: the same bits as the moveaxis kernels they replaced
+# ----------------------------------------------------------------------
+def moveaxis_apply_matrix(state, matrix, qubits, num_qubits, out=None):
+    """The moveaxis ``_apply_matrix`` the row plans replaced (reference)."""
+    m = state.shape[0]
+    k = len(qubits)
+    axes = [1 + q for q in qubits]
+    tensor = state.reshape((m,) + (2,) * num_qubits)
+    tensor = np.moveaxis(tensor, axes, range(1, k + 1))
+    block = tensor.reshape(m, 2**k, -1)
+    block = np.matmul(matrix, block)
+    tensor = block.reshape((m,) + (2,) * num_qubits)
+    tensor = np.moveaxis(tensor, range(1, k + 1), axes)
+    if out is None:
+        return np.ascontiguousarray(tensor).reshape(m, -1)
+    out.reshape((m,) + (2,) * num_qubits)[...] = tensor
+    return out
+
+
+def moved_view(state, qubit, num_qubits):
+    m = state.shape[0]
+    tensor = state.reshape((m,) + (2,) * num_qubits)
+    return np.moveaxis(tensor, 1 + qubit, 1)
+
+
+def moveaxis_zero_probability(state, qubit, num_qubits):
+    m = state.shape[0]
+    amp0 = moved_view(state, qubit, num_qubits)[:, 0].reshape(m, -1)
+    return np.einsum("ij,ij->i", amp0, amp0.conj()).real
+
+
+def moveaxis_collapse_rows(state, outcomes, qubit, num_qubits):
+    m = state.shape[0]
+    moved = moved_view(state, qubit, num_qubits)
+    moved[np.arange(m), 1 - outcomes] = 0.0
+    norms = np.linalg.norm(state, axis=1)
+    if np.any(norms < 1e-15):
+        raise RuntimeError("collapse onto zero-probability branch")
+    state /= norms[:, None]
+
+
+def moveaxis_flip_qubit(state, rows, qubit, num_qubits):
+    moved = moved_view(state, qubit, num_qubits)
+    moved[rows] = moved[rows][:, ::-1]
+
+
+def signed_zero_rows(m, width, rng):
+    """Random rows with some amplitudes exactly ``+0.0`` or ``-0.0``; the
+    first and last amplitudes are not zero, so no branch is empty."""
+    rows = rng.normal(size=(m, 2**width)) + 1j * rng.normal(size=(m, 2**width))
+    inner = rows[:, 1:-1]
+    inner[rng.random(inner.shape) < 0.2] = 0.0
+    inner[rng.random(inner.shape) < 0.2] = complex(-0.0, -0.0)
+    return rows
+
+
+def qubit_tuples(width):
+    for k in (1, 2, 3):
+        yield from permutations(range(width), k)
+
+
+class TestRowPlans:
+    """The dense kernel's transpose plans and qubit views give byte-equal
+    rows to the moveaxis kernels: ``tobytes`` tells ``-0.0`` from
+    ``+0.0``, which the row fold keeps apart."""
+
+    WIDTHS = [1, 2, 3, 4, 5, 6, 7, 8, 12]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_apply_matrix(self, width):
+        rng = np.random.default_rng(width)
+        state = signed_zero_rows(4, width, rng)
+        subset = np.array([3, 1])
+        for qubits in qubit_tuples(width):
+            k = len(qubits)
+            dense = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+            for matrix in (dense, _fault_matrix(int(rng.integers(1, 4**k)), k)):
+                got = state.copy()
+                want = state.copy()
+                _apply_matrix(got, matrix, qubits, width, out=got)
+                moveaxis_apply_matrix(want, matrix, qubits, width, out=want)
+                assert got.tobytes() == want.tobytes(), qubits
+                got = _apply_matrix(state[subset], matrix, qubits, width)
+                want = moveaxis_apply_matrix(state[subset], matrix, qubits, width)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), qubits
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_zero_probability_collapse_and_reset_flip(self, width):
+        rng = np.random.default_rng(100 + width)
+        state = signed_zero_rows(5, width, rng)
+        state /= np.linalg.norm(state, axis=1)[:, None]
+        for qubit in range(width):
+            assert (
+                _zero_probability(state, qubit, width).tobytes()
+                == moveaxis_zero_probability(state, qubit, width).tobytes()
+            )
+            for outcomes in ([0] * 5, [1] * 5, [0, 1, 1, 0, 1]):
+                outcomes = np.array(outcomes, dtype=np.uint8)
+                got, want = state.copy(), state.copy()
+                _collapse_rows(got, outcomes, qubit, width)
+                moveaxis_collapse_rows(want, outcomes, qubit, width)
+                assert got.tobytes() == want.tobytes(), (qubit, outcomes)
+                flipped = np.flatnonzero(outcomes)
+                _flip_qubit(got, flipped, qubit, width)
+                moveaxis_flip_qubit(want, flipped, qubit, width)
+                assert got.tobytes() == want.tobytes(), (qubit, outcomes)
+
+    def test_collapse_onto_zero_branch_still_raises(self):
+        state = np.zeros((1, 4), dtype=complex)
+        state[0, 0] = 1.0
+        with pytest.raises(RuntimeError, match="zero-probability"):
+            _collapse_rows(state, np.array([1], dtype=np.uint8), 0, 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fault_matrices_are_cached_kron_products(self, k):
+        for word in range(1, 4**k):
+            matrix = _fault_matrix(word, k)
+            assert _fault_matrix(word, k) is matrix
+            assert not matrix.flags.writeable
+            paulis = [PAULI_MATRICES[_PAULI_NAMES[(word >> (2 * (k - 1 - i))) & 3]] for i in range(k)]
+            assert matrix.tobytes() == kron_all(paulis).tobytes()
+        # Freezing a one-qubit word leaves the shared Pauli writable.
+        assert all(p.flags.writeable for p in PAULI_MATRICES.values())
+
+    def test_plans_stay_off_the_pickled_program(self):
+        program = compile_circuit(ghz_circuit(5), gate_noise=True)
+        before = pickle.dumps(program)
+        run_batched(program, 64, np.random.default_rng(0), noise=NoiseModel.from_base(0.05))
+        assert pickle.dumps(program) == before

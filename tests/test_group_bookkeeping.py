@@ -72,6 +72,65 @@ class TestGroupReduce:
         assert group.counts == Counter({"": 5})
 
 
+def bytes_keyed_accumulate(stats, clbits, job, sizes=None):
+    """The bytes-keyed tally the integer keys replaced (reference)."""
+    shots, ncols = clbits.shape
+    if ncols:
+        chars = np.ascontiguousarray(clbits, dtype=np.uint8) + np.uint8(48)
+        keys = np.ascontiguousarray(chars).view(np.dtype((np.bytes_, ncols))).ravel()
+        unique_keys, first, row_counts = np.unique(keys, return_index=True, return_counts=True)
+        if sizes is not None and len(sizes) > 1:
+            order = np.argsort(np.searchsorted(np.cumsum(sizes), first, "right"), kind="stable")
+            unique_keys, row_counts = unique_keys[order], row_counts[order]
+        for key, count in zip(unique_keys.tolist(), row_counts.tolist()):
+            stats.counts[key.decode("ascii")] += count
+    else:
+        stats.counts[""] += shots
+    if job.readout:
+        parity = np.zeros(shots, dtype=np.uint8)
+        for c in job.readout:
+            parity ^= clbits[:, c]
+        values = 1.0 - 2.0 * parity.astype(np.float64)
+        stats.parity_total += float(values.sum())
+        stats.parity_total_sq += float(shots)
+
+
+class TestIntegerKeys:
+    """Integer outcome keys keep the bytes-keyed tally's labels, counts and
+    insertion order, in one word and in several."""
+
+    @pytest.mark.parametrize("ncols", [0, 1, 9, 40, 64, 70])
+    @pytest.mark.parametrize("segments", [1, 3])
+    def test_matches_bytes_keyed_tally(self, ncols, segments):
+        rng = np.random.default_rng(ncols * 10 + segments)
+        # Few distinct rows, repeated, with pairs that differ only in the
+        # first or only in the last column, so every word decides an order.
+        pool = (rng.random((12, ncols)) < 0.5).astype(np.uint8)
+        if ncols:
+            pool[1], pool[3] = pool[0], pool[2]
+            pool[1, 0] ^= 1
+            pool[3, -1] ^= 1
+        clbits = pool[rng.integers(len(pool), size=300)]
+        sizes = [300] if segments == 1 else [40, 200, 60]
+        job = readout_job(ncols) if ncols else Job(circuit=Circuit(1, 0), shots=1, seed=0)
+        got, want = stats(), stats()
+        # The second fold adds to a Counter that already holds labels.
+        for rows in (clbits, clbits[::-1]):
+            _accumulate_matrix(got, rows, job, sizes)
+            bytes_keyed_accumulate(want, rows, job, sizes)
+            assert list(got.counts.items()) == list(want.counts.items())
+            assert got.parity_total == want.parity_total
+            assert got.parity_total_sq == want.parity_total_sq
+
+    @pytest.mark.parametrize("ncols", [0, 3])
+    def test_no_shots(self, ncols):
+        job = readout_job(ncols) if ncols else Job(circuit=Circuit(1, 0), shots=1, seed=0)
+        got, want = stats(), stats()
+        _accumulate_matrix(got, np.zeros((0, ncols), dtype=np.uint8), job, [0])
+        bytes_keyed_accumulate(want, np.zeros((0, ncols), dtype=np.uint8), job, [0])
+        assert list(got.counts.items()) == list(want.counts.items())
+
+
 class TestPureInputs:
     def test_deterministic_ensembles_draw_nothing(self):
         rng = np.random.default_rng(0)
